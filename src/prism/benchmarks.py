@@ -34,7 +34,16 @@ from .errors import (
     ValidationError,
     ZeroEdges,
 )
-from .graphs import Graph, fiedler_vector, graph_from_edges, is_connected, laplacian, symmetric_eig
+from .graphs import (
+    Graph,
+    SpectralDecomposition,
+    fiedler_vector,
+    graph_from_edges,
+    is_connected,
+    laplacian,
+    require_fiedler_graph,
+    symmetric_eig,
+)
 from .learn import fiedler_duality_operator
 from .reporting import csv_text, json_text
 
@@ -197,9 +206,10 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     w = g.weights.copy()
     n = g.n
     rng = np.random.default_rng(seed)
-    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    edges = [(i, j) for i, j in upper if w[i, j] > 0.0]
-    empty = [(i, j) for i, j in upper if w[i, j] == 0.0]
+    rows, cols = np.triu_indices(n, 1)  # row-major: the upper-triangle order
+    present = w[rows, cols] > 0.0
+    edges = list(zip(rows[present].tolist(), cols[present].tolist()))
+    empty = list(zip(rows[~present].tolist(), cols[~present].tolist()))
     for _ in range(count):
         remove = rng.random() < 0.5
         if remove and not edges:
@@ -267,34 +277,51 @@ def fiedler_bipartition(l_or_g) -> np.ndarray:
     return (v >= 0.0).astype(int)
 
 
+def _above_mp_edge(eigenvalues: np.ndarray) -> np.ndarray:
+    """Mask of eigenvalues at or above the Marchenko-Pastur edge.
+
+    The edge is lambda_plus = sigma^2 (1 + sqrt(q))^2 with q = 1 and sigma^2
+    the mean Laplacian eigenvalue.
+    """
+    return eigenvalues >= 4.0 * float(np.mean(eigenvalues))
+
+
 def rmt_denoise(g: Graph) -> np.ndarray:
     """Reconstruct the Laplacian from eigenvalues above the Marchenko-Pastur edge.
 
-    The cutoff is lambda_plus = sigma^2 (1 + sqrt(q))^2 with q = 1 and
-    sigma^2 the mean Laplacian eigenvalue; everything below it is zeroed.
+    Everything below the edge (see _above_mp_edge) is zeroed.
     """
     decomp = symmetric_eig(laplacian(g))
-    lam_plus = 4.0 * float(np.mean(decomp.eigenvalues))
-    keep = decomp.eigenvalues >= lam_plus
+    keep = _above_mp_edge(decomp.eigenvalues)
     vectors = decomp.eigenvectors[:, keep]
     rebuilt = (vectors * decomp.eigenvalues[keep]) @ vectors.T
     return (rebuilt + rebuilt.T) / 2.0
 
 
+def _spectral_labels(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-of-Fiedler labels and RMT labels from one connected Laplacian's spectrum.
+
+    The RMT labels come from the eigenvector of the smallest eigenvalue above
+    the Marchenko-Pastur edge. They fall back to the Fiedler labels when fewer
+    than two eigenvalues survive (the usual case for small graphs, where the
+    mean-based edge sits above the whole spectrum).
+    """
+    fiedler = (decomp.eigenvectors[:, 1] >= 0.0).astype(int)
+    surviving = np.nonzero(_above_mp_edge(decomp.eigenvalues))[0]
+    if len(surviving) < 2:
+        return fiedler, fiedler
+    v = decomp.eigenvectors[:, int(surviving[0])]
+    return fiedler, (v >= 0.0).astype(int)
+
+
 def rmt_labels(g: Graph) -> np.ndarray:
     """Cluster on the eigenvector of the smallest surviving component.
 
-    Falls back to the raw Fiedler bipartition when fewer than two eigenvalues
-    survive the cutoff (the usual case for small graphs, where the mean-based
-    edge sits above the whole spectrum).
+    Requires a connected graph of at least 2 nodes, like fiedler_bipartition,
+    whose labels it returns when the cutoff leaves fewer than two eigenvalues.
     """
-    decomp = symmetric_eig(laplacian(g))
-    lam_plus = 4.0 * float(np.mean(decomp.eigenvalues))
-    surviving = np.nonzero(decomp.eigenvalues >= lam_plus)[0]
-    if len(surviving) < 2:
-        return fiedler_bipartition(g)
-    v = decomp.eigenvectors[:, int(surviving[0])]
-    return (v >= 0.0).astype(int)
+    require_fiedler_graph(g)
+    return _spectral_labels(symmetric_eig(laplacian(g)))[1]
 
 
 def accuracy(predicted, truth) -> float:
@@ -306,7 +333,7 @@ def accuracy(predicted, truth) -> float:
             f"label lengths differ: {predicted.shape} vs {truth.shape}"
         )
     for labels in (predicted, truth):
-        if not np.all(np.isin(labels, (0, 1))):
+        if not np.all((labels == 0) | (labels == 1)):
             raise NonBinary("labels must be 0/1")
     agree = float(np.mean(predicted == truth))
     return max(agree, 1.0 - agree)
@@ -442,7 +469,11 @@ def _noise_trial(
     level_index: int,
     trial_index: int,
 ) -> tuple[float, float, float, int]:
-    """One (level, trial) cell: returns the three accuracies and resample count."""
+    """One (level, trial) cell: returns the three accuracies and resample count.
+
+    Connectivity is checked once per draw, and the noisy Laplacian is
+    decomposed once for both the baseline and the RMT labels.
+    """
     for attempt in range(1000):
         noisy = flip_edges(clean, count, child_seed(seed, level_index, trial_index, attempt))
         if is_connected(noisy):
@@ -450,8 +481,9 @@ def _noise_trial(
     else:
         raise DegenerateGraph("could not draw a connected noisy graph in 1000 attempts")
     lap = laplacian(noisy)
-    base = accuracy(fiedler_bipartition(noisy), truth)
-    rmt = accuracy(rmt_labels(noisy), truth)
+    base_labels, denoised_labels = _spectral_labels(symmetric_eig(lap))
+    base = accuracy(base_labels, truth)
+    rmt = accuracy(denoised_labels, truth)
     projected = commutant_projection(lap, operator).projected
     prism = accuracy(fiedler_bipartition(projected), truth)
     return base, rmt, prism, attempt

@@ -103,7 +103,3 @@ class DegenerateWindow(NumericError):
 
 class TooFewNodes(NumericError):
     """Component smaller than the requested community count."""
-
-
-class EventOutOfRange(NumericError):
-    """Event date falls outside the return history."""

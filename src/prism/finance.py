@@ -27,6 +27,7 @@ from .errors import (
     InsufficientHistory,
     NonPositivePrice,
     ParseError,
+    PrismError,
     TooFewNodes,
     ValidationError,
     ZeroMatrix,
@@ -260,19 +261,20 @@ def rolling_defect(
 ) -> RollingSeries:
     """Evaluate (mean correlation, defect) at window ends spaced by stride.
 
-    Windows that fail (no edges, degenerate) are skipped and flagged. The
-    slope is the least-squares trend of the defect per record step; None with
-    fewer than two records.
+    Windows that fail with a PrismError (no edges, degenerate) are skipped
+    and flagged; any other exception propagates. The slope is the
+    least-squares trend of the defect per record step; None with fewer than
+    two records.
     """
     if stride < 1:
         raise ValidationError(f"stride must be at least 1, got {stride}")
     positions = list(range(window_len - 1, len(r.dates), stride))
-    results: dict[int, WindowStats | Exception] = {}
+    results: dict[int, WindowStats | PrismError] = {}
 
     def evaluate(pos: int) -> None:
         try:
             results[pos] = _window_stats(r, r.dates[pos], window_len, threshold)
-        except Exception as exc:  # noqa: BLE001 - recorded per window, not fatal
+        except PrismError as exc:  # recorded per window, not fatal
             results[pos] = exc
 
     workers = resolve_threads(threads)
@@ -519,7 +521,8 @@ def event_study(
 
     Offsets count rows of the return index relative to the event's position.
     Events outside history are flagged and skipped; offsets lacking a full
-    window produce partial rows (flagged). Deltas are offset-0 minus
+    window, or whose window fails with a PrismError, produce partial rows
+    (flagged); any other exception propagates. Deltas are offset-0 minus
     offset-60-before values, when both exist.
     """
     normalized: list[tuple[str, str]] = []
@@ -547,7 +550,7 @@ def event_study(
                     continue
                 try:
                     stats = _window_stats(r, r.dates[target], window_len, threshold)
-                except Exception:  # noqa: BLE001 - this cell is absent, row flagged
+                except PrismError:  # this cell is absent, row flagged
                     partial = True
                     continue
                 cells[(window_len, offset)] = (stats.defect, stats.mean_correlation)

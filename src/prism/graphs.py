@@ -160,14 +160,19 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     if np.linalg.norm(m - m.T) > SYMMETRY_RTOL * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh((m + m.T) / 2.0)
-    vectors = vectors.copy()
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        # np.argmax returns the first maximum, which is the tie rule we want.
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, k] = -col
+    # np.argmax returns the first maximum, which is the tie rule we want.
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
+
+
+def require_fiedler_graph(g: Graph) -> None:
+    """Raise unless g has a well-defined Fiedler vector: 2+ nodes, connected."""
+    if g.n < 2:
+        raise TooSmall(f"Fiedler vector needs at least 2 nodes, got {g.n}")
+    if not is_connected(g):
+        raise DisconnectedGraph("graph is disconnected; Fiedler vector undefined")
 
 
 def fiedler_vector(g: Graph) -> np.ndarray:
@@ -176,10 +181,7 @@ def fiedler_vector(g: Graph) -> np.ndarray:
     Requires a connected graph: with a repeated zero eigenvalue the second
     eigenvector is an arbitrary basis choice, so we fail loudly instead.
     """
-    if g.n < 2:
-        raise TooSmall(f"Fiedler vector needs at least 2 nodes, got {g.n}")
-    if not is_connected(g):
-        raise DisconnectedGraph("graph is disconnected; Fiedler vector undefined")
+    require_fiedler_graph(g)
     decomp = symmetric_eig(laplacian(g))
     return np.array(decomp.eigenvectors[:, 1])
 

@@ -1,12 +1,16 @@
 """Synthetic dual networks, perturbations, club-graph benchmark, reports."""
 
 import json
-import math
 
 import numpy as np
 import pytest
 
-from oracles import double_sum_modularity, rebuild_flip_edges
+from oracles import (
+    double_sum_modularity,
+    per_trial_noise_rows,
+    rebuild_flip_edges,
+    reference_rmt_labels,
+)
 from prism import benchmarks
 from prism.benchmarks import (
     KARATE_FACTIONS,
@@ -28,10 +32,13 @@ from prism.benchmarks import (
     rewire_experiment,
     rewire_report_to_csv,
     rewire_report_to_json,
+    rmt_denoise,
+    rmt_labels,
 )
 from prism.duality import duality_defect
 from prism.errors import (
     DegenerateGraph,
+    DisconnectedGraph,
     LengthMismatch,
     NonBinary,
     TooSmall,
@@ -190,6 +197,7 @@ def test_flip_edges_matches_the_rebuild_per_flip_reference():
         (club, (0, 1, 28, 600)),  # 600 exceeds the club's 561 slots
         (Graph(labels=tuple("abcdefghijkl"), weights=weighted), (0, 7, 66, 100)),
         (graph_from_edges(["a", "b"], [(0, 1)]), (0, 1, 2, 5)),
+        (graph_from_edges(["a"], []), (0, 3)),  # no slots at all
     ]
     for g, counts in cases:
         for count in counts:
@@ -241,8 +249,6 @@ def test_fiedler_bipartition_accepts_graph_or_matrix():
 def test_rmt_fallback_engages_on_club_graph():
     # the mean-eigenvalue cutoff sits above the whole club spectrum, so the
     # denoiser keeps nothing and the labels fall back to the raw bipartition
-    from prism.benchmarks import rmt_denoise, rmt_labels
-
     g, _ = karate_club()
     assert np.array_equal(rmt_labels(g), fiedler_bipartition(g))
     rebuilt = rmt_denoise(g)
@@ -311,6 +317,44 @@ def test_noise_benchmark_small_run_and_thread_independence():
     assert all(row[2] >= 0.0 and row[7] >= 0 for row in serial.rows)
 
 
+@pytest.mark.parametrize("seed", [1, 123, 286])
+def test_noise_benchmark_matches_the_per_trial_reference(seed):
+    # one decomposition per noisy graph must give the same bits as decomposing
+    # it separately for the baseline, the RMT labels and their fallback
+    levels = [0.0, 0.05, 0.2]
+    expected = per_trial_noise_rows(levels, trials=6, seed=seed)
+    if seed == 286:
+        # a 5% draw keeps two eigenvalues above the cutoff: RMT leaves the fallback
+        assert expected[1][3] != expected[1][1]
+    for threads in (1, 3):
+        assert noise_benchmark(levels, trials=6, seed=seed, threads=threads).rows == expected
+
+
+def double_star(m: int, bridged: bool) -> Graph:
+    """Two m-leaf stars, hubs joined when bridged: two eigenvalues above the cutoff."""
+    edges = [(0, k) for k in range(2, m + 2)] + [(1, k) for k in range(m + 2, 2 * m + 2)]
+    if bridged:
+        edges.append((0, 1))
+    return graph_from_edges([str(i) for i in range(2 * m + 2)], edges)
+
+
+def test_rmt_labels_without_fallback_match_the_reference():
+    g = double_star(12, bridged=True)
+    labels = rmt_labels(g)
+    assert np.array_equal(labels, reference_rmt_labels(laplacian(g)))
+    # the surviving component is not the Fiedler vector here
+    assert not np.array_equal(labels, fiedler_bipartition(g))
+
+
+def test_rmt_labels_require_a_connected_graph():
+    with pytest.raises(DisconnectedGraph):
+        rmt_labels(double_star(12, bridged=False))
+    with pytest.raises(DisconnectedGraph):
+        rmt_labels(Graph(labels=("a", "b"), weights=np.zeros((2, 2))))
+    with pytest.raises(TooSmall):
+        rmt_labels(Graph(labels=("a",), weights=np.zeros((1, 1))))
+
+
 def test_noise_benchmark_validation():
     with pytest.raises(ValidationError):
         noise_benchmark([1.5], trials=1, seed=0)
@@ -348,9 +392,3 @@ def test_table_one_row_zero_defects():
     assert report.rows[0][1] <= 1e-10
     assert report.rows[0][2] >= 0.3
     assert report.sensitivity_true is None  # one row cannot support a slope
-
-
-def test_flip_count_matches_five_percent_of_club_edges():
-    # Only 3 flips: too few to move the baseline, which is why noise_benchmark
-    # measures a level against the 561 node pairs instead of the 78 edges.
-    assert math.floor(0.05 * 78) == 3

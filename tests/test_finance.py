@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import pearson
+from prism import finance
 from prism.duality import duality_defect
 from prism.errors import (
     DegenerateWindow,
@@ -307,6 +308,20 @@ def test_rolling_skips_failing_windows():
     assert series.slope is None
     assert all(reason == "ZeroMatrix" for _, reason in series.skipped)
     assert len(series.skipped) == 5
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, threads):
+    # only a PrismError may become a skipped window or a partial row; any
+    # other exception is a bug and must surface, on the pool path as well
+    def broken(*args, **kwargs):
+        raise TypeError("broken window")
+
+    monkeypatch.setattr(finance, "_window_stats", broken)
+    with pytest.raises(TypeError, match="broken window"):
+        rolling_defect(universe_returns, 60, stride=120, threads=threads)
+    with pytest.raises(TypeError, match="broken window"):
+        event_study(universe_returns, [("SPIKE", "2021-12-24")])
 
 
 def test_rolling_stride_validation(universe_returns):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import column_loop_eig
 from prism.errors import (
     DisconnectedGraph,
     NonFinite,
@@ -145,6 +146,39 @@ def test_symmetric_eig_tie_break_goes_to_first_index():
     m = np.array([[0.0, -1.0], [-1.0, 0.0]])
     vectors = symmetric_eig(m).eigenvectors
     assert vectors[0, 1] > 0.0 and vectors[1, 1] < 0.0
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 34, 200])
+def test_symmetric_eig_matches_the_column_loop_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        m = rng.standard_normal((n, n))
+        m = (m + m.T) / 2.0
+        values, vectors = column_loop_eig(m)
+        decomp = symmetric_eig(m)
+        assert same_bits(decomp.eigenvalues, values)
+        assert same_bits(decomp.eigenvectors, vectors)
+    lap = laplacian(random_graph(n, seed=n))
+    assert same_bits(symmetric_eig(lap).eigenvectors, column_loop_eig(lap)[1])
+
+
+def test_symmetric_eig_sign_rule_on_exactly_tied_columns(monkeypatch):
+    # LAPACK rarely returns exact ties, so hand symmetric_eig a basis that has
+    # them: every entry of the first three columns has magnitude 1/2, and the
+    # last column's first maximum (index 1) is negative
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    basis = hadamard * np.array([-1.0, 1.0, -1.0, 1.0])
+    basis[:, 3] = [0.25, -0.5, 0.5, 0.0]
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.arange(4.0), basis.copy()))
+    vectors = symmetric_eig(np.eye(4)).eigenvectors
+    assert same_bits(vectors, column_loop_eig(np.eye(4))[1])
+    assert np.all(vectors[0, :3] > 0.0)
+    assert vectors[1, 3] == 0.5 and np.signbit(vectors[3, 3])  # 0.0 negates to -0.0
 
 
 def test_symmetric_eig_input_validation():
