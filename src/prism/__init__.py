@@ -16,6 +16,7 @@ from .duality import (
     load_operator,
     operator_from_text,
     operator_to_text,
+    permutation_operator,
     save_operator,
     validate_involution,
 )

@@ -24,12 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualityOperator, commutant_projection, duality_defect, validate_involution
+from .duality import (
+    DualityOperator,
+    commutant_projection,
+    duality_defect,
+    permutation_operator,
+)
 from .errors import (
     DegenerateGraph,
     LengthMismatch,
     NonBinary,
-    Saturated,
     TooSmall,
     ValidationError,
     ZeroEdges,
@@ -140,11 +144,7 @@ def generate_dual_network(
         graph = Graph(labels=labels, weights=w)
         if not is_connected(graph):
             continue
-        sigma = np.zeros((n, n))
-        for i in range(m):
-            sigma[i, i + m] = 1.0
-            sigma[i + m, i] = 1.0
-        operator = validate_involution(sigma)
+        operator = permutation_operator(np.concatenate([np.arange(m, n), np.arange(m)]))
         defect = duality_defect(laplacian(graph), operator)
         if defect > 1e-10:
             raise DegenerateGraph(f"swap invariance violated: defect {defect:.3e}")
@@ -161,28 +161,25 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
 
     Each deleted edge's weight moves to a uniformly drawn currently-empty
     slot (rejection sampling, no self-loops), so the edge count is preserved
-    exactly. Raises Saturated when the graph has no empty slot left.
+    exactly. An empty slot always exists, because all chosen edges are
+    deleted before the first one is reinserted.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValidationError(f"fraction {fraction} outside [0, 1]")
-    edges = g.edges()
-    if not edges:
+    rows, cols = np.nonzero(np.triu(g.weights, 1))  # the order of g.edges()
+    if len(rows) == 0:
         raise ValidationError("rewire requires at least one edge")
-    count = math.floor(fraction * len(edges))
+    count = math.floor(fraction * len(rows))
     if count == 0:
         return g
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(edges), size=count, replace=False)
+    chosen = rng.choice(len(rows), size=count, replace=False)
+    rows, cols = rows[chosen], cols[chosen]
     w = g.weights.copy()
-    moved = []
-    for idx in chosen:
-        i, j, weight = edges[int(idx)]
-        w[i, j] = w[j, i] = 0.0
-        moved.append(weight)
+    moved = w[rows, cols].tolist()
+    w[rows, cols] = w[cols, rows] = 0.0
     n = g.n
     for weight in moved:
-        if np.count_nonzero(w) == n * n - n:
-            raise Saturated("no non-adjacent node pair available for insertion")
         while True:
             a = int(rng.integers(n))
             b = int(rng.integers(n))
@@ -233,10 +230,7 @@ def index_reversal_operator(n: int) -> DualityOperator:
     """The deliberately structure-blind pairing sigma(i) = n-1-i."""
     if n < 1:
         raise ValidationError(f"n must be at least 1, got {n}")
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, n - 1 - i] = 1.0
-    return validate_involution(m)
+    return permutation_operator(np.arange(n - 1, -1, -1))
 
 
 def modularity(g: Graph, partition) -> float:

@@ -1,7 +1,7 @@
 """Command-line front end. Every command is seed-deterministic.
 
 Exit codes: 0 success, 1 a computation could not produce a result
-(disconnection, saturation, undefined quantities, non-finite numerics),
+(disconnection, undefined quantities, non-finite numerics),
 2 inputs failed to load or validate.
 """
 
@@ -17,6 +17,7 @@ from . import benchmarks as bench
 from . import finance as fin
 from .duality import (
     DualityOperator,
+    _commutator,
     commutant_projection,
     duality_defect,
     identity_operator,
@@ -76,29 +77,45 @@ def _parse_seed_list(text: str) -> list[int]:
 
 
 def _resolve_operator(
-    graph: Graph,
+    n: int,
     fiedler: bool,
     index_reversal: bool,
     operator_path: str | None,
+    graph: Graph | None = None,
 ) -> DualityOperator:
-    """Build P from the selected mode; validates dimensions against the graph."""
+    """Build P for n nodes from the selected mode; --fiedler (the default) needs the graph."""
     chosen = sum([fiedler, index_reversal, operator_path is not None])
     if chosen == 0:
         fiedler = True
     elif chosen > 1:
         raise DimensionMismatch("choose exactly one of --fiedler / --index-reversal / --operator")
     if fiedler:
+        if graph is None:
+            raise DimensionMismatch("--matrix input needs --operator or --index-reversal")
         return fiedler_duality_operator(graph)
     if index_reversal:
-        return bench.index_reversal_operator(graph.n)
+        return bench.index_reversal_operator(n)
     if operator_path == "identity":
-        return identity_operator(graph.n)
+        return identity_operator(n)
     operator = load_operator(operator_path)
-    if operator.n != graph.n:
-        raise DimensionMismatch(
-            f"operator is {operator.n}x{operator.n} but graph has {graph.n} nodes"
-        )
+    if operator.n != n:
+        raise DimensionMismatch(f"operator is {operator.n}x{operator.n} but graph has {n} nodes")
     return operator
+
+
+def _load_input(path: str, as_matrix: bool, fiedler: bool, index_reversal: bool,
+                operator_path: str | None) -> tuple[np.ndarray, DualityOperator]:
+    """The Laplacian (or the --matrix file as is) and the operator it is measured against.
+
+    A bare matrix has no graph to derive a Fiedler pairing from, so --fiedler
+    is ignored there and an explicit operator is required.
+    """
+    if as_matrix:
+        lap = load_matrix(path)
+        return lap, _resolve_operator(lap.shape[0], False, index_reversal, operator_path)
+    graph = load_graph(path)
+    operator = _resolve_operator(graph.n, fiedler, index_reversal, operator_path, graph)
+    return laplacian(graph), operator
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,26 +153,14 @@ def main() -> None:
 def defect(graph_path, fiedler, index_reversal, operator_path, as_matrix) -> None:
     """Print the duality defect of a graph against an operator."""
     with _load_phase():
-        if as_matrix:
-            lap = load_matrix(graph_path)
-            graph = None
-        else:
-            graph = load_graph(graph_path)
-            lap = laplacian(graph)
-        if graph is None:
-            if operator_path is None and not index_reversal:
-                raise DimensionMismatch("--matrix input needs --operator or --index-reversal")
-            pseudo = Graph(labels=tuple(str(i) for i in range(lap.shape[0])),
-                           weights=np.zeros(lap.shape))
-            operator = _resolve_operator(pseudo, False, index_reversal, operator_path)
-        else:
-            operator = _resolve_operator(graph, fiedler, index_reversal, operator_path)
+        lap, operator = _load_input(graph_path, as_matrix, fiedler, index_reversal,
+                                    operator_path)
     with _compute_phase():
         delta = duality_defect(lap, operator)
-        commutator = lap @ operator.matrix - operator.matrix @ lap
+        commutator_norm = float(np.linalg.norm(_commutator(lap, operator)))
     click.echo(f"delta={fmt(delta)}")
     click.echo(f"laplacian_norm={fmt(float(np.linalg.norm(lap)))}")
-    click.echo(f"commutator_norm={fmt(float(np.linalg.norm(commutator)))}")
+    click.echo(f"commutator_norm={fmt(commutator_norm)}")
 
 
 @main.command()
@@ -169,17 +174,8 @@ def project(graph_path, fiedler, index_reversal, operator_path, as_matrix,
             out_matrix, out) -> None:
     """Project the Laplacian onto the commutant of an operator."""
     with _load_phase():
-        if as_matrix:
-            if operator_path is None and not index_reversal:
-                raise DimensionMismatch("--matrix input needs --operator or --index-reversal")
-            lap = load_matrix(graph_path)
-            pseudo = Graph(labels=tuple(str(i) for i in range(lap.shape[0])),
-                           weights=np.zeros(lap.shape))
-            operator = _resolve_operator(pseudo, False, index_reversal, operator_path)
-        else:
-            graph = load_graph(graph_path)
-            lap = laplacian(graph)
-            operator = _resolve_operator(graph, fiedler, index_reversal, operator_path)
+        lap, operator = _load_input(graph_path, as_matrix, fiedler, index_reversal,
+                                    operator_path)
     with _compute_phase():
         result = commutant_projection(lap, operator)
     save_matrix(result.projected, out_matrix)
@@ -213,7 +209,7 @@ def learn(graph_path, fiedler, index_reversal, operator_path, defect_tolerance,
             inner_gradient_steps=inner_steps,
         )
     with _compute_phase():
-        initial = _resolve_operator(graph, fiedler, index_reversal, operator_path)
+        initial = _resolve_operator(graph.n, fiedler, index_reversal, operator_path, graph)
         result = alternate(laplacian(graph), initial, config)
     _emit(learn_result_to_json(result), out)
 

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ZeroMatrix,
 )
-from .graphs import _as_readonly, symmetric_eig
+from .graphs import _as_readonly
 
 INVOLUTION_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
@@ -29,45 +29,90 @@ ZERO_NORM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DualityOperator:
-    """A validated symmetric involution with cached eigenspace dimensions."""
+    """A validated symmetric involution with cached eigenspace dimensions.
+
+    sigma is set when the operator is a permutation, P = I[sigma] (row i holds
+    its 1 in column sigma[i]); the kernels then gather rows and columns of L
+    instead of multiplying by P.
+    """
 
     matrix: np.ndarray = field(repr=False)
     dim_plus: int
     dim_minus: int
+    sigma: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _as_readonly(self.matrix))
+        if self.sigma is not None:
+            sigma = np.array(self.sigma, dtype=np.intp)
+            sigma.setflags(write=False)
+            object.__setattr__(self, "sigma", sigma)
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
     def is_permutation(self) -> bool:
-        m = self.matrix
-        binary = np.all((m == 0.0) | (m == 1.0))
-        return bool(binary and np.all(m.sum(axis=0) == 1.0) and np.all(m.sum(axis=1) == 1.0))
+        return self.sigma is not None
+
+
+def permutation_operator(sigma) -> DualityOperator:
+    """The operator P = I[sigma] of an involutive permutation, checked in O(n).
+
+    sigma must be a 1-D integer array of indices in range with sigma[sigma]
+    the identity. dim V+ counts the fixed points plus one per swapped pair.
+    """
+    sigma = np.asarray(sigma)
+    if sigma.ndim != 1 or (sigma.size and sigma.dtype.kind not in "iu"):
+        raise NotInvolution(f"expected a 1-D integer index array, got {sigma.dtype} {sigma.shape}")
+    n = sigma.shape[0]
+    if np.any((sigma < 0) | (sigma >= n)):
+        raise NotInvolution(f"permutation index out of range for n = {n}")
+    identity = np.arange(n)
+    if not np.array_equal(sigma[sigma], identity):
+        raise NotInvolution("permutation is not an involution: sigma[sigma] != identity")
+    pairs = int(np.count_nonzero(sigma != identity)) // 2
+    matrix = np.zeros((n, n))
+    matrix[identity, sigma] = 1.0
+    return DualityOperator(matrix=matrix, dim_plus=n - pairs, dim_minus=pairs, sigma=sigma)
+
+
+def _as_permutation(m: np.ndarray) -> np.ndarray | None:
+    """sigma with m == I[sigma], or None unless m is exactly a 0/1 permutation matrix."""
+    if not np.all((m == 0.0) | (m == 1.0)):
+        return None
+    if not (np.all(m.sum(axis=0) == 1.0) and np.all(m.sum(axis=1) == 1.0)):
+        return None
+    return np.argmax(m, axis=1)
 
 
 def validate_involution(m: np.ndarray) -> DualityOperator:
-    """Check P = P^T and P^2 = I within 1e-9 and cache dim V+ / dim V-."""
+    """Check P = P^T and P^2 = I within 1e-9 and cache dim V+ / dim V-.
+
+    An exact 0/1 permutation matrix comes back as a permutation operator.
+    Otherwise the eigenvalues are +-1 within tolerance, so dim V+ is
+    (n + tr P) / 2 rounded.
+    """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFinite("operator contains non-finite entries")
     if np.linalg.norm(m - m.T) > INVOLUTION_TOL:
         raise NotSymmetric("operator is not symmetric: ||P - P^T||_F exceeds 1e-9")
-    residual = float(np.linalg.norm(m @ m - np.eye(m.shape[0])))
+    sigma = _as_permutation(m)
+    if sigma is not None:
+        return permutation_operator(sigma)  # symmetric, so sigma[sigma] = id
+    n = m.shape[0]
+    residual = float(np.linalg.norm(m @ m - np.eye(n)))
     if residual > INVOLUTION_TOL:
         raise NotInvolution(f"operator is not an involution: ||P^2 - I||_F = {residual:.3e}")
-    eigenvalues = symmetric_eig(m).eigenvalues
-    dim_plus = int(np.count_nonzero(eigenvalues > 0.0))
-    dim_minus = m.shape[0] - dim_plus
-    return DualityOperator(matrix=m, dim_plus=dim_plus, dim_minus=dim_minus)
+    dim_plus = round((n + float(np.trace(m))) / 2.0)
+    return DualityOperator(matrix=m, dim_plus=dim_plus, dim_minus=n - dim_plus)
 
 
 def identity_operator(n: int) -> DualityOperator:
-    return DualityOperator(matrix=np.eye(n), dim_plus=n, dim_minus=0)
+    return permutation_operator(np.arange(n))
 
 
 def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
@@ -76,17 +121,42 @@ def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
         raise DimensionMismatch(
             f"matrix shape {l_matrix.shape} does not match operator shape {p.matrix.shape}"
         )
+    if not np.all(np.isfinite(l_matrix)):
+        raise NonFinite("matrix contains non-finite entries")
     return l_matrix
 
 
+# For a permutation, (LP)_ij = L[i, sigma_j], (PL)_ij = L[sigma_i, j] and
+# (PLP)_ij = L[sigma_i, sigma_j]: the gathers are exact, and for finite L so is
+# every product with a 0/1 matrix, so both routes give the same bits. The
+# gathers build C-ordered arrays, because np.linalg.norm sums in memory order.
+
+def _commutator(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
+    """LP - PL as a new array."""
+    if p.sigma is None:
+        return l_matrix @ p.matrix - p.matrix @ l_matrix
+    commutator = np.take(l_matrix, p.sigma, axis=1)
+    commutator -= l_matrix[p.sigma]
+    return commutator
+
+
+def _conjugate(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
+    """PLP as a new array."""
+    if p.sigma is None:
+        return p.matrix @ l_matrix @ p.matrix
+    return l_matrix[p.sigma[:, None], p.sigma]
+
+
 def duality_defect(l_matrix: np.ndarray, p: DualityOperator) -> float:
-    """||LP - PL||_F / ||L||_F, in [0, 2]. Undefined (ZeroMatrix) for L = 0."""
+    """||LP - PL||_F / ||L||_F, in [0, 2]. Undefined (ZeroMatrix) for L = 0.
+
+    Non-finite L raises NonFinite.
+    """
     l_matrix = _check_dims(l_matrix, p)
     norm = float(np.linalg.norm(l_matrix))
     if norm <= ZERO_NORM_TOL:
         raise ZeroMatrix("duality defect is undefined for a zero matrix")
-    commutator = l_matrix @ p.matrix - p.matrix @ l_matrix
-    return float(np.linalg.norm(commutator) / norm)
+    return float(np.linalg.norm(_commutator(l_matrix, p)) / norm)
 
 
 @dataclass(frozen=True)
@@ -109,21 +179,22 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
     zero matrix commutes with everything, but the defect ratio is undefined.
     """
     l_matrix = _check_dims(l_matrix, p)
-    pm = p.matrix
-    projected = (l_matrix + pm @ l_matrix @ pm) / 2.0
-    projected = (projected + projected.T) / 2.0
+    # Updated in place: every extra n x n temporary adds to peak memory at large n.
+    projected = _conjugate(l_matrix, p)
+    projected += l_matrix
+    projected /= 2.0
+    projected = projected + projected.T
+    projected /= 2.0
     norm = float(np.linalg.norm(l_matrix))
     if norm <= ZERO_NORM_TOL:
         defect_before = 0.0
     else:
-        defect_before = float(np.linalg.norm(l_matrix @ pm - pm @ l_matrix) / norm)
+        defect_before = float(np.linalg.norm(_commutator(l_matrix, p)) / norm)
     projected_norm = float(np.linalg.norm(projected))
     if projected_norm <= ZERO_NORM_TOL:
         defect_after = 0.0
     else:
-        defect_after = float(
-            np.linalg.norm(projected @ pm - pm @ projected) / projected_norm
-        )
+        defect_after = float(np.linalg.norm(_commutator(projected, p)) / projected_norm)
     deformation = float(np.linalg.norm(projected - l_matrix))
     return ProjectionResult(
         projected=projected,
@@ -141,7 +212,7 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
 def operator_to_text(p: DualityOperator) -> str:
     n = p.n
     if p.is_permutation():
-        sigma = np.argmax(p.matrix, axis=1)
+        sigma = p.sigma
         lines = [f"#pairing n: {n}"]
         for i in range(n):
             j = int(sigma[i])
@@ -183,10 +254,7 @@ def operator_from_text(text: str) -> DualityOperator:
         if any(s < 0 for s in sigma):
             missing = next(k for k, s in enumerate(sigma) if s < 0)
             raise ParseError(f"pairing incomplete: node {missing} unassigned")
-        m = np.zeros((n, n))
-        for i, j in enumerate(sigma):
-            m[i, j] = 1.0
-        return validate_involution(m)
+        return permutation_operator(sigma)
     if header.startswith("#dense n: "):
         try:
             n = int(header[len("#dense n: "):])

@@ -63,10 +63,6 @@ class DegenerateGraph(NumericError):
     """Random generation failed to produce a usable (connected) graph."""
 
 
-class Saturated(NumericError):
-    """No non-adjacent node pair is available for edge insertion."""
-
-
 class ZeroEdges(NumericError):
     """Modularity is undefined for a graph with no edge weight."""
 

@@ -280,7 +280,10 @@ def matrix_from_text(text: str) -> np.ndarray:
         rows.append(row)
     if len(rows) != n:
         raise ParseError(f"expected {n} matrix rows, got {len(rows)}")
-    return np.array(rows)
+    m = np.array(rows)
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("matrix contains non-finite entries")
+    return m
 
 
 def save_matrix(m: np.ndarray, path) -> None:

@@ -16,9 +16,11 @@ from scipy import optimize as _sciopt
 
 from .duality import (
     DualityOperator,
+    _commutator,
     commutant_projection,
     duality_defect,
     operator_to_text,
+    permutation_operator,
     validate_involution,
 )
 from .errors import NonFinite, ValidationError
@@ -85,11 +87,7 @@ def fiedler_pairing(g: Graph) -> FiedlerPairing:
 
 
 def pairing_operator(pairing: FiedlerPairing) -> DualityOperator:
-    n = len(pairing.permutation)
-    m = np.zeros((n, n))
-    for i, j in enumerate(pairing.permutation):
-        m[i, j] = 1.0
-    return validate_involution(m)
+    return permutation_operator(pairing.permutation)
 
 
 def fiedler_duality_operator(g: Graph) -> DualityOperator:
@@ -130,7 +128,7 @@ def _objective_and_gradient(
 
 
 def commutator_norm(lp: np.ndarray, p: DualityOperator) -> float:
-    return float(np.linalg.norm(lp @ p.matrix - p.matrix @ lp))
+    return float(np.linalg.norm(_commutator(lp, p)))
 
 
 def optimize_p_step(

@@ -5,8 +5,10 @@ through the eigenbasis of P instead of the closed form, modularity as a direct
 double sum instead of the per-community aggregation, correlation from the
 textbook formula instead of np.corrcoef, gradients from finite differences of
 a from-scratch objective, the eigenvector sign rule one column at a time, the
-noise benchmark one cell at a time with a separate decomposition per method.
-Agreement between the two routes is the test.
+noise benchmark one cell at a time with a separate decomposition per method,
+the defect, projection and involution check with dense products and an
+eigendecomposition instead of index gathers and a trace, rewiring from the
+list of edge tuples. Agreement between the two routes is the test.
 """
 
 from __future__ import annotations
@@ -217,3 +219,63 @@ def per_trial_noise_rows(levels, trials: int, seed: int) -> tuple[tuple, ...]:
             resampled,
         ))
     return tuple(rows)
+
+
+def dense_defect(l_matrix: np.ndarray, p_matrix: np.ndarray) -> float:
+    """||LP - PL||_F / ||L||_F with both products formed densely."""
+    return float(np.linalg.norm(l_matrix @ p_matrix - p_matrix @ l_matrix)
+                 / float(np.linalg.norm(l_matrix)))
+
+
+def dense_projection(l_matrix: np.ndarray, p_matrix: np.ndarray) -> tuple:
+    """(L + PLP)/2, symmetrized, with defect before and after and the deformation.
+
+    Every product is a dense matmul; the zero-norm guards of
+    commutant_projection are left out, the tests use nonzero matrices.
+    """
+    projected = (l_matrix + p_matrix @ l_matrix @ p_matrix) / 2.0
+    projected = (projected + projected.T) / 2.0
+    before = dense_defect(l_matrix, p_matrix)
+    after = dense_defect(projected, p_matrix)
+    deformation = float(np.linalg.norm(projected - l_matrix))
+    return projected, before, after, deformation
+
+
+def dense_involution_dims(p_matrix: np.ndarray) -> tuple[int, int]:
+    """(dim V+, dim V-) from P @ P = I and a count of positive eigenvalues."""
+    n = p_matrix.shape[0]
+    assert np.linalg.norm(p_matrix @ p_matrix - np.eye(n)) <= 1e-9
+    values = np.linalg.eigh((p_matrix + p_matrix.T) / 2.0)[0]
+    dim_plus = int(np.count_nonzero(values > 0.0))
+    return dim_plus, n - dim_plus
+
+
+def reference_rewire(weights: np.ndarray, fraction: float, seed: int) -> np.ndarray:
+    """rewire's weights, moving edges picked from the list of (i, j, weight) tuples.
+
+    Deletes the chosen edges one by one and reinserts each weight at a
+    rejection-sampled empty slot, asserting before every insertion that the
+    graph is not saturated.
+    """
+    w = np.array(weights, dtype=float)
+    n = w.shape[0]
+    edges = [(i, j, float(w[i, j])) for i in range(n) for j in range(i + 1, n) if w[i, j] != 0.0]
+    count = int(np.floor(fraction * len(edges)))
+    if count == 0:
+        return w
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(len(edges), size=count, replace=False)
+    moved = []
+    for idx in chosen:
+        i, j, weight = edges[int(idx)]
+        w[i, j] = w[j, i] = 0.0
+        moved.append(weight)
+    for weight in moved:
+        assert np.count_nonzero(w) < n * n - n
+        while True:
+            a = int(rng.integers(n))
+            b = int(rng.integers(n))
+            if a != b and w[a, b] == 0.0:
+                w[a, b] = w[b, a] = weight
+                break
+    return w

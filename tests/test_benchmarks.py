@@ -9,6 +9,7 @@ from oracles import (
     double_sum_modularity,
     per_trial_noise_rows,
     rebuild_flip_edges,
+    reference_rewire,
     reference_rmt_labels,
 )
 from prism import benchmarks
@@ -164,6 +165,30 @@ def test_rewire_zero_fraction_is_identity():
 def test_rewire_is_seed_deterministic():
     g, _ = karate_club()
     assert np.array_equal(rewire(g, 0.3, seed=9).weights, rewire(g, 0.3, seed=9).weights)
+
+
+def test_rewire_of_a_complete_graph_returns_it():
+    complete = graph_from_edges([str(i) for i in range(6)],
+                                [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    for seed in range(5):
+        assert np.array_equal(rewire(complete, 1.0, seed).weights, complete.weights)
+
+
+def test_rewire_matches_the_edge_list_reference():
+    rng = np.random.default_rng(4)
+    weighted = np.triu(rng.random((15, 15)) * (rng.random((15, 15)) < 0.5), 1)
+    graphs = [
+        karate_club()[0],
+        generate_dual_network(10, 0.4, 0.1, seed=3).graph,
+        Graph(labels=tuple(str(i) for i in range(15)), weights=weighted + weighted.T),
+        graph_from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)]),
+        graph_from_edges(["a", "b"], [(0, 1, 2.5)]),
+    ]
+    for g in graphs:
+        for fraction in (0.0, 0.02, 0.3, 0.75, 1.0):
+            for seed in range(4):
+                produced = rewire(g, fraction, seed).weights
+                assert produced.tobytes() == reference_rewire(g.weights, fraction, seed).tobytes()
 
 
 def test_rewire_validation():

@@ -67,6 +67,17 @@ def test_defect_matrix_input(runner, tmp_path, path3, swap01):
     assert bare.exit_code == 2
 
 
+def test_non_finite_matrix_input_exits_2(runner, tmp_path):
+    matrix_path = tmp_path / "lap.txt"
+    lap = laplacian(graph_from_edges(["a", "b", "c"], [(0, 1), (1, 2)]))
+    lap[0, 0] = np.inf
+    save_matrix(lap, matrix_path)
+    for command in (["defect"], ["project", "--out-matrix", str(tmp_path / "out.txt")]):
+        result = runner.invoke(main, [*command, str(matrix_path), "--matrix", "--index-reversal"])
+        assert result.exit_code == 2
+        assert "non-finite" in result.output
+
+
 def test_defect_conflicting_operator_modes(runner, path3, swap01):
     result = runner.invoke(
         main, ["defect", str(path3), "--fiedler", "--operator", str(swap01)]

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import eigenbasis_projection, random_involution
+from oracles import (
+    dense_defect,
+    dense_involution_dims,
+    dense_projection,
+    eigenbasis_projection,
+    random_involution,
+)
 from prism.duality import (
     DualityOperator,
     commutant_projection,
@@ -14,6 +20,7 @@ from prism.duality import (
     load_operator,
     operator_from_text,
     operator_to_text,
+    permutation_operator,
     save_operator,
     validate_involution,
 )
@@ -25,7 +32,8 @@ from prism.errors import (
     ParseError,
     ZeroMatrix,
 )
-from prism.graphs import graph_from_edges, laplacian
+from prism.benchmarks import index_reversal_operator
+from prism.graphs import Graph, graph_from_edges, laplacian
 
 PATH3 = laplacian(graph_from_edges(["a", "b", "c"], [(0, 1), (1, 2)]))
 SWAP01 = validate_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
@@ -34,6 +42,16 @@ SWAP01 = validate_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0
 def random_symmetric(rng, n):
     m = rng.standard_normal((n, n))
     return (m + m.T) / 2.0
+
+
+def random_sigma(rng, n, fixed):
+    """A random involutive permutation of n indices with `fixed` fixed points."""
+    order = rng.permutation(n)
+    sigma = np.arange(n)
+    pairs = order[fixed:].reshape(-1, 2)
+    sigma[pairs[:, 0]] = pairs[:, 1]
+    sigma[pairs[:, 1]] = pairs[:, 0]
+    return sigma
 
 
 def test_validate_involution_accepts_pairing():
@@ -217,3 +235,68 @@ def test_operator_dataclass_does_not_revalidate():
     # the dataclass itself only freezes; validate_involution is the gate
     op = DualityOperator(matrix=np.eye(2), dim_plus=2, dim_minus=0)
     assert op.n == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 34, 501])
+def test_permutation_kernels_match_the_dense_formulas_bitwise(n):
+    rng = np.random.default_rng(1000 + n)
+    weights = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.3), 1)
+    candidates = [
+        laplacian(Graph(labels=tuple(map(str, range(n))), weights=weights + weights.T)),
+        random_symmetric(rng, n),
+        rng.standard_normal((n, n)),  # asymmetric
+    ]
+    matrices = [m for m in candidates if np.linalg.norm(m) > 0.0]
+    fixed_counts = {n % 2, n} | ({n % 2 + 2} if n >= 3 else set())
+    for fixed in sorted(fixed_counts):
+        sigma = random_sigma(rng, n, fixed)
+        dense = np.zeros((n, n))
+        dense[np.arange(n), sigma] = 1.0
+        op = permutation_operator(sigma)
+        assert np.array_equal(op.matrix, dense)
+        assert (op.dim_plus, op.dim_minus) == dense_involution_dims(dense)
+        validated = validate_involution(dense)
+        assert np.array_equal(validated.sigma, sigma)
+        assert (validated.dim_plus, validated.dim_minus) == (op.dim_plus, op.dim_minus)
+        for l_matrix in matrices:
+            assert duality_defect(l_matrix, op) == dense_defect(l_matrix, dense)
+            result = commutant_projection(l_matrix, op)
+            projected, before, after, deformation = dense_projection(l_matrix, dense)
+            assert result.projected.tobytes() == projected.tobytes()
+            assert result.defect_before == before
+            assert result.defect_after == after
+            assert result.deformation == deformation
+
+
+def test_dense_involution_dims_match_the_eigenvalue_count():
+    rng = np.random.default_rng(31)
+    for trial in range(30):
+        n = int(rng.integers(1, 40))
+        m = random_involution(rng, n, ("reflection", "dense")[trial % 2])
+        op = validate_involution(m)
+        assert op.sigma is None
+        assert (op.dim_plus, op.dim_minus) == dense_involution_dims(m)
+
+
+def test_permutation_operator_rejections():
+    for bad in ([1, 2, 0], [0, 3, 2], [0, -1, 2], [0, 0, 2], [[0, 1], [1, 0]], [0.0, 1.0]):
+        with pytest.raises(NotInvolution):
+            permutation_operator(np.array(bad))
+
+
+def test_dense_permutation_file_serializes_as_pairing():
+    text = "#dense n: 3\n0.0 1.0 0.0\n1.0 0.0 0.0\n0.0 0.0 1.0\n"
+    op = operator_from_text(text)
+    assert np.array_equal(op.sigma, [1, 0, 2])
+    assert operator_to_text(op) == operator_to_text(SWAP01) == "#pairing n: 3\n0\t1\n2\t2\n"
+
+
+def test_non_finite_matrix_raises():
+    for value in (np.inf, -np.inf, np.nan):
+        l_matrix = PATH3.copy()
+        l_matrix[0, 0] = value
+        for op in (index_reversal_operator(3), validate_involution(np.diag([1.0, -1.0, 1.0]))):
+            with pytest.raises(NonFinite):
+                duality_defect(l_matrix, op)
+            with pytest.raises(NonFinite):
+                commutant_projection(l_matrix, op)
