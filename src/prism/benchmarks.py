@@ -131,16 +131,11 @@ def generate_dual_network(
         rng = np.random.default_rng((seed, attempt))
         intra_draws = rng.random((m, m))
         cross_draws = rng.random((m, m))
+        intra = np.triu(intra_draws < edge_prob_intra, 1)
+        cross = np.triu(cross_draws < edge_prob_cross)
         w = np.zeros((n, n))
-        for i in range(m):
-            for j in range(i + 1, m):
-                if intra_draws[i, j] < edge_prob_intra:
-                    w[i, j] = w[j, i] = 1.0
-                    w[i + m, j + m] = w[j + m, i + m] = 1.0
-            for j in range(i, m):
-                if cross_draws[i, j] < edge_prob_cross:
-                    w[i, j + m] = w[j + m, i] = 1.0
-                    w[j, i + m] = w[i + m, j] = 1.0
+        w[:m, :m] = w[m:, m:] = intra | intra.T
+        w[:m, m:] = w[m:, :m] = cross | cross.T
         graph = Graph(labels=labels, weights=w)
         if not is_connected(graph):
             continue

@@ -4,6 +4,11 @@ Initialization pairs nodes by Fiedler-vector rank (rank k with rank n-1-k,
 zero-based), which mirrors the graph across its softest cut. Refinement
 alternates closed-form commutant projection with a penalized quasi-Newton
 step over P, snapping back to the involution manifold after each step.
+
+scipy.optimize is imported inside optimize_p_step, after its early return
+for a pair that already commutes. alternate hands that step the projected L,
+which commutes exactly with a permutation operator, so only a dense operator
+(or a direct call on a pair that does not commute) loads scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .duality import (
     DualityOperator,
@@ -149,6 +153,7 @@ def optimize_p_step(
     baseline = commutator_norm(lp, p0)
     if baseline == 0.0:
         return p0
+    from scipy import optimize as _sciopt  # deferred: it dominates process start-up
 
     def fun(flat_p: np.ndarray) -> tuple[float, np.ndarray]:
         value, grad = _objective_and_gradient(flat_p, lp, cfg.penalty_weight, n)
@@ -190,8 +195,9 @@ def alternate(
     trajectory = [duality_defect(l_matrix, p)]
     converged = trajectory[0] < cfg.defect_tolerance
     iterations = 0
+    projection, projected_against = None, None
     while not converged and iterations < cfg.max_outer_iterations:
-        projection = commutant_projection(l_matrix, p)
+        projection, projected_against = commutant_projection(l_matrix, p), p
         p = optimize_p_step(projection.projected, p, cfg)
         iterations += 1
         trajectory.append(duality_defect(l_matrix, p))
@@ -199,10 +205,11 @@ def alternate(
             converged = True
         elif abs(trajectory[-1] - trajectory[-2]) < cfg.step_tolerance:
             converged = True
-    projected = commutant_projection(l_matrix, p).projected
+    if projected_against is not p:
+        projection = commutant_projection(l_matrix, p)
     return LearnResult(
         operator=p,
-        projected=projected,
+        projected=projection.projected,
         defect_trajectory=tuple(trajectory),
         converged=converged,
         iterations=iterations,

@@ -8,7 +8,8 @@ a from-scratch objective, the eigenvector sign rule one column at a time, the
 noise benchmark one cell at a time with a separate decomposition per method,
 the defect, projection and involution check with dense products and an
 eigendecomposition instead of index gathers and a trace, rewiring from the
-list of edge tuples. Agreement between the two routes is the test.
+list of edge tuples, the mirror network filled one node pair at a time.
+Agreement between the two routes is the test.
 """
 
 from __future__ import annotations
@@ -278,4 +279,27 @@ def reference_rewire(weights: np.ndarray, fraction: float, seed: int) -> np.ndar
             if a != b and w[a, b] == 0.0:
                 w[a, b] = w[b, a] = weight
                 break
+    return w
+
+
+def loop_dual_network(m: int, p_intra: float, p_cross: float, seed: int) -> np.ndarray:
+    """The weights of generate_dual_network's first attempt, filled pair by pair.
+
+    Same draws, from default_rng((seed, 0)); a double loop over the node pairs
+    sets each drawn edge and its mirror image one entry at a time.
+    """
+    n = 2 * m
+    rng = np.random.default_rng((seed, 0))
+    intra_draws = rng.random((m, m))
+    cross_draws = rng.random((m, m))
+    w = np.zeros((n, n))
+    for i in range(m):
+        for j in range(i + 1, m):
+            if intra_draws[i, j] < p_intra:
+                w[i, j] = w[j, i] = 1.0
+                w[i + m, j + m] = w[j + m, i + m] = 1.0
+        for j in range(i, m):
+            if cross_draws[i, j] < p_cross:
+                w[i, j + m] = w[j + m, i] = 1.0
+                w[j, i + m] = w[i + m, j] = 1.0
     return w

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import (
     double_sum_modularity,
+    loop_dual_network,
     per_trial_noise_rows,
     rebuild_flip_edges,
     reference_rewire,
@@ -144,6 +145,28 @@ def test_generate_dual_network_validation():
     # intra 1, cross 0 always yields two disconnected mirror halves
     with pytest.raises(DegenerateGraph):
         generate_dual_network(2, edge_prob_intra=1.0, edge_prob_cross=0.0, seed=0)
+
+
+def test_generate_dual_network_matches_the_pair_loop(monkeypatch):
+    # the connectivity check sees each sample first; stopping there compares
+    # the first attempt even where every sample is disconnected or empty
+    class FirstSample(Exception):
+        pass
+
+    samples = []
+
+    def capture(g):
+        samples.append(g.weights)
+        raise FirstSample
+
+    monkeypatch.setattr(benchmarks, "is_connected", capture)
+    for p_intra, p_cross in ((0.4, 0.1), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5)):
+        for m in (2, 3, 8, 17, 60, 250):
+            for seed in range(5):
+                with pytest.raises(FirstSample):
+                    generate_dual_network(m, p_intra, p_cross, seed)
+                expected = loop_dual_network(m, p_intra, p_cross, seed)
+                assert samples[-1].tobytes() == expected.tobytes(), (p_intra, p_cross, m, seed)
 
 
 def test_rewire_preserves_edge_count_and_weight_multiset():

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import REPO, UNIVERSE_CSV
+from prism.benchmarks import generate_dual_network, rewire
 from prism.cli import main
 from prism.duality import save_operator, validate_involution
 from prism.graphs import graph_from_edges, laplacian, load_matrix, save_graph, save_matrix
@@ -285,3 +286,27 @@ def test_installed_entry_point_responds():
                           text=True, timeout=60)
     assert proc.returncode == 0
     assert "Structural-symmetry diagnostics" in proc.stdout
+
+
+def test_fresh_interpreter_runs_learn_without_scipy(tmp_path):
+    # A subprocess, because this test process has scipy loaded already (the
+    # oracles import it). On a permutation operator the learner's P-step
+    # returns before the one place that needs scipy.optimize.
+    graph_path = tmp_path / "mirror.txt"
+    out_path = tmp_path / "learn.json"
+    save_graph(rewire(generate_dual_network(8, seed=2).graph, 0.1, seed=5), graph_path)
+    code = (
+        "import sys\n"
+        "import prism\n"
+        "import prism.cli\n"
+        "try:\n"
+        "    prism.cli.main(['learn', sys.argv[1], '--out', sys.argv[2]])\n"
+        "except SystemExit as stop:\n"
+        "    assert stop.code == 0, stop.code\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(graph_path), str(out_path)],
+                          capture_output=True, text=True, timeout=60, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert json.loads(out_path.read_text(encoding="utf-8"))["iterations"] == 1

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from oracles import central_fd_gradient, penalized_objective
-from prism.duality import operator_from_text, validate_involution
+from prism import learn
+from prism.benchmarks import generate_dual_network, rewire
+from prism.duality import (
+    commutant_projection,
+    identity_operator,
+    operator_from_text,
+    validate_involution,
+)
 from prism.errors import NonFinite, ValidationError
 from prism.graphs import graph_from_edges, laplacian
 from prism.learn import (
@@ -172,6 +179,41 @@ def test_alternate_respects_iteration_cap():
     assert result.iterations <= 1
     if not result.converged:
         assert result.iterations == 1
+
+
+def test_alternate_projects_once_when_the_step_keeps_p(monkeypatch):
+    # the P-step hands back p0 for a permutation operator, so the loop's
+    # projection is the one the result needs; an input that already commutes
+    # never enters the loop and is projected once after it
+    calls = []
+
+    def counting_projection(l_matrix, p):
+        calls.append(p)
+        return commutant_projection(l_matrix, p)
+
+    monkeypatch.setattr(learn, "commutant_projection", counting_projection)
+    g = rewire(generate_dual_network(8, seed=2).graph, 0.1, seed=5)
+    lap = laplacian(g)
+    op = fiedler_duality_operator(g)
+    result = alternate(lap, op)
+    assert result.iterations == 1 and result.operator is op
+    assert len(calls) == 1
+    assert result.projected.tobytes() == commutant_projection(lap, op).projected.tobytes()
+
+    calls.clear()
+    reversal = validate_involution(np.fliplr(np.eye(3)))
+    assert alternate(laplacian(path_graph(3)), reversal).iterations == 0
+    assert len(calls) == 1
+
+
+def test_alternate_projects_again_when_the_step_changes_p(monkeypatch):
+    g = lollipop_graph()
+    lap = laplacian(g)
+    identity = identity_operator(6)
+    monkeypatch.setattr(learn, "optimize_p_step", lambda lp, p0, cfg: identity)
+    result = alternate(lap, fiedler_duality_operator(g), AlternatingConfig(max_outer_iterations=1))
+    assert result.iterations == 1 and result.operator is identity
+    assert result.projected.tobytes() == lap.tobytes()
 
 
 def test_alternating_config_validation():
