@@ -12,6 +12,9 @@ onto the commutant of the clean graph's mirror operator.
 
 All randomness flows from integer seeds through one splitting rule
 (child_seed), so results are identical across runs and across thread counts.
+The noise benchmark (like finance.rolling_defect) runs its cells serially
+unless its threads argument or PRISM_THREADS asks for more than one worker
+(resolve_threads).
 """
 
 from __future__ import annotations
@@ -60,16 +63,20 @@ def child_seed(*path: int) -> int:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else PRISM_THREADS, else CPU count."""
+    """Worker count: explicit argument, else PRISM_THREADS, else 1 (serial).
+
+    None, 0 or a negative count, and an unset or "0" PRISM_THREADS, all mean
+    one worker: the cells are small numpy calls that hold the interpreter lock
+    for most of their time, so a thread pool only adds contention. A count
+    above 1 opts into the pool; the output is the same either way.
+    """
     if threads is None:
         env = os.environ.get("PRISM_THREADS", "0")
         try:
             threads = int(env)
         except ValueError:
             raise ValidationError(f"PRISM_THREADS must be an integer, got {env!r}") from None
-    if threads <= 0:
-        threads = os.cpu_count() or 1
-    return threads
+    return max(threads, 1)
 
 
 # The 34-node, 78-edge club graph and its two-faction ground truth.

@@ -178,6 +178,23 @@ def _window_correlation(
     return pos, kept, corr, mean_corr
 
 
+def _window_graph(
+    r: ReturnPanel, window_end: str, window_len: int, threshold: float
+) -> tuple[int, np.ndarray, Graph, float]:
+    """(end position, correlation matrix, thresholded graph, mean correlation).
+
+    The graph's nodes are the kept tickers in order, so the correlation
+    matrix and the graph index the same nodes.
+    """
+    if threshold < 0.0:
+        raise ValidationError("threshold must be nonnegative (weights must be)")
+    pos, kept, corr, mean_corr = _window_correlation(r, window_end, window_len)
+    weights = np.where(corr >= threshold, corr, 0.0)
+    np.fill_diagonal(weights, 0.0)
+    graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=weights)
+    return pos, corr, graph, mean_corr
+
+
 def correlation_graph(
     r: ReturnPanel, window_end: str, window_len: int, threshold: float = 0.2
 ) -> tuple[Graph, float]:
@@ -187,12 +204,7 @@ def correlation_graph(
     negative correlations never form edges. The mean is computed before
     thresholding, so it is threshold-independent.
     """
-    if threshold < 0.0:
-        raise ValidationError("threshold must be nonnegative (weights must be)")
-    _, kept, corr, mean_corr = _window_correlation(r, window_end, window_len)
-    weights = np.where(corr >= threshold, corr, 0.0)
-    np.fill_diagonal(weights, 0.0)
-    graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=weights)
+    _, _, graph, mean_corr = _window_graph(r, window_end, window_len, threshold)
     return graph, mean_corr
 
 
@@ -209,8 +221,7 @@ class WindowStats:
 def _window_stats(
     r: ReturnPanel, window_end: str, window_len: int, threshold: float
 ) -> WindowStats:
-    graph, mean_corr = correlation_graph(r, window_end, window_len, threshold)
-    pos = bisect_right(r.dates, window_end) - 1
+    pos, _, graph, mean_corr = _window_graph(r, window_end, window_len, threshold)
     if graph.edge_count() == 0:
         raise ZeroMatrix(f"window ending {r.dates[pos]} has no edges at threshold")
     components = connected_components(graph)
@@ -391,8 +402,7 @@ def communities(
     matrix, not the graph. The seed is echoed for provenance; the clustering
     itself draws no randomness.
     """
-    graph, _ = correlation_graph(r, window_end, window_len, threshold)
-    _, kept, corr, _ = _window_correlation(r, window_end, window_len)
+    _, corr, graph, _ = _window_graph(r, window_end, window_len, threshold)
     components_list = connected_components(graph)
     largest = max(components_list, key=len)
     if len(largest) < k:

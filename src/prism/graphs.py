@@ -104,33 +104,33 @@ def laplacian(g: Graph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+def _reach(adjacent: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the nodes reachable from start, grown one frontier at a time."""
+    reach = np.zeros(adjacent.shape[0], dtype=bool)
+    reach[start] = True
+    frontier = reach.copy()
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~reach
+        reach |= frontier
+    return reach
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    """Components by traversal over nonzero weights, each sorted ascending."""
-    n = g.n
-    seen = [False] * n
+    """Components over nonzero weights, ordered by smallest node, each sorted ascending."""
+    adjacent = g.weights != 0.0
+    seen = np.zeros(g.n, dtype=bool)
     components = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in np.nonzero(g.weights[u])[0]:
-                v = int(v)
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        components.append(sorted(comp))
+    while not seen.all():
+        reach = _reach(adjacent, int(np.argmin(seen)))  # the first node not yet seen
+        seen |= reach
+        components.append(np.flatnonzero(reach).tolist())
     return components
 
 
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return len(connected_components(g)[0]) == g.n
+    return bool(_reach(g.weights != 0.0, 0).all())
 
 
 @dataclass(frozen=True)

@@ -83,11 +83,10 @@ def fiedler_pairing(g: Graph) -> FiedlerPairing:
     v = fiedler_vector(g)
     n = g.n
     order = np.argsort(v, kind="stable")
-    sigma = [0] * n
-    for k in range(n):
-        sigma[int(order[k])] = int(order[n - 1 - k])
+    sigma = np.empty(n, dtype=int)
+    sigma[order] = order[::-1]
     fixed = int(order[n // 2]) if n % 2 == 1 else None
-    return FiedlerPairing(permutation=tuple(sigma), fixed_point=fixed)
+    return FiedlerPairing(permutation=tuple(sigma.tolist()), fixed_point=fixed)
 
 
 def pairing_operator(pairing: FiedlerPairing) -> DualityOperator:

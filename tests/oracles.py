@@ -8,7 +8,9 @@ a from-scratch objective, the eigenvector sign rule one column at a time, the
 noise benchmark one cell at a time with a separate decomposition per method,
 the defect, projection and involution check with dense products and an
 eigendecomposition instead of index gathers and a trace, rewiring from the
-list of edge tuples, the mirror network filled one node pair at a time.
+list of edge tuples, the mirror network filled one node pair at a time,
+connected components by a stack walk that visits one node per step, the
+Fiedler pairing one rank at a time.
 Agreement between the two routes is the test.
 """
 
@@ -303,3 +305,40 @@ def loop_dual_network(m: int, p_intra: float, p_cross: float, seed: int) -> np.n
                 w[i, j + m] = w[j + m, i] = 1.0
                 w[j, i + m] = w[i + m, j] = 1.0
     return w
+
+
+def stack_walk_components(weights: np.ndarray) -> list[list[int]]:
+    """Connected components by a depth-first stack walk, one node per step.
+
+    Starts from each unseen node in ascending order and pushes the nonzero
+    neighbours of every popped node; each component is sorted at the end.
+    """
+    n = weights.shape[0]
+    seen = [False] * n
+    components = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in np.nonzero(weights[u])[0]:
+                v = int(v)
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        components.append(sorted(comp))
+    return components
+
+
+def rank_loop_pairing(fiedler: np.ndarray) -> tuple[int, ...]:
+    """Pair Fiedler rank k with rank n-1-k, one rank at a time."""
+    n = len(fiedler)
+    order = np.argsort(fiedler, kind="stable")
+    sigma = [0] * n
+    for k in range(n):
+        sigma[int(order[k])] = int(order[n - 1 - k])
+    return tuple(sigma)

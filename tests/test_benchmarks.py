@@ -64,9 +64,9 @@ def test_resolve_threads_precedence(monkeypatch):
     assert resolve_threads() == 3
     assert resolve_threads(2) == 2  # explicit argument wins over env
     monkeypatch.setenv("PRISM_THREADS", "0")
-    assert resolve_threads() >= 1
+    assert resolve_threads() == 1
     monkeypatch.delenv("PRISM_THREADS")
-    assert resolve_threads() >= 1
+    assert resolve_threads() == 1
     monkeypatch.setenv("PRISM_THREADS", "many")
     with pytest.raises(ValidationError):
         resolve_threads()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import column_loop_eig
+from oracles import column_loop_eig, stack_walk_components
+from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.errors import (
     DisconnectedGraph,
     NonFinite,
@@ -117,6 +118,35 @@ def test_connected_components_two_triangles():
     assert connected_components(g) == [[0, 1, 2], [3, 4, 5]]
     assert not is_connected(g)
     assert is_connected(path_graph(5))
+
+
+def _component_cases():
+    yield "empty", Graph(labels=(), weights=np.zeros((0, 0)))
+    yield "one node", path_graph(1)
+    yield "two isolated", Graph(labels=("a", "b"), weights=np.zeros((2, 2)))
+    yield "one edge", path_graph(2)
+    isolated = np.zeros((7, 7))
+    isolated[1, 5] = isolated[5, 1] = 0.5
+    isolated[5, 3] = isolated[3, 5] = 2.0
+    yield "isolated nodes", Graph(labels=tuple("abcdefg"), weights=isolated)
+    for n in (3, 9, 17, 40):
+        for density in (0.0, 0.03, 0.08, 0.2, 0.6):
+            for seed in range(4):
+                yield f"random n={n} d={density} s={seed}", random_graph(n, seed, density)
+    yield "karate", karate_club()[0]
+    mirror = generate_dual_network(250, seed=3).graph
+    yield "rewired mirror", rewire(mirror, 0.05, seed=3)
+
+
+def test_connected_components_match_the_stack_walk():
+    """Same components, same order (by smallest node), same node order within each."""
+    disconnected = 0
+    for name, g in _component_cases():
+        expected = stack_walk_components(np.asarray(g.weights))
+        assert connected_components(g) == expected, name
+        assert is_connected(g) == (g.n == 0 or len(expected[0]) == g.n), name
+        disconnected += len(expected) > 1
+    assert disconnected >= 20  # the random cases do reach several components
 
 
 def test_symmetric_eig_reconstructs_and_orders():

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_fd_gradient, penalized_objective
+from oracles import central_fd_gradient, penalized_objective, rank_loop_pairing
 from prism import learn
-from prism.benchmarks import generate_dual_network, rewire
+from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.duality import (
     commutant_projection,
     identity_operator,
@@ -16,7 +16,7 @@ from prism.duality import (
     validate_involution,
 )
 from prism.errors import NonFinite, ValidationError
-from prism.graphs import graph_from_edges, laplacian
+from prism.graphs import fiedler_vector, graph_from_edges, laplacian
 from prism.learn import (
     AlternatingConfig,
     FiedlerPairing,
@@ -60,6 +60,18 @@ def test_fiedler_pairing_is_involution_on_irregular_graph():
     sigma = pairing.permutation
     assert sorted(sigma) == list(range(6))
     assert all(sigma[sigma[i]] == i for i in range(6))
+
+
+def test_fiedler_pairing_matches_the_rank_loop():
+    karate = karate_club()[0]
+    mirror = generate_dual_network(20, seed=2).graph
+    graphs = [karate, karate.subgraph(range(33)), mirror, rewire(mirror, 0.1, seed=2)]
+    graphs += [lollipop_graph()]
+    graphs += [path_graph(n) for n in (2, 3, 8, 11)]
+    for g in graphs:
+        sigma = fiedler_pairing(g).permutation
+        assert sigma == rank_loop_pairing(fiedler_vector(g))
+        assert all(type(i) is int for i in sigma)
 
 
 def test_fiedler_pairing_rejects_non_involution():
