@@ -14,7 +14,11 @@ All randomness flows from integer seeds through one splitting rule
 (child_seed), so results are identical across runs and across thread counts.
 The noise benchmark (like finance.rolling_defect) runs its cells serially
 unless its threads argument or PRISM_THREADS asks for more than one worker
-(resolve_threads).
+(resolve_threads), and scores every cell's labels in one pass at the end.
+flip_edges reads PCG64's raw words and applies Generator's own conversions
+to them (_RawDraws), so its flips are those of the Generator calls; the
+oracle tests call the Generator itself, so a numpy change to either
+conversion fails them instead of silently changing the output.
 """
 
 from __future__ import annotations
@@ -191,26 +195,89 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     return Graph(labels=g.labels, weights=w)
 
 
+_RAW_BLOCK = 64  # raw words fetched per refill; a 5% club draw uses about 42
+_UINT32_RANGE = 1 << 32
+_COIN_CUT = 1 << 63
+
+
+class _RawDraws:
+    """Generator draws rebuilt from raw PCG64 words, without a call per draw.
+
+    coin() equals `rng.random() < 0.5` and below(k) equals `rng.integers(k)`
+    for `rng = np.random.default_rng(seed)`, interleaved in any order:
+    - random() is (word >> 11) * 2**-53, so it is below 0.5 exactly when the
+      word is below 2**63; it consumes one whole word.
+    - integers(k) takes nothing for k = 1. Otherwise it takes 32-bit values
+      from PCG64's half-word buffer (the low half of a fresh word, then that
+      word's high half at the next bounded draw; whole-word draws leave the
+      buffer alone) and applies Lemire's multiply-shift with rejection.
+    Words are read in blocks of _RAW_BLOCK, so memory does not grow with the
+    number of draws.
+    """
+
+    __slots__ = ("_raw", "_words", "_high")
+
+    def __init__(self, seed: int) -> None:
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self._words = iter(())  # the unread rest of the current block
+        self._high: int | None = None  # the buffered high half, if any
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._raw(_RAW_BLOCK).tolist())
+            word = next(self._words)
+        return word
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        word = self._word()
+        self._high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def coin(self) -> bool:
+        return self._word() < _COIN_CUT
+
+    def below(self, k: int) -> int:
+        assert 1 <= k < _UINT32_RANGE
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        if m & 0xFFFFFFFF < k:  # k bounds the threshold; skip the modulo above it
+            threshold = (_UINT32_RANGE - k) % k
+            while m & 0xFFFFFFFF < threshold:
+                m = self._uint32() * k
+        return m >> 32
+
+
 def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     """Apply `count` random single-edge flips.
 
     Each flip removes a uniformly chosen existing edge with probability 1/2,
     otherwise adds a unit-weight edge at a uniformly chosen empty slot.
     Degenerate draws (nothing to remove / nowhere to add) fall through to the
-    other action. Both slot lists are kept in upper-triangle order, so each
-    draw indexes the same slot as a rebuild of the lists before every flip.
+    other action. Both slot lists hold flat indices i*n + j of upper-triangle
+    slots in ascending (row-major) order, so each draw indexes the same slot
+    as a rebuild of the lists before every flip. The coin and index draws are
+    `default_rng(seed)`'s random() < 0.5 and integers(k), converted from raw
+    PCG64 words by _RawDraws the way Generator converts them. The oracle
+    tests compare with a reference that calls the Generator, so a numpy
+    change to either conversion fails them instead of changing the flips.
     """
     if count < 0:
         raise ValidationError(f"count must be nonnegative, got {count}")
     w = g.weights.copy()
     n = g.n
-    rng = np.random.default_rng(seed)
-    rows, cols = np.triu_indices(n, 1)  # row-major: the upper-triangle order
-    present = w[rows, cols] > 0.0
-    edges = list(zip(rows[present].tolist(), cols[present].tolist()))
-    empty = list(zip(rows[~present].tolist(), cols[~present].tolist()))
+    slots = np.flatnonzero(~np.tri(n, dtype=bool))
+    present = w.ravel()[slots] > 0.0
+    edges = slots[present].tolist()
+    empty = slots[~present].tolist()
+    draws = _RawDraws(seed)
     for _ in range(count):
-        remove = rng.random() < 0.5
+        remove = draws.coin()
         if remove and not edges:
             remove = False
         if not remove and not empty:
@@ -218,13 +285,15 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
         if remove and not edges:
             break  # n < 2: no slots at all
         if remove:
-            i, j = edges.pop(int(rng.integers(len(edges))))
-            w[i, j] = w[j, i] = 0.0
-            bisect.insort(empty, (i, j))
+            slot = edges.pop(draws.below(len(edges)))
+            bisect.insort(empty, slot)
+            weight = 0.0
         else:
-            i, j = empty.pop(int(rng.integers(len(empty))))
-            w[i, j] = w[j, i] = 1.0
-            bisect.insort(edges, (i, j))
+            slot = empty.pop(draws.below(len(empty)))
+            bisect.insort(edges, slot)
+            weight = 1.0
+        i, j = divmod(slot, n)
+        w[i, j] = w[j, i] = weight
     return Graph(labels=g.labels, weights=w)
 
 
@@ -333,6 +402,25 @@ def accuracy(predicted, truth) -> float:
             raise NonBinary("labels must be 0/1")
     agree = float(np.mean(predicted == truth))
     return max(agree, 1.0 - agree)
+
+
+def _accuracies(labels: np.ndarray, truth) -> np.ndarray:
+    """The accuracy of every label vector along the last axis, in one pass.
+
+    Bit for bit equal to calling accuracy row by row: the agreement is an
+    exact integer count divided by n, as in np.mean of the boolean match.
+    The shape and binary checks run once for the whole stack.
+    """
+    truth = np.asarray(truth)
+    if labels.shape[-1:] != truth.shape:
+        raise LengthMismatch(
+            f"label lengths differ: {labels.shape[-1:]} vs {truth.shape}"
+        )
+    for values in (labels, truth):
+        if not np.all((values == 0) | (values == 1)):
+            raise NonBinary("labels must be 0/1")
+    agree = np.count_nonzero(labels == truth, axis=-1) / truth.shape[0]
+    return np.maximum(agree, 1.0 - agree)
 
 
 @dataclass(frozen=True)
@@ -458,14 +546,13 @@ class NoiseBenchmarkReport:
 
 def _noise_trial(
     clean: Graph,
-    truth: tuple[int, ...],
     operator: DualityOperator,
     count: int,
     seed: int,
     level_index: int,
     trial_index: int,
-) -> tuple[float, float, float, int]:
-    """One (level, trial) cell: returns the three accuracies and resample count.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """One (level, trial) cell: baseline, RMT and projected labels, resample count.
 
     Connectivity is checked once per draw, and the noisy Laplacian is
     decomposed once for both the baseline and the RMT labels.
@@ -478,11 +565,8 @@ def _noise_trial(
         raise DegenerateGraph("could not draw a connected noisy graph in 1000 attempts")
     lap = laplacian(noisy)
     base_labels, denoised_labels = _spectral_labels(symmetric_eig(lap))
-    base = accuracy(base_labels, truth)
-    rmt = accuracy(denoised_labels, truth)
     projected = commutant_projection(lap, operator).projected
-    prism = accuracy(fiedler_bipartition(projected), truth)
-    return base, rmt, prism, attempt
+    return base_labels, denoised_labels, fiedler_bipartition(projected), attempt
 
 
 def noise_benchmark(
@@ -509,15 +593,13 @@ def noise_benchmark(
     operator = fiedler_duality_operator(clean)
     pairs = clean.n * (clean.n - 1) // 2
     counts = [math.floor(lv * pairs) for lv in levels]
-    results = np.zeros((len(levels), trials, 3))
+    labels = np.zeros((len(levels), trials, 3, clean.n), dtype=np.int8)
     resamples = np.zeros((len(levels), trials), dtype=int)
 
     def run_cell(cell: tuple[int, int]) -> None:
         li, ti = cell
-        base, rmt, prism, attempts = _noise_trial(
-            clean, truth, operator, counts[li], seed, li, ti
-        )
-        results[li, ti] = (base, rmt, prism)
+        *methods, attempts = _noise_trial(clean, operator, counts[li], seed, li, ti)
+        labels[li, ti] = methods
         resamples[li, ti] = attempts
 
     cells = [(li, ti) for li in range(len(levels)) for ti in range(trials)]
@@ -528,6 +610,7 @@ def noise_benchmark(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_cell, cells))
+    results = _accuracies(labels, truth)  # (levels, trials, 3)
     rows = []
     for li, level in enumerate(levels):
         block = results[li]

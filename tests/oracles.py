@@ -123,7 +123,10 @@ def rebuild_flip_edges(weights: np.ndarray, count: int, seed: int) -> np.ndarray
 
     The straightforward O(n^2)-per-flip form of flip_edges: same draws, same
     fall-through rules, but the existing-edge and empty-slot lists are read
-    afresh from the weights each time instead of being updated in place.
+    afresh from the weights each time instead of being updated in place. The
+    draws are Generator.random() and Generator.integers() calls, where
+    flip_edges converts raw PCG64 words itself: this is the check that numpy
+    still converts them the same way.
     """
     w = np.array(weights, dtype=float)
     n = w.shape[0]

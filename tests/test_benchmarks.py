@@ -15,9 +15,12 @@ from oracles import (
 )
 from prism import benchmarks
 from prism.benchmarks import (
+    _RAW_BLOCK,
     KARATE_FACTIONS,
     NoiseBenchmarkReport,
     RewireReport,
+    _accuracies,
+    _RawDraws,
     accuracy,
     child_seed,
     fiedler_bipartition,
@@ -116,6 +119,32 @@ def test_accuracy_best_of_both_identifications():
     pred = np.array([0, 1, 1, 0, 1])
     truth = np.array([0, 1, 0, 0, 1])
     assert accuracy(pred, truth) == accuracy(1 - pred, truth)
+
+
+def test_accuracies_match_accuracy_row_by_row():
+    truth = np.array(KARATE_FACTIONS)
+    rng = np.random.default_rng(3)
+    rows = [
+        truth, 1 - truth,  # exact and swapped
+        np.zeros(34, dtype=int), np.ones(34, dtype=int),  # all equal
+        np.where(np.arange(34) % 2 == 0, truth, 1 - truth),  # a 0.5 split
+        # every agreement count: 1 - c/34 and (34 - c)/34 differ in the last
+        # bit at c = 7, 10 and 12, so only the float complement matches
+        *(np.where(np.arange(34) < c, truth, 1 - truth) for c in range(35)),
+        *rng.integers(0, 2, size=(20, 34)),
+    ]
+    stack = np.array(rows, dtype=np.int8).reshape(3, 20, 34)
+    scores = _accuracies(stack, truth)
+    assert scores.shape == (3, 20)
+    for index in np.ndindex(3, 20):
+        assert scores[index] == accuracy(stack[index], truth)
+    assert scores[0, 4] == 0.5
+    with pytest.raises(LengthMismatch):
+        _accuracies(stack[..., :-1], truth)
+    with pytest.raises(NonBinary):
+        _accuracies(stack + 1, truth)
+    with pytest.raises(NonBinary):
+        _accuracies(stack, 2 * truth)
 
 
 def test_accuracy_errors():
@@ -252,6 +281,52 @@ def test_flip_edges_matches_the_rebuild_per_flip_reference():
             for seed in range(6):
                 expected = rebuild_flip_edges(g.weights, count, seed)
                 assert np.array_equal(flip_edges(g, count, seed).weights, expected)
+
+
+def test_raw_draws_match_the_generator_calls():
+    # k near 2**31 rejects about half of Lemire's products, so the redraw
+    # branch runs; the club's k <= 561 almost never reaches it
+    fixed = (1, 2, 3, 561, 2**31 + 1, 2**32 - 1)
+    for seed in range(60):
+        script = np.random.default_rng(seed + 1000)
+        rng = np.random.default_rng(seed)
+        draws = _RawDraws(seed)
+        steps = 8 * _RAW_BLOCK  # several block refills
+        for _ in range(steps):
+            if script.random() < 0.4:
+                assert draws.coin() == (rng.random() < 0.5)
+            else:
+                if script.random() < 0.7:
+                    k = fixed[int(script.integers(len(fixed)))]
+                else:
+                    k = int(script.integers(1, 2**32))
+                assert draws.below(k) == int(rng.integers(k)), (seed, k)
+
+
+def test_flip_edges_matches_the_reference_across_blocks_and_fall_throughs():
+    rng = np.random.default_rng(9)
+    weighted = np.zeros((12, 12))
+    for i in range(12):
+        for j in range(i + 1, 12):
+            if rng.random() < 0.4:
+                weighted[i, j] = weighted[j, i] = float(rng.integers(3, 9)) / 2.0
+    twelve = Graph(labels=tuple("abcdefghijkl"), weights=weighted)
+    empty_three = Graph(labels=("a", "b", "c"), weights=np.zeros((3, 3)))
+    readded = 0
+    for seed in range(20):
+        # each flip takes a whole word for its coin, so this outruns one block
+        expected = rebuild_flip_edges(twelve.weights, 3 * _RAW_BLOCK, seed)
+        assert flip_edges(twelve, 3 * _RAW_BLOCK, seed).weights.tobytes() == expected.tobytes()
+        for count in (2, 5, 9):
+            produced = flip_edges(twelve, count, seed).weights
+            assert produced.tobytes() == rebuild_flip_edges(twelve.weights, count, seed).tobytes()
+            # a weighted edge removed and added back returns with weight 1.0
+            readded += int(np.count_nonzero((weighted > 0.0) & (produced == 1.0)))
+        # three slots fill within three flips; later flips fall through
+        for count in (3, 4, 10):
+            produced = flip_edges(empty_three, count, seed).weights
+            assert produced.tobytes() == rebuild_flip_edges(empty_three.weights, count, seed).tobytes()
+    assert readded > 0
 
 
 def test_noise_level_counts_flips_against_node_pairs(monkeypatch):
