@@ -68,6 +68,7 @@ from .finance import (
     PricePanel,
     ReturnPanel,
     RollingSeries,
+    WindowStats,
     communities,
     correlation_graph,
     event_study,
@@ -75,6 +76,7 @@ from .finance import (
     log_returns,
     rolling_defect,
     window_defect,
+    window_stats,
 )
 
 __version__ = "1.0.0"

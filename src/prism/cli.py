@@ -17,14 +17,14 @@ from . import benchmarks as bench
 from . import finance as fin
 from .duality import (
     DualityOperator,
-    _commutator,
     commutant_projection,
+    commutator_norm,
     duality_defect,
     identity_operator,
     load_operator,
     operator_to_text,
 )
-from .errors import DimensionMismatch, PrismError
+from .errors import DimensionMismatch, ParseError, PrismError
 from .graphs import Graph, laplacian, load_graph, load_matrix, save_matrix
 from .learn import (
     AlternatingConfig,
@@ -56,8 +56,12 @@ def _compute_phase():
     return _phase(1)
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part != ""]
+def _parse_list(text: str, kind=float) -> list:
+    """Comma list of numbers of one kind ('0,0.05' or '-90,0'); empty parts are skipped."""
+    try:
+        return [kind(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        raise ParseError(f"bad {kind.__name__} list {text!r}") from None
 
 
 def _parse_seed_list(text: str) -> list[int]:
@@ -67,13 +71,27 @@ def _parse_seed_list(text: str) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part[1:]:
-            split_at = part.index("-", 1)
-            lo, hi = int(part[:split_at]), int(part[split_at + 1 :])
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(part))
+        try:
+            if "-" in part[1:]:
+                split_at = part.index("-", 1)
+                lo, hi = int(part[:split_at]), int(part[split_at + 1 :])
+                seeds.extend(range(lo, hi + 1))
+            else:
+                seeds.append(int(part))
+        except ValueError:
+            raise ParseError(f"bad seed {part!r} in {text!r}") from None
     return seeds
+
+
+def _parse_events(text: str) -> list[tuple[str, str]]:
+    """Comma list of dates or label:date pairs; a bare date is its own label."""
+    events = []
+    for part in text.split(","):
+        part = part.strip()
+        if part:
+            label, colon, date = part.partition(":")
+            events.append((label, date) if colon else (part, part))
+    return events
 
 
 def _resolve_operator(
@@ -157,10 +175,10 @@ def defect(graph_path, fiedler, index_reversal, operator_path, as_matrix) -> Non
                                     operator_path)
     with _compute_phase():
         delta = duality_defect(lap, operator)
-        commutator_norm = float(np.linalg.norm(_commutator(lap, operator)))
+        commutator = commutator_norm(lap, operator)
     click.echo(f"delta={fmt(delta)}")
     click.echo(f"laplacian_norm={fmt(float(np.linalg.norm(lap)))}")
-    click.echo(f"commutator_norm={fmt(commutator_norm)}")
+    click.echo(f"commutator_norm={fmt(commutator)}")
 
 
 @main.command()
@@ -226,7 +244,7 @@ def learn(graph_path, fiedler, index_reversal, operator_path, defect_tolerance,
 def synth_rewire(group_size, intra, cross, fractions, seeds, out_format, out) -> None:
     """Defect and modularity versus rewiring fraction on mirror networks."""
     with _load_phase():
-        fraction_list = _parse_float_list(fractions)
+        fraction_list = _parse_list(fractions)
         seed_list = _parse_seed_list(seeds)
     with _compute_phase():
         report = bench.rewire_experiment(group_size, (intra, cross), fraction_list, seed_list)
@@ -246,7 +264,7 @@ def synth_rewire(group_size, intra, cross, fractions, seeds, out_format, out) ->
 def karate_noise(levels, trials, seed, out_format, out) -> None:
     """Noisy two-faction recovery benchmark on the club graph."""
     with _load_phase():
-        level_list = _parse_float_list(levels)
+        level_list = _parse_list(levels)
     with _compute_phase():
         report = bench.noise_benchmark(level_list, trials, seed)
     text = (bench.noise_report_to_csv(report) if out_format == "csv"
@@ -275,7 +293,7 @@ def window(prices_path, window_end, window_len, threshold, min_coverage) -> None
     with _load_phase():
         returns = _load_returns(prices_path, min_coverage)
     with _compute_phase():
-        stats = fin._window_stats(returns, window_end, window_len, threshold)
+        stats = fin.window_stats(returns, window_end, window_len, threshold)
     click.echo(f"window_end={stats.window_end}")
     click.echo(f"window_len={stats.window_len}")
     click.echo(f"mean_corr={fmt(stats.mean_correlation)}")
@@ -307,7 +325,7 @@ def rolling(prices_path, window_len, stride, threshold, min_coverage, out_format
 @click.option("--prices", "prices_path", required=True)
 @click.option("--date", "window_end", required=True)
 @click.option("--window", "window_len", default=120, show_default=True)
-@click.option("--k", default=6, show_default=True)
+@click.option("--k", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--threshold", default=0.2, show_default=True)
 @click.option("--min-coverage", default=0.95, show_default=True)
 @click.option("--seed", default=0, show_default=True)
@@ -340,18 +358,9 @@ def events(prices_path, events_text, offsets, window_lens, threshold, min_covera
     """Defect and correlation at fixed offsets before each event."""
     with _load_phase():
         returns = _load_returns(prices_path, min_coverage)
-        event_list = []
-        for part in events_text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if ":" in part:
-                label, date = part.split(":", 1)
-                event_list.append((label, date))
-            else:
-                event_list.append((part, part))
-        offset_tuple = tuple(int(x) for x in offsets.split(","))
-        window_tuple = tuple(int(x) for x in window_lens.split(","))
+        event_list = _parse_events(events_text)
+        offset_tuple = tuple(_parse_list(offsets, int))
+        window_tuple = tuple(_parse_list(window_lens, int))
     with _compute_phase():
         study = fin.event_study(returns, event_list, offset_tuple, window_tuple, threshold)
     text = (fin.event_study_to_csv(study) if out_format == "csv"

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ZeroMatrix,
 )
-from .graphs import _as_readonly
+from .graphs import _as_readonly, _dense_rows
 
 INVOLUTION_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
@@ -147,6 +147,11 @@ def _conjugate(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
     return l_matrix[p.sigma[:, None], p.sigma]
 
 
+def commutator_norm(l_matrix: np.ndarray, p: DualityOperator) -> float:
+    """||LP - PL||_F, the unnormalized numerator of the defect."""
+    return float(np.linalg.norm(_commutator(l_matrix, p)))
+
+
 def duality_defect(l_matrix: np.ndarray, p: DualityOperator) -> float:
     """||LP - PL||_F / ||L||_F, in [0, 2]. Undefined (ZeroMatrix) for L = 0.
 
@@ -156,7 +161,7 @@ def duality_defect(l_matrix: np.ndarray, p: DualityOperator) -> float:
     norm = float(np.linalg.norm(l_matrix))
     if norm <= ZERO_NORM_TOL:
         raise ZeroMatrix("duality defect is undefined for a zero matrix")
-    return float(np.linalg.norm(_commutator(l_matrix, p)) / norm)
+    return commutator_norm(l_matrix, p) / norm
 
 
 @dataclass(frozen=True)
@@ -189,12 +194,12 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
     if norm <= ZERO_NORM_TOL:
         defect_before = 0.0
     else:
-        defect_before = float(np.linalg.norm(_commutator(l_matrix, p)) / norm)
+        defect_before = commutator_norm(l_matrix, p) / norm
     projected_norm = float(np.linalg.norm(projected))
     if projected_norm <= ZERO_NORM_TOL:
         defect_after = 0.0
     else:
-        defect_after = float(np.linalg.norm(_commutator(projected, p)) / projected_norm)
+        defect_after = commutator_norm(projected, p) / projected_norm
     deformation = float(np.linalg.norm(projected - l_matrix))
     return ProjectionResult(
         projected=projected,
@@ -260,18 +265,7 @@ def operator_from_text(text: str) -> DualityOperator:
             n = int(header[len("#dense n: "):])
         except ValueError:
             raise ParseError("bad node count in dense header") from None
-        rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                row = [float(x) for x in line.split()]
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad matrix entry") from None
-            if len(row) != n:
-                raise ParseError(f"line {lineno}: expected {n} entries, got {len(row)}")
-            rows.append(row)
-        if len(rows) != n:
-            raise ParseError(f"expected {n} matrix rows, got {len(rows)}")
-        return validate_involution(np.array(rows))
+        return validate_involution(_dense_rows(lines[1:], n))
     raise ParseError("expected '#pairing n: N' or '#dense n: N' header")
 
 

@@ -7,7 +7,10 @@ window's duality defect is measured against the Fiedler-derived mirror
 operator of its own largest connected component: low defect means the
 correlation structure is nearly symmetric under its softest-cut mirror,
 elevated defect means one side of the market is organized differently from
-the other.
+the other. window_stats is the one per-window path: rolling_defect,
+event_study and the CLI's window command all go through it. communities
+projects the same component onto the commutant of that operator directly and
+clusters the projected Laplacian.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import duality_defect
+from .duality import commutant_projection, duality_defect
 from .errors import (
     DegenerateWindow,
     DuplicateDate,
@@ -33,7 +36,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .graphs import Graph, _as_readonly, connected_components, laplacian, symmetric_eig
-from .learn import AlternatingConfig, alternate, fiedler_duality_operator
+from .learn import fiedler_duality_operator
 from .benchmarks import resolve_threads
 from .reporting import csv_text, json_text
 
@@ -147,7 +150,18 @@ def log_returns(panel: PricePanel, min_coverage: float = 0.95) -> ReturnPanel:
     )
 
 
-def _window_slice(r: ReturnPanel, window_end: str, window_len: int) -> tuple[int, np.ndarray]:
+def _window_graph(
+    r: ReturnPanel, window_end: str, window_len: int, threshold: float
+) -> tuple[int, np.ndarray, Graph, float]:
+    """(end position, correlation matrix, thresholded graph, mean correlation).
+
+    The window is the window_len return rows ending at or before window_end.
+    Tickers with a gap or no variation in it are left out; the graph's nodes
+    are the kept tickers in order, so the correlation matrix and the graph
+    index the same nodes.
+    """
+    if threshold < 0.0:
+        raise ValidationError("threshold must be nonnegative (weights must be)")
     if window_len < 2:
         raise ValidationError(f"window_len must be at least 2, got {window_len}")
     pos = bisect_right(r.dates, window_end) - 1
@@ -155,14 +169,7 @@ def _window_slice(r: ReturnPanel, window_end: str, window_len: int) -> tuple[int
         raise InsufficientHistory(
             f"no {window_len}-row window ends at or before {window_end}"
         )
-    return pos, np.asarray(r.returns[pos - window_len + 1 : pos + 1])
-
-
-def _window_correlation(
-    r: ReturnPanel, window_end: str, window_len: int
-) -> tuple[int, list[int], np.ndarray, float]:
-    """(end position, kept ticker indices, correlation matrix, mean correlation)."""
-    pos, rows = _window_slice(r, window_end, window_len)
+    rows = np.asarray(r.returns[pos - window_len + 1 : pos + 1])
     full = ~np.isnan(rows).any(axis=0)
     varying = rows.std(axis=0) > 0.0
     kept = [i for i in range(rows.shape[1]) if full[i] and varying[i]]
@@ -170,29 +177,19 @@ def _window_correlation(
         raise DegenerateWindow(
             f"fewer than 2 usable tickers in the window ending {r.dates[pos]}"
         )
-    sub = rows[:, kept]
-    corr = np.corrcoef(sub.T)
+    corr = np.corrcoef(rows[:, kept].T)
     corr = (corr + corr.T) / 2.0  # BLAS output is not guaranteed bitwise-symmetric
-    off = ~np.eye(len(kept), dtype=bool)
-    mean_corr = float(corr[off].mean())
-    return pos, kept, corr, mean_corr
-
-
-def _window_graph(
-    r: ReturnPanel, window_end: str, window_len: int, threshold: float
-) -> tuple[int, np.ndarray, Graph, float]:
-    """(end position, correlation matrix, thresholded graph, mean correlation).
-
-    The graph's nodes are the kept tickers in order, so the correlation
-    matrix and the graph index the same nodes.
-    """
-    if threshold < 0.0:
-        raise ValidationError("threshold must be nonnegative (weights must be)")
-    pos, kept, corr, mean_corr = _window_correlation(r, window_end, window_len)
+    mean_corr = float(corr[~np.eye(len(kept), dtype=bool)].mean())
     weights = np.where(corr >= threshold, corr, 0.0)
     np.fill_diagonal(weights, 0.0)
     graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=weights)
     return pos, corr, graph, mean_corr
+
+
+def _largest_component(graph: Graph) -> tuple[list[int], Graph]:
+    """The node indices of the graph's largest component, and that subgraph."""
+    largest = max(connected_components(graph), key=len)
+    return largest, graph.subgraph(largest)
 
 
 def correlation_graph(
@@ -218,15 +215,18 @@ class WindowStats:
     dropped_nodes: int
 
 
-def _window_stats(
-    r: ReturnPanel, window_end: str, window_len: int, threshold: float
+def window_stats(
+    r: ReturnPanel, window_end: str, window_len: int, threshold: float = 0.2
 ) -> WindowStats:
+    """Mean correlation and defect of one window, with its component sizes.
+
+    The defect is measured on the thresholded graph's largest connected
+    component against that component's own Fiedler mirror operator.
+    """
     pos, _, graph, mean_corr = _window_graph(r, window_end, window_len, threshold)
     if graph.edge_count() == 0:
         raise ZeroMatrix(f"window ending {r.dates[pos]} has no edges at threshold")
-    components = connected_components(graph)
-    largest = max(components, key=len)
-    component = graph.subgraph(largest)
+    _, component = _largest_component(graph)
     operator = fiedler_duality_operator(component)
     defect = duality_defect(laplacian(component), operator)
     return WindowStats(
@@ -243,7 +243,7 @@ def window_defect(
     r: ReturnPanel, window_end: str, window_len: int, threshold: float = 0.2
 ) -> float:
     """Defect of the window's largest component against its own mirror operator."""
-    return _window_stats(r, window_end, window_len, threshold).defect
+    return window_stats(r, window_end, window_len, threshold).defect
 
 
 @dataclass(frozen=True)
@@ -277,6 +277,8 @@ def rolling_defect(
     least-squares trend of the defect per record step; None with fewer than
     two records.
     """
+    if window_len < 2:
+        raise ValidationError(f"window_len must be at least 2, got {window_len}")
     if stride < 1:
         raise ValidationError(f"stride must be at least 1, got {stride}")
     positions = list(range(window_len - 1, len(r.dates), stride))
@@ -284,7 +286,7 @@ def rolling_defect(
 
     def evaluate(pos: int) -> None:
         try:
-            results[pos] = _window_stats(r, r.dates[pos], window_len, threshold)
+            results[pos] = window_stats(r, r.dates[pos], window_len, threshold)
         except PrismError as exc:  # recorded per window, not fatal
             results[pos] = exc
 
@@ -393,58 +395,42 @@ def communities(
     threshold: float = 0.2,
     seed: int = 0,
 ) -> CommunityReport:
-    """Unsupervised pipeline: learn the mirror operator, project, cluster.
+    """Unsupervised pipeline: Fiedler operator, projected, clustered.
 
     The window graph's largest component is projected onto the commutant of
-    its learned operator; rows of the k lowest eigenvectors of the projected
-    Laplacian are normalized and clustered by deterministic farthest-point
-    k-means. Coupling numbers come from the signed unthresholded correlation
+    its Fiedler mirror operator; rows of the k lowest eigenvectors of the
+    projected Laplacian are normalized and clustered by deterministic
+    farthest-point k-means. Coupling numbers come from the signed unthresholded correlation
     matrix, not the graph. The seed is echoed for provenance; the clustering
     itself draws no randomness.
     """
+    if k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
     _, corr, graph, _ = _window_graph(r, window_end, window_len, threshold)
-    components_list = connected_components(graph)
-    largest = max(components_list, key=len)
+    largest, component = _largest_component(graph)
     if len(largest) < k:
         raise TooFewNodes(f"largest component has {len(largest)} nodes, need {k}")
-    component = graph.subgraph(largest)
-    lap = laplacian(component)
-    learned = alternate(lap, fiedler_duality_operator(component), AlternatingConfig())
-    decomp = symmetric_eig(learned.projected)
+    operator = fiedler_duality_operator(component)
+    decomp = symmetric_eig(commutant_projection(laplacian(component), operator).projected)
     embedding = np.array(decomp.eigenvectors[:, :k])
     norms = np.linalg.norm(embedding, axis=1)
     nonzero = norms > 0.0
     embedding[nonzero] = embedding[nonzero] / norms[nonzero, None]
-    raw_assign = _farthest_point_kmeans(embedding, k)
-    # Relabel communities by first appearance so ids are stable.
-    relabel: dict[int, int] = {}
-    for value in raw_assign:
-        if int(value) not in relabel:
-            relabel[int(value)] = len(relabel)
-    assign = np.array([relabel[int(value)] for value in raw_assign])
+    raw_assign = _farthest_point_kmeans(embedding, k).tolist()
+    # Number communities by first appearance so ids are stable.
+    relabel = {c: i for i, c in enumerate(dict.fromkeys(raw_assign))}
+    assign = np.array([relabel[c] for c in raw_assign])
+    members = [np.flatnonzero(assign == c) for c in range(k)]
     corr_local = corr[np.ix_(largest, largest)]  # kept-index space == graph node space
-    member_lists: list[list[int]] = [[] for _ in range(k)]
-    for node, community in enumerate(assign):
-        member_lists[int(community)].append(node)
 
-    def pair_mean(nodes_a: list[int], nodes_b: list[int], internal: bool) -> float | None:
-        if internal:
-            pairs = [(x, y) for xi, x in enumerate(nodes_a) for y in nodes_a[xi + 1 :]]
-        else:
-            pairs = [(x, y) for x in nodes_a for y in nodes_b]
-        if not pairs:
-            return None
-        return float(np.mean([corr_local[x, y] for x, y in pairs]))
+    def block_mean(a: int, b: int) -> float | None:
+        """Mean correlation between communities a and b; within one, each pair once."""
+        block = corr_local[np.ix_(members[a], members[b])]
+        if a == b:
+            block = block[np.triu_indices(len(members[a]), 1)]
+        return float(block.mean()) if block.size else None
 
-    coupling_rows = []
-    for a in range(k):
-        row = []
-        for b in range(k):
-            if a == b:
-                row.append(pair_mean(member_lists[a], member_lists[a], internal=True))
-            else:
-                row.append(pair_mean(member_lists[a], member_lists[b], internal=False))
-        coupling_rows.append(tuple(row))
+    coupling_rows = [tuple(block_mean(a, b) for b in range(k)) for a in range(k)]
     fault = None
     fault_value = None
     for a in range(k):
@@ -458,7 +444,7 @@ def communities(
     report_communities = tuple(
         (
             c,
-            tuple(component.labels[node] for node in member_lists[c]),
+            tuple(component.labels[node] for node in members[c]),
             coupling_rows[c][c],
         )
         for c in range(k)
@@ -555,11 +541,11 @@ def event_study(
         for window_len in window_lens:
             for offset in offsets:
                 target = pos + offset
-                if target < window_len - 1 or target < 0:
+                if target < window_len - 1 or target < 0 or target >= len(r.dates):
                     partial = True
                     continue
                 try:
-                    stats = _window_stats(r, r.dates[target], window_len, threshold)
+                    stats = window_stats(r, r.dates[target], window_len, threshold)
                 except PrismError:  # this cell is absent, row flagged
                     partial = True
                     continue

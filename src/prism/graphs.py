@@ -261,16 +261,13 @@ def matrix_to_text(m: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_text(text: str) -> np.ndarray:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("#matrix n: "):
-        raise ParseError("expected '#matrix n: N' header")
-    try:
-        n = int(lines[0][len("#matrix n: "):])
-    except ValueError:
-        raise ParseError("bad size in matrix header") from None
+def _dense_rows(lines: list[str], n: int) -> np.ndarray:
+    """The n rows of n floats that follow a dense header (matrix or operator file).
+
+    lines are the non-blank lines after the header, numbered from line 2.
+    """
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         try:
             row = [float(x) for x in line.split()]
         except ValueError:
@@ -280,7 +277,18 @@ def matrix_from_text(text: str) -> np.ndarray:
         rows.append(row)
     if len(rows) != n:
         raise ParseError(f"expected {n} matrix rows, got {len(rows)}")
-    m = np.array(rows)
+    return np.array(rows)
+
+
+def matrix_from_text(text: str) -> np.ndarray:
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or not lines[0].startswith("#matrix n: "):
+        raise ParseError("expected '#matrix n: N' header")
+    try:
+        n = int(lines[0][len("#matrix n: "):])
+    except ValueError:
+        raise ParseError("bad size in matrix header") from None
+    m = _dense_rows(lines[1:], n)
     if not np.all(np.isfinite(m)):
         raise NonFinite("matrix contains non-finite entries")
     return m

@@ -20,8 +20,8 @@ import numpy as np
 
 from .duality import (
     DualityOperator,
-    _commutator,
     commutant_projection,
+    commutator_norm,
     duality_defect,
     operator_to_text,
     permutation_operator,
@@ -128,10 +128,6 @@ def _objective_and_gradient(
     value = float(np.sum(c * c) + mu * np.sum(b * b))
     grad = 2.0 * (lp @ c - c @ lp) + 2.0 * mu * (b @ p.T + p.T @ b)
     return value, grad.ravel()
-
-
-def commutator_norm(lp: np.ndarray, p: DualityOperator) -> float:
-    return float(np.linalg.norm(_commutator(lp, p)))
 
 
 def optimize_p_step(

@@ -10,7 +10,8 @@ the defect, projection and involution check with dense products and an
 eigendecomposition instead of index gathers and a trace, rewiring from the
 list of edge tuples, the mirror network filled one node pair at a time,
 connected components by a stack walk that visits one node per step, the
-Fiedler pairing one rank at a time.
+Fiedler pairing one rank at a time, the community coupling table from one
+list of node pairs per block.
 Agreement between the two routes is the test.
 """
 
@@ -345,3 +346,26 @@ def rank_loop_pairing(fiedler: np.ndarray) -> tuple[int, ...]:
     for k in range(n):
         sigma[int(order[k])] = int(order[n - 1 - k])
     return tuple(sigma)
+
+
+def pair_loop_coupling(corr: np.ndarray, member_lists: list[list[int]]) -> tuple:
+    """Mean correlation per pair of communities, from explicit lists of node pairs.
+
+    Within a community each unordered pair counts once, in (i, j > i) order;
+    an empty pair list gives None.
+    """
+
+    def pair_mean(nodes_a: list[int], nodes_b: list[int], internal: bool) -> float | None:
+        if internal:
+            pairs = [(x, y) for xi, x in enumerate(nodes_a) for y in nodes_a[xi + 1 :]]
+        else:
+            pairs = [(x, y) for x in nodes_a for y in nodes_b]
+        if not pairs:
+            return None
+        return float(np.mean([corr[x, y] for x, y in pairs]))
+
+    k = len(member_lists)
+    return tuple(
+        tuple(pair_mean(member_lists[a], member_lists[b], internal=a == b) for b in range(k))
+        for a in range(k)
+    )

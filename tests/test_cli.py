@@ -212,6 +212,25 @@ def test_finance_window_failures(runner, tmp_path):
     assert malformed.exit_code == 2
 
 
+EVENTS = ["finance", "events", "--prices", str(UNIVERSE_CSV), "--events", "SPIKE:2021-12-24"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["karate-noise", "--levels", "0,x"], "error: bad float list"),
+    (["synth-rewire", "--fractions", "0,x"], "error: bad float list"),
+    (["synth-rewire", "--seeds", "1-x"], "error: bad seed"),
+    ([*EVENTS, "--offsets", "-60,x"], "error: bad int list"),
+    ([*EVENTS, "--window-lens", "60,x"], "error: bad int list"),
+    (["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date", "2021-10-01",
+      "--k", "0"], "Invalid value for '--k'"),
+])
+def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
 def test_finance_rolling_formats_and_threads(runner):
     base = ["finance", "rolling", "--prices", str(UNIVERSE_CSV),
             "--window", "60", "--stride", "60"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import pearson
+from oracles import pair_loop_coupling, pearson
 from prism import finance
 from prism.duality import duality_defect
 from prism.errors import (
@@ -196,6 +196,8 @@ def test_window_validation(universe_returns):
         correlation_graph(universe_returns, "2020-01-10", 60)
     with pytest.raises(InsufficientHistory):
         correlation_graph(universe_returns, "2019-12-31", 10)
+    with pytest.raises(ValidationError, match="window_len"):
+        rolling_defect(universe_returns, 1)
 
 
 def test_degenerate_window_too_few_varying_tickers():
@@ -249,6 +251,28 @@ def test_communities_requires_enough_nodes():
     panel, _ = factor_panel([3, 3], market=0.010, group_vol=0.02, idio=0.002)
     with pytest.raises(TooFewNodes):
         communities(panel, panel.dates[-1], 240, k=10)
+    with pytest.raises(TooFewNodes):
+        communities(panel, panel.dates[-1], 240, k=1)
+    for k in (0, -1):  # rejected before the window is read, even one that cannot exist
+        with pytest.raises(ValidationError, match="k must be at least 1"):
+            communities(panel, "1990-01-01", 240, k=k)
+
+
+def test_community_coupling_matches_the_pair_loop(universe_returns):
+    valid = 0
+    for end in ("2020-12-31", "2021-02-25", "2021-06-30", "2021-10-01", "2022-03-01"):
+        for window_len in (60, 120, 250, 450):
+            for k in (2, 3, 6, 9):
+                try:
+                    report = communities(universe_returns, end, window_len, k=k)
+                except (InsufficientHistory, TooFewNodes):
+                    continue
+                _, corr, graph, _ = finance._window_graph(universe_returns, end, window_len, 0.2)
+                index = {label: i for i, label in enumerate(graph.labels)}
+                members = [[index[label] for label in names] for _, names, _ in report.communities]
+                assert report.coupling == pair_loop_coupling(corr, members)
+                valid += 1
+    assert valid == 68
 
 
 def test_communities_config_echo(universe_returns):
@@ -317,7 +341,7 @@ def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, thread
     def broken(*args, **kwargs):
         raise TypeError("broken window")
 
-    monkeypatch.setattr(finance, "_window_stats", broken)
+    monkeypatch.setattr(finance, "window_stats", broken)
     with pytest.raises(TypeError, match="broken window"):
         rolling_defect(universe_returns, 60, stride=120, threads=threads)
     with pytest.raises(TypeError, match="broken window"):
@@ -379,6 +403,10 @@ def test_event_study_flags_partial_windows(universe_returns):
     assert ("START", "partial") in study.flags
     for delta in study.deltas:
         assert delta[2] is None and delta[3] is None
+    # an offset past the last return row is skipped like one before the first
+    late = event_study(universe_returns, [("LATE", "2021-12-24")], offsets=(0, 10000))
+    assert late.flags == (("LATE", "partial"),)
+    assert [row[2] for row in late.grid] == [0, 0]
 
 
 def test_event_study_formats_agree(universe_returns):

@@ -7,6 +7,7 @@ import pytest
 
 from oracles import column_loop_eig, stack_walk_components
 from prism.benchmarks import generate_dual_network, karate_club, rewire
+from prism.duality import operator_from_text
 from prism.errors import (
     DisconnectedGraph,
     NonFinite,
@@ -291,9 +292,11 @@ def test_matrix_text_round_trip_is_exact():
 def test_matrix_text_parse_errors():
     with pytest.raises(ParseError, match="header"):
         matrix_from_text("1.0 2.0\n")
-    with pytest.raises(ParseError, match="expected 2 entries"):
-        matrix_from_text("#matrix n: 2\n1.0 2.0 3.0\n")
-    with pytest.raises(ParseError, match="rows"):
-        matrix_from_text("#matrix n: 2\n1.0 2.0\n")
-    with pytest.raises(ParseError, match="bad matrix entry"):
-        matrix_from_text("#matrix n: 1\nx\n")
+    # matrix files and dense operator files share one row parser
+    for parse, header in ((matrix_from_text, "#matrix n:"), (operator_from_text, "#dense n:")):
+        with pytest.raises(ParseError, match="expected 2 entries"):
+            parse(f"{header} 2\n1.0 2.0 3.0\n")
+        with pytest.raises(ParseError, match="rows"):
+            parse(f"{header} 2\n1.0 2.0\n")
+        with pytest.raises(ParseError, match="bad matrix entry"):
+            parse(f"{header} 1\nx\n")

@@ -6,11 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_fd_gradient, penalized_objective, rank_loop_pairing
+from oracles import (
+    central_fd_gradient,
+    penalized_objective,
+    random_involution,
+    rank_loop_pairing,
+)
 from prism import learn
 from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.duality import (
     commutant_projection,
+    commutator_norm,
     identity_operator,
     operator_from_text,
     validate_involution,
@@ -22,7 +28,6 @@ from prism.learn import (
     FiedlerPairing,
     _objective_and_gradient,
     alternate,
-    commutator_norm,
     fiedler_duality_operator,
     fiedler_pairing,
     learn_result_to_json,
@@ -216,6 +221,20 @@ def test_alternate_projects_once_when_the_step_keeps_p(monkeypatch):
     reversal = validate_involution(np.fliplr(np.eye(3)))
     assert alternate(laplacian(path_graph(3)), reversal).iterations == 0
     assert len(calls) == 1
+
+
+def test_alternate_returns_the_plain_projection_for_permutation_operators():
+    # L' commutes exactly with a permutation, so the P-step keeps P and the
+    # learner hands back commutant_projection(L, P): the finance communities
+    # pipeline relies on this to project directly
+    rng = np.random.default_rng(29)
+    for n in range(2, 61):
+        p = validate_involution(random_involution(rng, n, "pairing"))
+        a = rng.standard_normal((n, n))
+        l_matrix = a + a.T
+        result = alternate(l_matrix, p)
+        assert result.operator is p
+        assert result.projected.tobytes() == commutant_projection(l_matrix, p).projected.tobytes()
 
 
 def test_alternate_projects_again_when_the_step_changes_p(monkeypatch):
