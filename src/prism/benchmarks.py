@@ -583,7 +583,8 @@ def noise_benchmark(
 
     Trials whose noisy graph is disconnected are resampled (with an extended
     child seed) and the number of resamples reported per level. Cells are
-    independent, so the thread count never changes the result.
+    independent, so the thread count never changes the result. A level with
+    no flips is one computation, whatever the trial count.
     """
     if any(not 0.0 <= lv <= 1.0 for lv in levels):
         raise ValidationError("noise levels must lie in [0, 1]")
@@ -602,7 +603,14 @@ def noise_benchmark(
         labels[li, ti] = methods
         resamples[li, ti] = attempts
 
-    cells = [(li, ti) for li in range(len(levels)) for ti in range(trials)]
+    # With no flips every trial of a level sees the clean graph: its first cell
+    # stands for all of them (same labels, same resample count).
+    for li in range(len(levels)):
+        if counts[li] == 0:
+            run_cell((li, 0))
+            labels[li, 1:] = labels[li, 0]
+            resamples[li, 1:] = resamples[li, 0]
+    cells = [(li, ti) for li in range(len(levels)) if counts[li] > 0 for ti in range(trials)]
     workers = resolve_threads(threads)
     if workers == 1:
         for cell in cells:

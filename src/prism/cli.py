@@ -272,6 +272,11 @@ def karate_noise(levels, trials, seed, out_format, out) -> None:
     _emit(text, out)
 
 
+# Checked when the options are parsed, so a bad value exits 2 like bad input.
+_NONNEGATIVE = click.FloatRange(min=0.0)
+_WINDOW_LEN = click.IntRange(min=2)
+
+
 @main.group()
 def finance() -> None:
     """Rolling correlation-network diagnostics from a price CSV."""
@@ -285,8 +290,8 @@ def _load_returns(prices_path: str, min_coverage: float) -> fin.ReturnPanel:
 @finance.command()
 @click.option("--prices", "prices_path", required=True)
 @click.option("--date", "window_end", required=True)
-@click.option("--window", "window_len", default=60, show_default=True)
-@click.option("--threshold", default=0.2, show_default=True)
+@click.option("--window", "window_len", default=60, show_default=True, type=_WINDOW_LEN)
+@click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
 @click.option("--min-coverage", default=0.95, show_default=True)
 def window(prices_path, window_end, window_len, threshold, min_coverage) -> None:
     """Mean correlation and duality defect for one window."""
@@ -304,9 +309,9 @@ def window(prices_path, window_end, window_len, threshold, min_coverage) -> None
 
 @finance.command()
 @click.option("--prices", "prices_path", required=True)
-@click.option("--window", "window_len", default=60, show_default=True)
-@click.option("--stride", default=5, show_default=True)
-@click.option("--threshold", default=0.2, show_default=True)
+@click.option("--window", "window_len", default=60, show_default=True, type=_WINDOW_LEN)
+@click.option("--stride", default=5, show_default=True, type=click.IntRange(min=1))
+@click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
 @click.option("--min-coverage", default=0.95, show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)
@@ -324,9 +329,9 @@ def rolling(prices_path, window_len, stride, threshold, min_coverage, out_format
 @finance.command()
 @click.option("--prices", "prices_path", required=True)
 @click.option("--date", "window_end", required=True)
-@click.option("--window", "window_len", default=120, show_default=True)
+@click.option("--window", "window_len", default=120, show_default=True, type=_WINDOW_LEN)
 @click.option("--k", default=6, show_default=True, type=click.IntRange(min=1))
-@click.option("--threshold", default=0.2, show_default=True)
+@click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
 @click.option("--min-coverage", default=0.95, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
@@ -349,7 +354,7 @@ def communities(prices_path, window_end, window_len, k, threshold, min_coverage,
               help="Comma list of dates or label:date pairs.")
 @click.option("--offsets", default="-90,-60,-30,-10,0", show_default=True)
 @click.option("--window-lens", default="60,90", show_default=True)
-@click.option("--threshold", default=0.2, show_default=True)
+@click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
 @click.option("--min-coverage", default=0.95, show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)

@@ -158,10 +158,16 @@ def duality_defect(l_matrix: np.ndarray, p: DualityOperator) -> float:
     Non-finite L raises NonFinite.
     """
     l_matrix = _check_dims(l_matrix, p)
+    norm = _defect_norm(l_matrix)
+    return commutator_norm(l_matrix, p) / norm
+
+
+def _defect_norm(l_matrix: np.ndarray) -> float:
+    """||L||_F, raising ZeroMatrix where the defect ratio is undefined."""
     norm = float(np.linalg.norm(l_matrix))
     if norm <= ZERO_NORM_TOL:
         raise ZeroMatrix("duality defect is undefined for a zero matrix")
-    return commutator_norm(l_matrix, p) / norm
+    return norm
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,20 @@ window's duality defect is measured against the Fiedler-derived mirror
 operator of its own largest connected component: low defect means the
 correlation structure is nearly symmetric under its softest-cut mirror,
 elevated defect means one side of the market is organized differently from
-the other. window_stats is the one per-window path: rolling_defect,
-event_study and the CLI's window command all go through it. communities
-projects the same component onto the commutant of that operator directly and
-clusters the projected Laplacian.
+the other.
+
+One kernel (_window_stats_at) evaluates windows: window_stats is the kernel
+on one position, and rolling_defect and event_study (one call per window
+length) pass it all of theirs. It takes each window's correlation from
+np.corrcoef, then works through chunks of WINDOW_CHUNK windows, stacking the
+windows of one graph size for the Graph checks, the edge count and the
+connectivity walk, and the components of one size for the Laplacian, one
+batched eigh, the Fiedler pairing and the commutator. Each window keeps its
+own Frobenius norms, so its numbers and its first failing check are those
+of the window computed alone. communities and correlation_graph build the
+same window graph from the same correlation helper (_window_graph);
+communities projects its largest component onto the commutant of the
+Fiedler operator and clusters the projected Laplacian.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import commutant_projection, duality_defect
+from .duality import _defect_norm, commutant_projection
 from .errors import (
     DegenerateWindow,
     DuplicateDate,
@@ -35,8 +45,16 @@ from .errors import (
     ValidationError,
     ZeroMatrix,
 )
-from .graphs import Graph, _as_readonly, connected_components, laplacian, symmetric_eig
-from .learn import fiedler_duality_operator
+from .graphs import (
+    Graph,
+    _as_readonly,
+    _check_symmetric,
+    _check_weights,
+    connected_components,
+    laplacian,
+    symmetric_eig,
+)
+from .learn import FiedlerPairing, fiedler_duality_operator
 from .benchmarks import resolve_threads
 from .reporting import csv_text, json_text
 
@@ -150,29 +168,37 @@ def log_returns(panel: PricePanel, min_coverage: float = 0.95) -> ReturnPanel:
     )
 
 
-def _window_graph(
-    r: ReturnPanel, window_end: str, window_len: int, threshold: float
-) -> tuple[int, np.ndarray, Graph, float]:
-    """(end position, correlation matrix, thresholded graph, mean correlation).
+WINDOW_CHUNK = 16  # windows per kernel chunk: peak memory stays flat as windows grow
 
-    The window is the window_len return rows ending at or before window_end.
-    Tickers with a gap or no variation in it are left out; the graph's nodes
-    are the kept tickers in order, so the correlation matrix and the graph
-    index the same nodes.
-    """
+
+def _check_window_args(window_len: int, threshold: float) -> None:
     if threshold < 0.0:
         raise ValidationError("threshold must be nonnegative (weights must be)")
     if window_len < 2:
         raise ValidationError(f"window_len must be at least 2, got {window_len}")
+
+
+def _window_position(r: ReturnPanel, window_end: str, window_len: int) -> int:
+    """The return row of the last window_len-row window ending at or before window_end."""
     pos = bisect_right(r.dates, window_end) - 1
     if pos < 0 or pos + 1 < window_len:
         raise InsufficientHistory(
             f"no {window_len}-row window ends at or before {window_end}"
         )
+    return pos
+
+
+def _window_corr(r: ReturnPanel, pos: int, window_len: int) -> tuple[list[int], np.ndarray, float]:
+    """(kept ticker indices, correlation matrix, mean correlation) of one window.
+
+    The window is the window_len return rows ending at row pos. Tickers with
+    a gap or no variation in it are left out; the matrix indexes the kept
+    tickers in order. The mean is over the off-diagonal entries.
+    """
     rows = np.asarray(r.returns[pos - window_len + 1 : pos + 1])
     full = ~np.isnan(rows).any(axis=0)
     varying = rows.std(axis=0) > 0.0
-    kept = [i for i in range(rows.shape[1]) if full[i] and varying[i]]
+    kept = np.flatnonzero(full & varying).tolist()
     if len(kept) < 2:
         raise DegenerateWindow(
             f"fewer than 2 usable tickers in the window ending {r.dates[pos]}"
@@ -180,9 +206,32 @@ def _window_graph(
     corr = np.corrcoef(rows[:, kept].T)
     corr = (corr + corr.T) / 2.0  # BLAS output is not guaranteed bitwise-symmetric
     mean_corr = float(corr[~np.eye(len(kept), dtype=bool)].mean())
+    return kept, corr, mean_corr
+
+
+def _edge_weights(corr: np.ndarray, threshold: float) -> np.ndarray:
+    """Correlations at or above threshold, 0 elsewhere and on the diagonal.
+
+    corr is one square matrix or a stack of them.
+    """
     weights = np.where(corr >= threshold, corr, 0.0)
-    np.fill_diagonal(weights, 0.0)
-    graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=weights)
+    diagonal = np.arange(corr.shape[-1])
+    weights[..., diagonal, diagonal] = 0.0
+    return weights
+
+
+def _window_graph(
+    r: ReturnPanel, window_end: str, window_len: int, threshold: float
+) -> tuple[int, np.ndarray, Graph, float]:
+    """(end position, correlation matrix, thresholded graph, mean correlation).
+
+    The graph's nodes are the kept tickers in order, so the correlation
+    matrix and the graph index the same nodes.
+    """
+    _check_window_args(window_len, threshold)
+    pos = _window_position(r, window_end, window_len)
+    kept, corr, mean_corr = _window_corr(r, pos, window_len)
+    graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=_edge_weights(corr, threshold))
     return pos, corr, graph, mean_corr
 
 
@@ -215,6 +264,154 @@ class WindowStats:
     dropped_nodes: int
 
 
+def _screen(stack: np.ndarray, passed: np.ndarray, check, keys: list[int],
+            outcomes: list) -> np.ndarray:
+    """Mask of the stacked windows that pass one of the per-window checks.
+
+    passed is the check run on the whole stack. A window it fails runs the
+    per-matrix check, whose PrismError becomes that window's outcome, so
+    every window fails with the same error and message as on its own.
+    """
+    keep = passed.copy()
+    for b in np.flatnonzero(~passed):
+        try:
+            check(stack[b])
+        except PrismError as exc:
+            outcomes[keys[b]] = exc
+        else:
+            keep[b] = True
+    return keep
+
+
+def _chunk_stats(
+    r: ReturnPanel, positions: list[int], window_len: int, threshold: float
+) -> list[WindowStats | PrismError]:
+    """The outcome of each window of one chunk; see _window_stats_at.
+
+    Windows are stacked by graph size for the Graph checks, the edge count
+    and the connectivity walk, then by component size for the Laplacian,
+    its eigendecomposition, the Fiedler pairing and the commutator.
+    """
+    outcomes: list = [None] * len(positions)
+    means = [0.0] * len(positions)
+    graph_sizes = [0] * len(positions)
+    by_size: dict[int, list[tuple[int, list[int], np.ndarray]]] = {}
+    for k, pos in enumerate(positions):
+        try:
+            kept, corr, means[k] = _window_corr(r, pos, window_len)
+        except PrismError as exc:
+            outcomes[k] = exc
+            continue
+        graph_sizes[k] = len(kept)
+        by_size.setdefault(len(kept), []).append((k, kept, corr))
+
+    components: dict[int, list[tuple[int, np.ndarray]]] = {}  # size -> (key, weights)
+    for n, group in by_size.items():
+        keys = [k for k, _, _ in group]
+        weights = _edge_weights(np.stack([corr for _, _, corr in group]), threshold)
+        diagonal = np.arange(n)
+        passed = (
+            np.isfinite(weights).all(axis=(1, 2))
+            & (weights == weights.transpose(0, 2, 1)).all(axis=(1, 2))
+            & (weights[:, diagonal, diagonal] == 0.0).all(axis=1)
+            & (weights >= 0.0).all(axis=(1, 2))
+        )
+        keep = _screen(weights, passed, _check_weights, keys, outcomes)
+        adjacent = weights != 0.0
+        reach = np.zeros((len(keys), n), dtype=bool)  # is_connected's walk from node 0
+        reach[:, 0] = True
+        frontier = reach.copy()
+        while frontier.any():
+            frontier = (adjacent & frontier[:, :, None]).any(axis=1) & ~reach
+            reach |= frontier
+        for b in np.flatnonzero(keep):
+            k, kept, _ = group[b]
+            if not adjacent[b].any():
+                outcomes[k] = ZeroMatrix(
+                    f"window ending {r.dates[positions[k]]} has no edges at threshold"
+                )
+                continue
+            component = weights[b]
+            if not reach[b].all():
+                graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=component)
+                component = _largest_component(graph)[1].weights
+            components.setdefault(len(component), []).append((k, component))
+
+    for m, group in components.items():
+        keys = [k for k, _ in group]
+        weights = np.stack([w for _, w in group])
+        diagonal = np.arange(m)
+        lap = np.zeros_like(weights)
+        lap[:, diagonal, diagonal] = weights.sum(axis=2)
+        lap -= weights  # laplacian(): diag(degrees) - A, entry for entry
+        passed = (
+            np.isfinite(lap).all(axis=(1, 2))
+            & (lap == lap.transpose(0, 2, 1)).all(axis=(1, 2))
+        )
+        keep = _screen(lap, passed, _check_symmetric, keys, outcomes)
+        keys, lap = [k for k, ok in zip(keys, keep) if ok], lap[keep]
+        # symmetric_eig's decomposition and sign rule, for the Fiedler column only
+        fiedler = np.linalg.eigh((lap + lap.transpose(0, 2, 1)) / 2.0)[1][:, :, 1]
+        lead = np.argmax(np.abs(fiedler), axis=1)
+        flip = np.take_along_axis(fiedler, lead[:, None], axis=1) < 0.0
+        fiedler = np.where(flip, -fiedler, fiedler)
+        # fiedler_pairing: rank k pairs with rank m-1-k
+        order = np.argsort(fiedler, axis=1, kind="stable")
+        sigma = np.empty_like(order)
+        np.put_along_axis(sigma, order, order[:, ::-1], axis=1)
+        involution = (np.take_along_axis(sigma, sigma, axis=1) == np.arange(m)).all(axis=1)
+        keep = _screen(sigma, involution, lambda s: FiedlerPairing(tuple(s.tolist()), None),
+                       keys, outcomes)
+        # LP - PL by gathers, as duality's _commutator does for one window
+        commutator = (np.take_along_axis(lap, sigma[:, None, :], axis=2)
+                      - np.take_along_axis(lap, sigma[:, :, None], axis=1))
+        for b in np.flatnonzero(keep):
+            k = keys[b]
+            try:
+                norm = _defect_norm(lap[b])  # per matrix: a batched norm sums in another order
+            except PrismError as exc:
+                outcomes[k] = exc
+                continue
+            outcomes[k] = WindowStats(
+                window_end=r.dates[positions[k]],
+                window_len=window_len,
+                mean_correlation=means[k],
+                defect=float(np.linalg.norm(commutator[b])) / norm,
+                component_size=m,
+                dropped_nodes=graph_sizes[k] - m,
+            )
+    return outcomes
+
+
+def _window_stats_at(
+    r: ReturnPanel, positions: list[int], window_len: int, threshold: float, workers: int = 1
+) -> list[WindowStats | PrismError]:
+    """WindowStats of the window ending at each return row, or its PrismError.
+
+    Every position must have window_len rows up to it. Each window fails on
+    the same first check, with the same error, as window_stats on its own:
+    the arguments, too few usable tickers, the Graph checks, no edges, the
+    eigendecomposition's checks, the pairing and a zero Laplacian. Chunks of
+    WINDOW_CHUNK positions are evaluated one after another, or on a pool of
+    `workers` threads; any exception other than a PrismError propagates.
+    """
+    try:
+        _check_window_args(window_len, threshold)
+    except ValidationError as exc:
+        return [exc] * len(positions)
+    chunks = [positions[i : i + WINDOW_CHUNK] for i in range(0, len(positions), WINDOW_CHUNK)]
+
+    def evaluate(chunk: list[int]) -> list[WindowStats | PrismError]:
+        return _chunk_stats(r, chunk, window_len, threshold)
+
+    if workers == 1 or len(chunks) <= 1:
+        results = [evaluate(chunk) for chunk in chunks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(evaluate, chunks))
+    return [outcome for chunk in results for outcome in chunk]
+
+
 def window_stats(
     r: ReturnPanel, window_end: str, window_len: int, threshold: float = 0.2
 ) -> WindowStats:
@@ -223,20 +420,12 @@ def window_stats(
     The defect is measured on the thresholded graph's largest connected
     component against that component's own Fiedler mirror operator.
     """
-    pos, _, graph, mean_corr = _window_graph(r, window_end, window_len, threshold)
-    if graph.edge_count() == 0:
-        raise ZeroMatrix(f"window ending {r.dates[pos]} has no edges at threshold")
-    _, component = _largest_component(graph)
-    operator = fiedler_duality_operator(component)
-    defect = duality_defect(laplacian(component), operator)
-    return WindowStats(
-        window_end=r.dates[pos],
-        window_len=window_len,
-        mean_correlation=mean_corr,
-        defect=defect,
-        component_size=component.n,
-        dropped_nodes=graph.n - component.n,
-    )
+    _check_window_args(window_len, threshold)
+    pos = _window_position(r, window_end, window_len)
+    (outcome,) = _window_stats_at(r, [pos], window_len, threshold)
+    if isinstance(outcome, PrismError):
+        raise outcome
+    return outcome
 
 
 def window_defect(
@@ -282,25 +471,10 @@ def rolling_defect(
     if stride < 1:
         raise ValidationError(f"stride must be at least 1, got {stride}")
     positions = list(range(window_len - 1, len(r.dates), stride))
-    results: dict[int, WindowStats | PrismError] = {}
-
-    def evaluate(pos: int) -> None:
-        try:
-            results[pos] = window_stats(r, r.dates[pos], window_len, threshold)
-        except PrismError as exc:  # recorded per window, not fatal
-            results[pos] = exc
-
-    workers = resolve_threads(threads)
-    if workers == 1 or len(positions) <= 1:
-        for pos in positions:
-            evaluate(pos)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(evaluate, positions))
+    outcomes = _window_stats_at(r, positions, window_len, threshold, resolve_threads(threads))
     records = []
     skipped = []
-    for pos in positions:
-        outcome = results[pos]
+    for pos, outcome in zip(positions, outcomes):
         if isinstance(outcome, WindowStats):
             records.append(
                 (outcome.window_end, window_len, outcome.mean_correlation, outcome.defect)
@@ -528,38 +702,41 @@ def event_study(
         else:
             label, date = event
             normalized.append((str(label), str(date)))
+    located = {}  # event index -> return row of the event, for events inside history
+    for e, (_, date) in enumerate(normalized):
+        if r.dates and r.dates[0] <= date <= r.dates[-1]:
+            located[e] = bisect_right(r.dates, date) - 1
+    stats = {}  # (window_len, end row) -> WindowStats or PrismError
+    for window_len in dict.fromkeys(window_lens):
+        first = max(window_len - 1, 0)  # the first row a full window can end on
+        ends = sorted({pos + offset for pos in located.values() for offset in offsets
+                       if first <= pos + offset < len(r.dates)})
+        outcomes = _window_stats_at(r, ends, window_len, threshold)
+        stats.update(zip([(window_len, end) for end in ends], outcomes))
     grid = []
     deltas = []
     flags = []
-    for label, date in normalized:
-        if not r.dates or date < r.dates[0] or date > r.dates[-1]:
+    for e, (label, _) in enumerate(normalized):
+        if e not in located:
             flags.append((label, "out_of_range"))
             continue
-        pos = bisect_right(r.dates, date) - 1
         partial = False
-        cells: dict[tuple[int, int], tuple[float, float]] = {}
+        cells = {}
         for window_len in window_lens:
             for offset in offsets:
-                target = pos + offset
-                if target < window_len - 1 or target < 0 or target >= len(r.dates):
+                outcome = stats.get((window_len, located[e] + offset))
+                if not isinstance(outcome, WindowStats):  # no full window, or a PrismError
                     partial = True
                     continue
-                try:
-                    stats = window_stats(r, r.dates[target], window_len, threshold)
-                except PrismError:  # this cell is absent, row flagged
-                    partial = True
-                    continue
-                cells[(window_len, offset)] = (stats.defect, stats.mean_correlation)
-                grid.append(
-                    (label, window_len, offset, stats.defect, stats.mean_correlation)
-                )
+                cells[(window_len, offset)] = outcome
+                grid.append((label, window_len, offset, outcome.defect,
+                             outcome.mean_correlation))
         for window_len in window_lens:
             at_event = cells.get((window_len, 0))
             before = cells.get((window_len, -60))
             if at_event is not None and before is not None:
-                deltas.append(
-                    (label, window_len, at_event[0] - before[0], at_event[1] - before[1])
-                )
+                deltas.append((label, window_len, at_event.defect - before.defect,
+                               at_event.mean_correlation - before.mean_correlation))
             else:
                 deltas.append((label, window_len, None, None))
         if partial:

@@ -50,14 +50,7 @@ class Graph:
         n = len(self.labels)
         if w.shape != (n, n):
             raise ValidationError(f"weight matrix {w.shape} does not match {n} labels")
-        if not np.all(np.isfinite(w)):
-            raise NonFinite("graph weights contain non-finite entries")
-        if not np.array_equal(w, w.T):
-            raise NotSymmetric("graph weights must be exactly symmetric")
-        if np.any(np.diagonal(w) != 0.0):
-            raise ValidationError("graph weights must have a zero diagonal")
-        if np.any(w < 0.0):
-            raise ValidationError("graph weights must be nonnegative")
+        _check_weights(w)
 
     @property
     def n(self) -> int:
@@ -77,6 +70,18 @@ class Graph:
             labels=tuple(self.labels[i] for i in idx),
             weights=self.weights[np.ix_(idx, idx)],
         )
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Graph's weight checks, in order: finite, exactly symmetric, zero diagonal, nonnegative."""
+    if not np.all(np.isfinite(w)):
+        raise NonFinite("graph weights contain non-finite entries")
+    if not np.array_equal(w, w.T):
+        raise NotSymmetric("graph weights must be exactly symmetric")
+    if np.any(np.diagonal(w) != 0.0):
+        raise ValidationError("graph weights must have a zero diagonal")
+    if np.any(w < 0.0):
+        raise ValidationError("graph weights must be nonnegative")
 
 
 def graph_from_edges(
@@ -145,13 +150,8 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
 
 
-def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a symmetric matrix with a deterministic sign rule.
-
-    Each eigenvector is flipped so its largest-magnitude entry is positive;
-    ties go to the lowest index. Rejects asymmetric or non-finite input.
-    """
-    m = np.asarray(m, dtype=float)
+def _check_symmetric(m: np.ndarray) -> None:
+    """symmetric_eig's input checks: square, finite, symmetric within SYMMETRY_RTOL."""
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -159,6 +159,16 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     norm = np.linalg.norm(m)
     if np.linalg.norm(m - m.T) > SYMMETRY_RTOL * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
+
+
+def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a symmetric matrix with a deterministic sign rule.
+
+    Each eigenvector is flipped so its largest-magnitude entry is positive;
+    ties go to the lowest index. Rejects asymmetric or non-finite input.
+    """
+    m = np.asarray(m, dtype=float)
+    _check_symmetric(m)
     values, vectors = np.linalg.eigh((m + m.T) / 2.0)
     # np.argmax returns the first maximum, which is the tie rule we want.
     lead = np.argmax(np.abs(vectors), axis=0)

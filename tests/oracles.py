@@ -11,7 +11,9 @@ eigendecomposition instead of index gathers and a trace, rewiring from the
 list of edge tuples, the mirror network filled one node pair at a time,
 connected components by a stack walk that visits one node per step, the
 Fiedler pairing one rank at a time, the community coupling table from one
-list of node pairs per block.
+list of node pairs per block, and each finance window through its own
+Graph, components walk, eigendecomposition and operator instead of the
+stacked per-chunk kernel.
 Agreement between the two routes is the test.
 """
 
@@ -20,9 +22,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from prism import finance
 from prism.benchmarks import accuracy, child_seed, karate_club
-from prism.duality import commutant_projection
-from prism.graphs import Graph, is_connected, laplacian
+from prism.duality import commutant_projection, duality_defect
+from prism.errors import ZeroMatrix
+from prism.graphs import Graph, connected_components, is_connected, laplacian
 from prism.learn import fiedler_duality_operator
 
 
@@ -368,4 +372,28 @@ def pair_loop_coupling(corr: np.ndarray, member_lists: list[list[int]]) -> tuple
     return tuple(
         tuple(pair_mean(member_lists[a], member_lists[b], internal=a == b) for b in range(k))
         for a in range(k)
+    )
+
+
+def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.2):
+    """finance.window_stats for one window on its own, the route the batched kernel must match.
+
+    The window's validated Graph, a components walk, a Graph for the largest
+    component, its Fiedler operator (symmetric_eig, FiedlerPairing and
+    permutation_operator) and duality_defect, each called on this window alone.
+    """
+    pos, _, graph, mean_corr = finance._window_graph(r, window_end, window_len, threshold)
+    if graph.edge_count() == 0:
+        raise ZeroMatrix(f"window ending {r.dates[pos]} has no edges at threshold")
+    largest = max(connected_components(graph), key=len)
+    component = graph.subgraph(largest)
+    operator = fiedler_duality_operator(component)
+    defect = duality_defect(laplacian(component), operator)
+    return finance.WindowStats(
+        window_end=r.dates[pos],
+        window_len=window_len,
+        mean_correlation=mean_corr,
+        defect=defect,
+        component_size=component.n,
+        dropped_nodes=graph.n - component.n,
     )

@@ -453,6 +453,25 @@ def test_noise_benchmark_matches_the_per_trial_reference(seed):
         assert noise_benchmark(levels, trials=6, seed=seed, threads=threads).rows == expected
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_noise_levels_without_flips_compute_one_cell(monkeypatch, threads):
+    # 0.001 of the club's 561 pairs also floors to 0 flips
+    levels = [0.0, 0.05, 0.001]
+    expected = per_trial_noise_rows(levels, trials=5, seed=7)
+    calls = []
+    original = benchmarks._noise_trial
+
+    def counted(clean, operator, count, seed, level_index, trial_index):
+        calls.append((level_index, trial_index))
+        return original(clean, operator, count, seed, level_index, trial_index)
+
+    monkeypatch.setattr(benchmarks, "_noise_trial", counted)
+    report = noise_benchmark(levels, trials=5, seed=7, threads=threads)
+    assert report.rows == expected
+    assert sorted(calls) == [(0, 0)] + [(1, t) for t in range(5)] + [(2, 0)]
+    assert report.rows[0][7] == report.rows[2][7] == 0
+
+
 def double_star(m: int, bridged: bool) -> Graph:
     """Two m-leaf stars, hubs joined when bridged: two eigenvalues above the cutoff."""
     edges = [(0, k) for k in range(2, m + 2)] + [(1, k) for k in range(m + 2, 2 * m + 2)]

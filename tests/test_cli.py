@@ -213,6 +213,9 @@ def test_finance_window_failures(runner, tmp_path):
 
 
 EVENTS = ["finance", "events", "--prices", str(UNIVERSE_CSV), "--events", "SPIKE:2021-12-24"]
+WINDOW = ["finance", "window", "--prices", str(UNIVERSE_CSV), "--date", "2021-02-25"]
+ROLLING = ["finance", "rolling", "--prices", str(UNIVERSE_CSV)]
+COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date", "2021-10-01"]
 
 
 @pytest.mark.parametrize("args, message", [
@@ -223,12 +226,28 @@ EVENTS = ["finance", "events", "--prices", str(UNIVERSE_CSV), "--events", "SPIKE
     ([*EVENTS, "--window-lens", "60,x"], "error: bad int list"),
     (["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date", "2021-10-01",
       "--k", "0"], "Invalid value for '--k'"),
+    (WINDOW + ["--threshold", "-1"], "Invalid value for '--threshold'"),
+    (ROLLING + ["--threshold", "-1"], "Invalid value for '--threshold'"),
+    (COMMUNITIES + ["--threshold", "-0.5"], "Invalid value for '--threshold'"),
+    ([*EVENTS, "--threshold", "-1"], "Invalid value for '--threshold'"),
+    (WINDOW + ["--window", "1"], "Invalid value for '--window'"),
+    (ROLLING + ["--window", "1"], "Invalid value for '--window'"),
+    (COMMUNITIES + ["--window", "0"], "Invalid value for '--window'"),
+    (ROLLING + ["--stride", "0"], "Invalid value for '--stride'"),
 ])
 def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
+
+
+def test_finance_boundary_option_values_are_accepted(runner):
+    # the smallest values the option ranges let through still compute
+    zero = runner.invoke(main, WINDOW + ["--threshold", "0", "--window", "2"])
+    assert zero.exit_code == 0 and "window_len=2" in zero.output
+    rolling = runner.invoke(main, ROLLING + ["--window", "2", "--stride", "1", "--threshold", "0"])
+    assert rolling.exit_code == 0 and "# stride=1" in rolling.output
 
 
 def test_finance_rolling_formats_and_threads(runner):

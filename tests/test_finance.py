@@ -1,9 +1,13 @@
 """Price parsing, correlation windows, rolling series, communities, events."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import pair_loop_coupling, pearson
+from oracles import loop_window_stats, pair_loop_coupling, pearson
 from prism import finance
 from prism.duality import duality_defect
 from prism.errors import (
@@ -13,6 +17,7 @@ from prism.errors import (
     InsufficientHistory,
     NonPositivePrice,
     ParseError,
+    PrismError,
     TooFewNodes,
     ValidationError,
     ZeroMatrix,
@@ -341,9 +346,11 @@ def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, thread
     def broken(*args, **kwargs):
         raise TypeError("broken window")
 
-    monkeypatch.setattr(finance, "window_stats", broken)
+    monkeypatch.setattr(finance, "_chunk_stats", broken)
+    # stride 10 gives 54 windows, more than one chunk: threads=2 runs them on the pool
+    assert len(range(59, len(universe_returns.dates), 10)) > finance.WINDOW_CHUNK
     with pytest.raises(TypeError, match="broken window"):
-        rolling_defect(universe_returns, 60, stride=120, threads=threads)
+        rolling_defect(universe_returns, 60, stride=10, threads=threads)
     with pytest.raises(TypeError, match="broken window"):
         event_study(universe_returns, [("SPIKE", "2021-12-24")])
 
@@ -443,3 +450,145 @@ def test_fiedler_operator_pairs_sector_blocks(universe_returns, universe_config)
     assert fixed_points == 1
     assert all(len(pair) == 2 for pair in mapped)  # never pairs within a sector
     assert len(mapped) <= 4
+
+
+# The batched window kernel against loop_window_stats, the per-window path it
+# replaced: the same WindowStats bits, or the same error type and message.
+
+
+def outcome_key(outcome):
+    """Comparable text of a window outcome; floats by repr, so equal text is equal bits."""
+    if isinstance(outcome, PrismError):
+        return (type(outcome).__name__, str(outcome))
+    return repr(dataclasses.astuple(outcome))
+
+
+def outcome_of(compute, *args):
+    try:
+        return compute(*args)
+    except PrismError as exc:
+        return exc
+
+
+def assert_kernel_matches_loop(r, window_len, threshold, stride=1, threads=1):
+    """Compare every window of a rolling series with the loop; returns the outcomes."""
+    positions = list(range(window_len - 1, len(r.dates), stride))
+    expected = [outcome_of(loop_window_stats, r, r.dates[pos], window_len, threshold)
+                for pos in positions]
+    outcomes = finance._window_stats_at(r, positions, window_len, threshold, threads)
+    assert [outcome_key(o) for o in outcomes] == [outcome_key(e) for e in expected]
+    series = rolling_defect(r, window_len, stride, threshold, threads=threads)
+    assert repr(series.records) == repr(tuple(
+        (e.window_end, window_len, e.mean_correlation, e.defect)
+        for e in expected if not isinstance(e, PrismError)
+    ))
+    assert series.skipped == tuple(
+        (r.dates[pos], type(e).__name__)
+        for pos, e in zip(positions, expected) if isinstance(e, PrismError)
+    )
+    # window_stats is the kernel on one position; spot-check it, failures included
+    for pos, e in zip(positions, expected):
+        if isinstance(e, PrismError) or pos % 37 == 0:
+            single = outcome_of(finance.window_stats, r, r.dates[pos], window_len, threshold)
+            assert outcome_key(single) == outcome_key(e)
+    return expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_window_kernel_matches_the_loop_across_chunks(universe_returns, threads):
+    outcomes = assert_kernel_matches_loop(universe_returns, 60, 0.2, threads=threads)
+    assert len(outcomes) == 540 > 8 * finance.WINDOW_CHUNK  # many chunks, the last one short
+    assert len(outcomes) % finance.WINDOW_CHUNK != 0
+    assert all(isinstance(o, finance.WindowStats) for o in outcomes)
+
+
+def test_window_kernel_matches_the_loop_on_split_components(universe_returns):
+    sizes = set()
+    for threshold in (0.5, 0.6):
+        outcomes = assert_kernel_matches_loop(universe_returns, 60, threshold, stride=2)
+        sizes |= {o.component_size for o in outcomes}
+    assert min(sizes) == 5 and max(sizes) == 27 and len(sizes) > 8
+
+
+def test_window_kernel_matches_the_loop_with_gaps():
+    rng = np.random.default_rng(17)
+    returns = 0.01 * (rng.standard_normal((160, 10)) + rng.standard_normal((160, 1)))
+    returns[rng.random(returns.shape) < 0.02] = np.nan
+    returns[40:70, 2] = 0.0  # a ticker with no variation
+    returns[100:130, 1:] = np.nan  # too few usable tickers
+    panel = panel_from_returns(returns)
+    graph_sizes = set()
+    reasons = set()
+    for threshold in (0.0, 0.3, 0.6, 0.9):
+        for outcome in assert_kernel_matches_loop(panel, 12, threshold):
+            if isinstance(outcome, PrismError):
+                reasons.add(type(outcome).__name__)
+            else:
+                graph_sizes.add(outcome.component_size + outcome.dropped_nodes)
+    assert len(graph_sizes) >= 4
+    assert {"DegenerateWindow", "ZeroMatrix"} <= reasons
+
+
+def test_window_kernel_matches_the_loop_on_failing_panels(universe_returns):
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(30) * 0.01
+    anticorrelated = panel_from_returns(np.column_stack([a, -a]))
+    outcomes = assert_kernel_matches_loop(anticorrelated, 10, 0.2, stride=5)
+    assert {type(o) for o in outcomes} == {ZeroMatrix}
+    flat = np.zeros((30, 3))
+    flat[:, 0] = np.linspace(-0.01, 0.01, 30)
+    outcomes = assert_kernel_matches_loop(panel_from_returns(flat), 8, 0.2)
+    assert {type(o) for o in outcomes} == {DegenerateWindow}
+    outcomes = assert_kernel_matches_loop(universe_returns, 60, -0.1, stride=60)
+    assert {outcome_key(o) for o in outcomes} == {
+        ("ValidationError", "threshold must be nonnegative (weights must be)")
+    }
+    for end in ("2019-12-31", "2020-02-03"):
+        expected = outcome_of(loop_window_stats, universe_returns, end, 60, 0.2)
+        assert isinstance(expected, InsufficientHistory)
+        assert outcome_key(outcome_of(finance.window_stats, universe_returns, end, 60, 0.2)) \
+            == outcome_key(expected)
+
+
+def test_event_study_cells_match_the_loop(universe_returns):
+    events = [("SPIKE", "2021-12-24"), ("EARLY", universe_returns.dates[70])]
+    offsets, window_lens = (-90, -60, 0), (60, 1, 90)
+    study = event_study(universe_returns, events, offsets, window_lens, threshold=0.6)
+    expected = []
+    for label, date in events:
+        pos = universe_returns.dates.index(date)
+        for window_len in window_lens:
+            for offset in offsets:
+                if pos + offset < window_len - 1:
+                    continue
+                stats = outcome_of(loop_window_stats, universe_returns,
+                                   universe_returns.dates[pos + offset], window_len, 0.6)
+                if not isinstance(stats, PrismError):
+                    expected.append((label, window_len, offset, stats.defect,
+                                     stats.mean_correlation))
+    assert repr(study.grid) == repr(tuple(expected))
+    assert study.flags == (("SPIKE", "partial"), ("EARLY", "partial"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(3, 40),
+    tickers=st.integers(1, 7),
+    window_len=st.integers(2, 10),
+    threshold=st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]),
+    gaps=st.sampled_from([0.0, 0.05, 0.2]),
+    levels=st.sampled_from([None, 2, 3]),
+)
+def test_window_kernel_matches_the_loop_on_random_panels(
+    seed, steps, tickers, window_len, threshold, gaps, levels
+):
+    # few return levels make tied and exactly equal columns: correlations of
+    # exactly 1, ties in the Fiedler order, constant columns and empty graphs
+    rng = np.random.default_rng(seed)
+    common = rng.standard_normal((steps, 1))
+    returns = 0.01 * (rng.standard_normal((steps, tickers)) + rng.random() * common)
+    if levels is not None:
+        returns = 0.01 * rng.integers(0, levels, size=(steps, tickers))
+    returns[rng.random(returns.shape) < gaps] = np.nan
+    assert_kernel_matches_loop(panel_from_returns(returns), window_len, threshold)
