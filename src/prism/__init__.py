@@ -59,7 +59,6 @@ from .benchmarks import (
     noise_benchmark,
     rewire,
     rewire_experiment,
-    rmt_denoise,
     rmt_labels,
 )
 from .finance import (

@@ -11,14 +11,21 @@ Marchenko-Pastur cutoff, and Fiedler bipartition of the Laplacian projected
 onto the commutant of the clean graph's mirror operator.
 
 All randomness flows from integer seeds through one splitting rule
-(child_seed), so results are identical across runs and across thread counts.
-The noise benchmark (like finance.rolling_defect) runs its cells serially
-unless its threads argument or PRISM_THREADS asks for more than one worker
-(resolve_threads), and scores every cell's labels in one pass at the end.
-flip_edges reads PCG64's raw words and applies Generator's own conversions
-to them (_RawDraws), so its flips are those of the Generator calls; the
-oracle tests call the Generator itself, so a numpy change to either
-conversion fails them instead of silently changing the output.
+(child_seed), so results are identical across runs, chunkings and thread
+counts. The noise benchmark's kernel (_noise_chunk) takes one level's trials
+NOISE_CHUNK at a time: the flips are drawn trial by trial, then the chunk
+shares one stack of Graph checks and connectivity walks (redrawing only the
+disconnected trials), one Laplacian stack, one eigh for the baseline and RMT
+labels, one projection by gathers and one eigh of the projections. These
+stack steps are the helpers of graphs and duality that finance's window
+kernel also uses, and each trial gets the bits and the first error of its
+own per-matrix pipeline. Chunks run serially unless the threads argument or
+PRISM_THREADS asks for more than one worker (resolve_threads); all labels
+are scored in one pass at the end. The flips (_flip_weights) read PCG64's
+raw words and apply Generator's own conversions to them (_RawDraws), so
+they are those of the Generator calls; the oracle tests call the Generator
+itself, so a numpy change to either conversion fails them instead of
+silently changing the output.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ import numpy as np
 
 from .duality import (
     DualityOperator,
-    commutant_projection,
+    _commutant_average,
+    _gather_conjugates,
     duality_defect,
     permutation_operator,
 )
@@ -47,7 +55,11 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    SpectralDecomposition,
+    _laplacians,
+    _reach,
+    _screen_symmetric,
+    _screen_weights,
+    _signed_eigh,
     fiedler_vector,
     graph_from_edges,
     is_connected,
@@ -259,9 +271,17 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     Each flip removes a uniformly chosen existing edge with probability 1/2,
     otherwise adds a unit-weight edge at a uniformly chosen empty slot.
     Degenerate draws (nothing to remove / nowhere to add) fall through to the
-    other action. Both slot lists hold flat indices i*n + j of upper-triangle
-    slots in ascending (row-major) order, so each draw indexes the same slot
-    as a rebuild of the lists before every flip. The coin and index draws are
+    other action. See _flip_weights for the draws.
+    """
+    return Graph(labels=g.labels, weights=_flip_weights(g.weights, count, seed))
+
+
+def _flip_weights(weights: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """flip_edges on a weight matrix: a new matrix, unchecked.
+
+    Both slot lists hold flat indices i*n + j of upper-triangle slots in
+    ascending (row-major) order, so each draw indexes the same slot as a
+    rebuild of the lists before every flip. The coin and index draws are
     `default_rng(seed)`'s random() < 0.5 and integers(k), converted from raw
     PCG64 words by _RawDraws the way Generator converts them. The oracle
     tests compare with a reference that calls the Generator, so a numpy
@@ -269,8 +289,8 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     """
     if count < 0:
         raise ValidationError(f"count must be nonnegative, got {count}")
-    w = g.weights.copy()
-    n = g.n
+    w = weights.copy()
+    n = w.shape[0]
     slots = np.flatnonzero(~np.tri(n, dtype=bool))
     present = w.ravel()[slots] > 0.0
     edges = slots[present].tolist()
@@ -294,7 +314,7 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
             weight = 1.0
         i, j = divmod(slot, n)
         w[i, j] = w[j, i] = weight
-    return Graph(labels=g.labels, weights=w)
+    return w
 
 
 def index_reversal_operator(n: int) -> DualityOperator:
@@ -342,40 +362,21 @@ def fiedler_bipartition(l_or_g) -> np.ndarray:
     return (v >= 0.0).astype(int)
 
 
-def _above_mp_edge(eigenvalues: np.ndarray) -> np.ndarray:
-    """Mask of eigenvalues at or above the Marchenko-Pastur edge.
-
-    The edge is lambda_plus = sigma^2 (1 + sqrt(q))^2 with q = 1 and sigma^2
-    the mean Laplacian eigenvalue.
-    """
-    return eigenvalues >= 4.0 * float(np.mean(eigenvalues))
-
-
-def rmt_denoise(g: Graph) -> np.ndarray:
-    """Reconstruct the Laplacian from eigenvalues above the Marchenko-Pastur edge.
-
-    Everything below the edge (see _above_mp_edge) is zeroed.
-    """
-    decomp = symmetric_eig(laplacian(g))
-    keep = _above_mp_edge(decomp.eigenvalues)
-    vectors = decomp.eigenvectors[:, keep]
-    rebuilt = (vectors * decomp.eigenvalues[keep]) @ vectors.T
-    return (rebuilt + rebuilt.T) / 2.0
-
-
-def _spectral_labels(decomp: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+def _spectral_labels(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign-of-Fiedler labels and RMT labels from one connected Laplacian's spectrum.
 
-    The RMT labels come from the eigenvector of the smallest eigenvalue above
-    the Marchenko-Pastur edge. They fall back to the Fiedler labels when fewer
-    than two eigenvalues survive (the usual case for small graphs, where the
+    values and vectors are symmetric_eig's. The RMT labels come from the
+    eigenvector of the smallest eigenvalue at or above the Marchenko-Pastur
+    edge lambda_plus = sigma^2 (1 + sqrt(q))^2, with q = 1 and sigma^2 the
+    mean eigenvalue. They fall back to the Fiedler labels when fewer than
+    two eigenvalues reach it (the usual case for small graphs, where the
     mean-based edge sits above the whole spectrum).
     """
-    fiedler = (decomp.eigenvectors[:, 1] >= 0.0).astype(int)
-    surviving = np.nonzero(_above_mp_edge(decomp.eigenvalues))[0]
+    fiedler = (vectors[:, 1] >= 0.0).astype(int)
+    surviving = np.nonzero(values >= 4.0 * float(np.mean(values)))[0]
     if len(surviving) < 2:
         return fiedler, fiedler
-    v = decomp.eigenvectors[:, int(surviving[0])]
+    v = vectors[:, int(surviving[0])]
     return fiedler, (v >= 0.0).astype(int)
 
 
@@ -386,7 +387,8 @@ def rmt_labels(g: Graph) -> np.ndarray:
     whose labels it returns when the cutoff leaves fewer than two eigenvalues.
     """
     require_fiedler_graph(g)
-    return _spectral_labels(symmetric_eig(laplacian(g)))[1]
+    decomp = symmetric_eig(laplacian(g))
+    return _spectral_labels(decomp.eigenvalues, decomp.eigenvectors)[1]
 
 
 def accuracy(predicted, truth) -> float:
@@ -544,29 +546,69 @@ class NoiseBenchmarkReport:
                     raise ValidationError(f"mean accuracy {mean} outside [0.5, 1.0]")
 
 
-def _noise_trial(
+NOISE_CHUNK = 16  # trials per kernel chunk: one level's trials, stacked
+MAX_NOISE_ATTEMPTS = 1000
+
+
+def _noise_chunk(
     clean: Graph,
-    operator: DualityOperator,
+    sigma: np.ndarray,
     count: int,
     seed: int,
     level_index: int,
-    trial_index: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """One (level, trial) cell: baseline, RMT and projected labels, resample count.
+    trials: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Baseline, RMT and projected labels (B, 3, n) and resample counts (B,) of some trials.
 
-    Connectivity is checked once per draw, and the noisy Laplacian is
-    decomposed once for both the baseline and the RMT labels.
+    Each trial flips `count` pairs of the clean graph with its own child
+    seed. The chunk's draws are stacked for the Graph checks and the walk
+    from node 0, and only the disconnected ones are redrawn, with the next
+    attempt's seed. The connected graphs then share one Laplacian stack,
+    one checked eigh with the sign rule on every column (baseline and RMT
+    labels), the projection (L + PLP) / 2 onto the commutant of sigma by
+    gathers with commutant_projection's steps, and one checked eigh of the
+    projections for their Fiedler labels. Every trial gets the bits of its
+    own per-matrix pipeline; when trials fail, the lowest one's PrismError
+    is raised, the error a trial-by-trial loop would meet first.
     """
-    for attempt in range(1000):
-        noisy = flip_edges(clean, count, child_seed(seed, level_index, trial_index, attempt))
-        if is_connected(noisy):
+    size, n = len(trials), clean.n
+    errors: list = [None] * size
+    weights = np.empty((size, n, n))
+    attempts = np.zeros(size, dtype=int)
+    pending = list(range(size))
+    for attempt in range(MAX_NOISE_ATTEMPTS):
+        for b in pending:
+            weights[b] = _flip_weights(
+                clean.weights, count, child_seed(seed, level_index, trials[b], attempt)
+            )
+        attempts[pending] = attempt
+        drawn = weights[pending]
+        keep = _screen_weights(drawn, pending, errors)
+        connected = _reach(drawn != 0.0, 0).all(axis=1)
+        pending = [b for b, ok, whole in zip(pending, keep, connected) if ok and not whole]
+        if not pending:
             break
-    else:
-        raise DegenerateGraph("could not draw a connected noisy graph in 1000 attempts")
-    lap = laplacian(noisy)
-    base_labels, denoised_labels = _spectral_labels(symmetric_eig(lap))
-    projected = commutant_projection(lap, operator).projected
-    return base_labels, denoised_labels, fiedler_bipartition(projected), attempt
+    for b in pending:
+        errors[b] = DegenerateGraph(
+            f"could not draw a connected noisy graph in {MAX_NOISE_ATTEMPTS} attempts"
+        )
+
+    good = [b for b in range(size) if errors[b] is None]
+    lap = _laplacians(weights[good])
+    keep = _screen_symmetric(lap, good, errors)
+    good, lap = [b for b, ok in zip(good, keep) if ok], lap[keep]
+    values, vectors = _signed_eigh(lap)
+    projected = _commutant_average(lap, _gather_conjugates(lap, sigma[None]))
+    keep = _screen_symmetric(projected, good, errors)
+    fiedler = _signed_eigh(projected[keep], slice(1, 2))[1][:, :, 0]
+    failed = [error for error in errors if error is not None]
+    if failed:
+        raise failed[0]
+    labels = np.empty((size, 3, n), dtype=np.int8)
+    for b in range(size):
+        labels[b, :2] = _spectral_labels(values[b], vectors[b])
+    labels[:, 2] = fiedler >= 0.0
+    return labels, attempts
 
 
 def noise_benchmark(
@@ -582,42 +624,46 @@ def noise_benchmark(
     at 5%), not a fraction of its 78 existing edges.
 
     Trials whose noisy graph is disconnected are resampled (with an extended
-    child seed) and the number of resamples reported per level. Cells are
-    independent, so the thread count never changes the result. A level with
-    no flips is one computation, whatever the trial count.
+    child seed) and the number of resamples reported per level. Each level's
+    trials run in chunks of NOISE_CHUNK (_noise_chunk), one after another or
+    on a pool of threads; every trial has its own seed, so neither the chunks
+    nor the thread count change the result. A level with no flips is one
+    computation, whatever the trial count.
     """
     if any(not 0.0 <= lv <= 1.0 for lv in levels):
         raise ValidationError("noise levels must lie in [0, 1]")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     clean, truth = karate_club()
-    operator = fiedler_duality_operator(clean)
+    sigma = fiedler_duality_operator(clean).sigma
     pairs = clean.n * (clean.n - 1) // 2
     counts = [math.floor(lv * pairs) for lv in levels]
-    labels = np.zeros((len(levels), trials, 3, clean.n), dtype=np.int8)
-    resamples = np.zeros((len(levels), trials), dtype=int)
-
-    def run_cell(cell: tuple[int, int]) -> None:
-        li, ti = cell
-        *methods, attempts = _noise_trial(clean, operator, counts[li], seed, li, ti)
-        labels[li, ti] = methods
-        resamples[li, ti] = attempts
-
-    # With no flips every trial of a level sees the clean graph: its first cell
+    # With no flips every trial of a level sees the clean graph: its first trial
     # stands for all of them (same labels, same resample count).
-    for li in range(len(levels)):
-        if counts[li] == 0:
-            run_cell((li, 0))
-            labels[li, 1:] = labels[li, 0]
-            resamples[li, 1:] = resamples[li, 0]
-    cells = [(li, ti) for li in range(len(levels)) if counts[li] > 0 for ti in range(trials)]
+    chunks = [(li, range(1)) for li in range(len(levels)) if counts[li] == 0]
+    chunks += [
+        (li, range(start, min(start + NOISE_CHUNK, trials)))
+        for li in range(len(levels)) if counts[li] > 0
+        for start in range(0, trials, NOISE_CHUNK)
+    ]
+
+    def evaluate(chunk: tuple[int, range]) -> tuple[np.ndarray, np.ndarray]:
+        li, span = chunk
+        return _noise_chunk(clean, sigma, counts[li], seed, li, span)
+
     workers = resolve_threads(threads)
-    if workers == 1:
-        for cell in cells:
-            run_cell(cell)
+    if workers == 1 or len(chunks) <= 1:
+        results = [evaluate(chunk) for chunk in chunks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_cell, cells))
+            results = list(pool.map(evaluate, chunks))
+    labels = np.zeros((len(levels), trials, 3, clean.n), dtype=np.int8)
+    resamples = np.zeros((len(levels), trials), dtype=int)
+    for (li, span), (chunk_labels, attempts) in zip(chunks, results):
+        # a flip-free level's one trial fills all of them by broadcasting
+        stop = span.stop if counts[li] > 0 else trials
+        labels[li, span.start:stop] = chunk_labels
+        resamples[li, span.start:stop] = attempts
     results = _accuracies(labels, truth)  # (levels, trials, 3)
     rows = []
     for li, level in enumerate(levels):

@@ -130,6 +130,22 @@ def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
 # (PLP)_ij = L[sigma_i, sigma_j]: the gathers are exact, and for finite L so is
 # every product with a 0/1 matrix, so both routes give the same bits. The
 # gathers build C-ordered arrays, because np.linalg.norm sums in memory order.
+# The batched kernels gather on (B, n, n) stacks, each matrix with its row of a
+# (B, n) or (1, n) sigma; take_along_axis is slower than np.take at large n,
+# so one matrix keeps the np.take and slicing gathers.
+
+def _gather_commutators(l_stack: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """LP - PL for each matrix of a stack, as a new array."""
+    commutator = np.take_along_axis(l_stack, sigma[:, None, :], axis=2)
+    commutator -= np.take_along_axis(l_stack, sigma[:, :, None], axis=1)
+    return commutator
+
+
+def _gather_conjugates(l_stack: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """PLP for each matrix of a stack, as a new array."""
+    batch = np.arange(len(l_stack))[:, None, None]
+    return l_stack[batch, sigma[:, :, None], sigma[:, None, :]]
+
 
 def _commutator(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
     """LP - PL as a new array."""
@@ -145,6 +161,19 @@ def _conjugate(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
     if p.sigma is None:
         return p.matrix @ l_matrix @ p.matrix
     return l_matrix[p.sigma[:, None], p.sigma]
+
+
+def _commutant_average(l_matrix: np.ndarray, conjugate: np.ndarray) -> np.ndarray:
+    """(L + PLP) / 2, symmetrised, from PLP; works on stacks too.
+
+    Updated in place on conjugate: every extra n x n temporary adds to peak
+    memory at large n.
+    """
+    conjugate += l_matrix
+    conjugate /= 2.0
+    projected = conjugate + np.swapaxes(conjugate, -1, -2)
+    projected /= 2.0
+    return projected
 
 
 def commutator_norm(l_matrix: np.ndarray, p: DualityOperator) -> float:
@@ -190,12 +219,7 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
     zero matrix commutes with everything, but the defect ratio is undefined.
     """
     l_matrix = _check_dims(l_matrix, p)
-    # Updated in place: every extra n x n temporary adds to peak memory at large n.
-    projected = _conjugate(l_matrix, p)
-    projected += l_matrix
-    projected /= 2.0
-    projected = projected + projected.T
-    projected /= 2.0
+    projected = _commutant_average(l_matrix, _conjugate(l_matrix, p))
     norm = float(np.linalg.norm(l_matrix))
     if norm <= ZERO_NORM_TOL:
         defect_before = 0.0

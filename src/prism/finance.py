@@ -15,12 +15,14 @@ length) pass it all of theirs. It takes each window's correlation from
 np.corrcoef, then works through chunks of WINDOW_CHUNK windows, stacking the
 windows of one graph size for the Graph checks, the edge count and the
 connectivity walk, and the components of one size for the Laplacian, one
-batched eigh, the Fiedler pairing and the commutator. Each window keeps its
-own Frobenius norms, so its numbers and its first failing check are those
-of the window computed alone. communities and correlation_graph build the
-same window graph from the same correlation helper (_window_graph);
-communities projects its largest component onto the commutant of the
-Fiedler operator and clusters the projected Laplacian.
+batched eigh, the Fiedler pairing and the commutator. The stack steps are
+the helpers of graphs and duality that the noise benchmark's kernel also
+uses. Each window keeps its own Frobenius norms, so its numbers and its
+first failing check are those of the window computed alone. communities
+and correlation_graph build the same window graph from the same
+correlation helper (_window_graph); communities projects its largest
+component onto the commutant of the Fiedler operator and clusters the
+projected Laplacian.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import _defect_norm, commutant_projection
+from .duality import _defect_norm, _gather_commutators, commutant_projection
 from .errors import (
     DegenerateWindow,
     DuplicateDate,
@@ -48,8 +50,12 @@ from .errors import (
 from .graphs import (
     Graph,
     _as_readonly,
-    _check_symmetric,
-    _check_weights,
+    _laplacians,
+    _reach,
+    _screen,
+    _screen_symmetric,
+    _screen_weights,
+    _signed_eigh,
     connected_components,
     laplacian,
     symmetric_eig,
@@ -193,11 +199,13 @@ def _window_corr(r: ReturnPanel, pos: int, window_len: int) -> tuple[list[int], 
 
     The window is the window_len return rows ending at row pos. Tickers with
     a gap or no variation in it are left out; the matrix indexes the kept
-    tickers in order. The mean is over the off-diagonal entries.
+    tickers in order. The mean is over the off-diagonal entries. Variation
+    is a range test: the standard deviation of a constant nonzero column can
+    round to a tiny positive number, and its correlations would be NaN.
     """
     rows = np.asarray(r.returns[pos - window_len + 1 : pos + 1])
     full = ~np.isnan(rows).any(axis=0)
-    varying = rows.std(axis=0) > 0.0
+    varying = rows.max(axis=0) > rows.min(axis=0)
     kept = np.flatnonzero(full & varying).tolist()
     if len(kept) < 2:
         raise DegenerateWindow(
@@ -264,25 +272,6 @@ class WindowStats:
     dropped_nodes: int
 
 
-def _screen(stack: np.ndarray, passed: np.ndarray, check, keys: list[int],
-            outcomes: list) -> np.ndarray:
-    """Mask of the stacked windows that pass one of the per-window checks.
-
-    passed is the check run on the whole stack. A window it fails runs the
-    per-matrix check, whose PrismError becomes that window's outcome, so
-    every window fails with the same error and message as on its own.
-    """
-    keep = passed.copy()
-    for b in np.flatnonzero(~passed):
-        try:
-            check(stack[b])
-        except PrismError as exc:
-            outcomes[keys[b]] = exc
-        else:
-            keep[b] = True
-    return keep
-
-
 def _chunk_stats(
     r: ReturnPanel, positions: list[int], window_len: int, threshold: float
 ) -> list[WindowStats | PrismError]:
@@ -309,21 +298,9 @@ def _chunk_stats(
     for n, group in by_size.items():
         keys = [k for k, _, _ in group]
         weights = _edge_weights(np.stack([corr for _, _, corr in group]), threshold)
-        diagonal = np.arange(n)
-        passed = (
-            np.isfinite(weights).all(axis=(1, 2))
-            & (weights == weights.transpose(0, 2, 1)).all(axis=(1, 2))
-            & (weights[:, diagonal, diagonal] == 0.0).all(axis=1)
-            & (weights >= 0.0).all(axis=(1, 2))
-        )
-        keep = _screen(weights, passed, _check_weights, keys, outcomes)
+        keep = _screen_weights(weights, keys, outcomes)
         adjacent = weights != 0.0
-        reach = np.zeros((len(keys), n), dtype=bool)  # is_connected's walk from node 0
-        reach[:, 0] = True
-        frontier = reach.copy()
-        while frontier.any():
-            frontier = (adjacent & frontier[:, :, None]).any(axis=1) & ~reach
-            reach |= frontier
+        reach = _reach(adjacent, 0)  # is_connected's walk from node 0
         for b in np.flatnonzero(keep):
             k, kept, _ = group[b]
             if not adjacent[b].any():
@@ -339,22 +316,10 @@ def _chunk_stats(
 
     for m, group in components.items():
         keys = [k for k, _ in group]
-        weights = np.stack([w for _, w in group])
-        diagonal = np.arange(m)
-        lap = np.zeros_like(weights)
-        lap[:, diagonal, diagonal] = weights.sum(axis=2)
-        lap -= weights  # laplacian(): diag(degrees) - A, entry for entry
-        passed = (
-            np.isfinite(lap).all(axis=(1, 2))
-            & (lap == lap.transpose(0, 2, 1)).all(axis=(1, 2))
-        )
-        keep = _screen(lap, passed, _check_symmetric, keys, outcomes)
+        lap = _laplacians(np.stack([w for _, w in group]))
+        keep = _screen_symmetric(lap, keys, outcomes)
         keys, lap = [k for k, ok in zip(keys, keep) if ok], lap[keep]
-        # symmetric_eig's decomposition and sign rule, for the Fiedler column only
-        fiedler = np.linalg.eigh((lap + lap.transpose(0, 2, 1)) / 2.0)[1][:, :, 1]
-        lead = np.argmax(np.abs(fiedler), axis=1)
-        flip = np.take_along_axis(fiedler, lead[:, None], axis=1) < 0.0
-        fiedler = np.where(flip, -fiedler, fiedler)
+        fiedler = _signed_eigh(lap, slice(1, 2))[1][:, :, 0]  # symmetric_eig's Fiedler column
         # fiedler_pairing: rank k pairs with rank m-1-k
         order = np.argsort(fiedler, axis=1, kind="stable")
         sigma = np.empty_like(order)
@@ -362,9 +327,7 @@ def _chunk_stats(
         involution = (np.take_along_axis(sigma, sigma, axis=1) == np.arange(m)).all(axis=1)
         keep = _screen(sigma, involution, lambda s: FiedlerPairing(tuple(s.tolist()), None),
                        keys, outcomes)
-        # LP - PL by gathers, as duality's _commutator does for one window
-        commutator = (np.take_along_axis(lap, sigma[:, None, :], axis=2)
-                      - np.take_along_axis(lap, sigma[:, :, None], axis=1))
+        commutator = _gather_commutators(lap, sigma)
         for b in np.flatnonzero(keep):
             k = keys[b]
             try:

@@ -4,6 +4,15 @@ Everything downstream (defects, projections, pairings, benchmarks, finance)
 builds on the two guarantees made here: Laplacians are exact row-sum-zero
 symmetric matrices, and eigendecompositions are deterministic, including
 eigenvector signs.
+
+The batched kernels (the noise benchmark's trials, finance's windows) work
+on (B, n, n) stacks through the private helpers here: the Graph weight
+checks (_screen_weights), the connectivity walk (_reach), the Laplacian
+(_laplacians), symmetric_eig's checks (_screen_symmetric) and its
+decomposition with the sign rule (_signed_eigh). Each gives every matrix of
+the stack the bits, and the first error, of the per-matrix function:
+laplacian, is_connected, connected_components and symmetric_eig run the
+same helpers on a stack of one.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from .errors import (
     NonFinite,
     NotSymmetric,
     ParseError,
+    PrismError,
     TooSmall,
     ValidationError,
 )
@@ -84,6 +94,36 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValidationError("graph weights must be nonnegative")
 
 
+def _screen(stack: np.ndarray, passed: np.ndarray, check, keys: list, outcomes: list) -> np.ndarray:
+    """Mask of the matrices of a stack that pass one per-matrix check.
+
+    passed is the check run on the whole stack at once. A matrix it fails
+    runs the per-matrix check, whose PrismError becomes outcomes[keys[b]], so
+    every matrix fails with the same error and message as on its own.
+    """
+    keep = passed.copy()
+    for b in np.flatnonzero(~passed):
+        try:
+            check(stack[b])
+        except PrismError as exc:
+            outcomes[keys[b]] = exc
+        else:
+            keep[b] = True
+    return keep
+
+
+def _screen_weights(w: np.ndarray, keys: list, outcomes: list) -> np.ndarray:
+    """_check_weights on each matrix of a (B, n, n) stack; see _screen."""
+    diagonal = np.arange(w.shape[-1])
+    passed = (
+        np.isfinite(w).all(axis=(1, 2))
+        & (w == w.transpose(0, 2, 1)).all(axis=(1, 2))
+        & (w[:, diagonal, diagonal] == 0.0).all(axis=1)
+        & (w >= 0.0).all(axis=(1, 2))
+    )
+    return _screen(w, passed, _check_weights, keys, outcomes)
+
+
 def graph_from_edges(
     labels: Sequence[str], edges: Iterable[tuple[int, int] | tuple[int, int, float]]
 ) -> Graph:
@@ -103,30 +143,41 @@ def graph_from_edges(
     return Graph(labels=tuple(labels), weights=w)
 
 
+def _laplacians(weights: np.ndarray) -> np.ndarray:
+    """D - A for each matrix of a (B, n, n) weight stack."""
+    diagonal = np.arange(weights.shape[-1])
+    lap = np.zeros_like(weights)
+    lap[:, diagonal, diagonal] = weights.sum(axis=2)
+    lap -= weights
+    return lap
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """L = D - A with D the diagonal of weighted degrees. Rows sum to zero."""
-    a = g.weights
-    return np.diag(a.sum(axis=1)) - a
+    return _laplacians(g.weights[None])[0]
 
 
 def _reach(adjacent: np.ndarray, start: int) -> np.ndarray:
-    """Boolean mask of the nodes reachable from start, grown one frontier at a time."""
-    reach = np.zeros(adjacent.shape[0], dtype=bool)
-    reach[start] = True
+    """(B, n) mask of the nodes reachable from start in each graph of a (B, n, n) adjacency stack.
+
+    Every graph grows one frontier at a time until none of them changes.
+    """
+    reach = np.zeros(adjacent.shape[:2], dtype=bool)
+    reach[:, start] = True
     frontier = reach.copy()
     while frontier.any():
-        frontier = adjacent[frontier].any(axis=0) & ~reach
+        frontier = (adjacent & frontier[:, :, None]).any(axis=1) & ~reach
         reach |= frontier
     return reach
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Components over nonzero weights, ordered by smallest node, each sorted ascending."""
-    adjacent = g.weights != 0.0
+    adjacent = (g.weights != 0.0)[None]
     seen = np.zeros(g.n, dtype=bool)
     components = []
     while not seen.all():
-        reach = _reach(adjacent, int(np.argmin(seen)))  # the first node not yet seen
+        reach = _reach(adjacent, int(np.argmin(seen)))[0]  # the first node not yet seen
         seen |= reach
         components.append(np.flatnonzero(reach).tolist())
     return components
@@ -135,7 +186,7 @@ def connected_components(g: Graph) -> list[list[int]]:
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True
-    return bool(_reach(g.weights != 0.0, 0).all())
+    return bool(_reach((g.weights != 0.0)[None], 0).all())
 
 
 @dataclass(frozen=True)
@@ -161,6 +212,33 @@ def _check_symmetric(m: np.ndarray) -> None:
         raise NotSymmetric("matrix is not symmetric within tolerance")
 
 
+def _screen_symmetric(m: np.ndarray, keys: list, outcomes: list) -> np.ndarray:
+    """_check_symmetric on each matrix of a (B, n, n) stack; see _screen.
+
+    A finite, exactly symmetric matrix passes without computing its norms.
+    """
+    passed = (
+        (m.shape[-1] >= 1)
+        & np.isfinite(m).all(axis=(1, 2))
+        & (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
+    )
+    return _screen(m, passed, _check_symmetric, keys, outcomes)
+
+
+def _signed_eigh(m: np.ndarray, columns: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """symmetric_eig's decomposition of each matrix of a (..., n, n) stack, unchecked.
+
+    Returns the ascending eigenvalues and the eigenvector columns picked by
+    columns, each flipped so its largest-magnitude entry is positive (ties
+    go to the lowest index, as np.argmax returns the first maximum).
+    """
+    values, vectors = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
+    vectors = vectors[..., columns]
+    lead = np.argmax(np.abs(vectors), axis=-2)
+    flip = np.take_along_axis(vectors, lead[..., None, :], axis=-2) < 0.0
+    return values, np.where(flip, -vectors, vectors)
+
+
 def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix with a deterministic sign rule.
 
@@ -169,11 +247,7 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     """
     m = np.asarray(m, dtype=float)
     _check_symmetric(m)
-    values, vectors = np.linalg.eigh((m + m.T) / 2.0)
-    # np.argmax returns the first maximum, which is the tie rule we want.
-    lead = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
-    vectors[:, flip] = -vectors[:, flip]
+    values, vectors = _signed_eigh(m)
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 

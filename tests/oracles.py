@@ -12,8 +12,8 @@ list of edge tuples, the mirror network filled one node pair at a time,
 connected components by a stack walk that visits one node per step, the
 Fiedler pairing one rank at a time, the community coupling table from one
 list of node pairs per block, and each finance window through its own
-Graph, components walk, eigendecomposition and operator instead of the
-stacked per-chunk kernel.
+kept-ticker range test, Graph, components walk, eigendecomposition and
+operator instead of the stacked per-chunk kernel.
 Agreement between the two routes is the test.
 """
 
@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from prism import finance
 from prism.benchmarks import accuracy, child_seed, karate_club
 from prism.duality import commutant_projection, duality_defect
-from prism.errors import ZeroMatrix
+from prism.errors import DegenerateWindow, ZeroMatrix
 from prism.graphs import Graph, connected_components, is_connected, laplacian
 from prism.learn import fiedler_duality_operator
 
@@ -133,13 +133,13 @@ def rebuild_flip_edges(weights: np.ndarray, count: int, seed: int) -> np.ndarray
     flip_edges converts raw PCG64 words itself: this is the check that numpy
     still converts them the same way.
     """
-    w = np.array(weights, dtype=float)
-    n = w.shape[0]
+    w = np.array(weights, dtype=float).tolist()  # nested lists: fast scalar reads
+    n = len(w)
     rng = np.random.default_rng(seed)
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(count):
-        edges = [(i, j) for i, j in upper if w[i, j] > 0.0]
-        empty = [(i, j) for i, j in upper if w[i, j] == 0.0]
+        edges = [(i, j) for i, j in upper if w[i][j] > 0.0]
+        empty = [(i, j) for i, j in upper if w[i][j] == 0.0]
         remove = rng.random() < 0.5
         if remove and not edges:
             remove = False
@@ -149,11 +149,11 @@ def rebuild_flip_edges(weights: np.ndarray, count: int, seed: int) -> np.ndarray
             break
         if remove:
             i, j = edges[int(rng.integers(len(edges)))]
-            w[i, j] = w[j, i] = 0.0
+            w[i][j] = w[j][i] = 0.0
         else:
             i, j = empty[int(rng.integers(len(empty)))]
-            w[i, j] = w[j, i] = 1.0
-    return w
+            w[i][j] = w[j][i] = 1.0
+    return np.array(w, dtype=float).reshape(n, n)
 
 
 def column_loop_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,21 +191,21 @@ def reference_rmt_labels(lap: np.ndarray) -> np.ndarray:
     return (vectors[:, int(surviving[0])] >= 0.0).astype(int)
 
 
-def per_trial_noise_rows(levels, trials: int, seed: int) -> tuple[tuple, ...]:
-    """noise_benchmark's rows, one cell after another, each method on its own.
+def per_trial_noise_cells(levels, trials: int, seed: int) -> list[list[tuple]]:
+    """noise_benchmark's cells, one after another, each method on its own.
 
     Every cell redraws until the noisy club graph is connected, then runs the
     baseline, the RMT labels and the projected baseline as three separate
-    pipelines, each with its own eigendecomposition.
+    pipelines, each with its own eigendecomposition. Returns, per level, one
+    ((baseline, rmt, prism) accuracies, resample count) pair per trial.
     """
     clean, truth = karate_club()
     operator = fiedler_duality_operator(clean)
     pairs = clean.n * (clean.n - 1) // 2
-    rows = []
+    cells = []
     for li, level in enumerate(levels):
         count = int(np.floor(level * pairs))
-        scores = []
-        resampled = 0
+        level_cells = []
         for ti in range(trials):
             for attempt in range(1000):
                 draw_seed = child_seed(seed, li, ti, attempt)
@@ -213,23 +213,39 @@ def per_trial_noise_rows(levels, trials: int, seed: int) -> tuple[tuple, ...]:
                 noisy = Graph(labels=clean.labels, weights=weights)
                 if is_connected(noisy):
                     break
-            resampled += attempt
             lap = laplacian(noisy)
             projected = commutant_projection(lap, operator).projected
-            scores.append((
+            level_cells.append(((
                 accuracy(reference_fiedler_labels(lap), truth),
                 accuracy(reference_rmt_labels(lap), truth),
                 accuracy(reference_fiedler_labels(projected), truth),
-            ))
-        block = np.array(scores)
+            ), attempt))
+        cells.append(level_cells)
+    return cells
+
+
+def noise_rows_from_cells(levels, cells, trials: int) -> tuple[tuple, ...]:
+    """noise_benchmark's rows from the first `trials` cells of each level.
+
+    A cell's seed depends only on its level and trial index, so these are
+    the rows of a run with that many trials.
+    """
+    rows = []
+    for level, level_cells in zip(levels, cells):
+        block = np.array([scores for scores, _ in level_cells[:trials]])
         rows.append((
             float(level),
             float(np.mean(block[:, 0])), float(np.std(block[:, 0])),
             float(np.mean(block[:, 1])), float(np.std(block[:, 1])),
             float(np.mean(block[:, 2])), float(np.std(block[:, 2])),
-            resampled,
+            sum(attempt for _, attempt in level_cells[:trials]),
         ))
     return tuple(rows)
+
+
+def per_trial_noise_rows(levels, trials: int, seed: int) -> tuple[tuple, ...]:
+    """noise_benchmark's rows, one cell at a time (see per_trial_noise_cells)."""
+    return noise_rows_from_cells(levels, per_trial_noise_cells(levels, trials, seed), trials)
 
 
 def dense_defect(l_matrix: np.ndarray, p_matrix: np.ndarray) -> float:
@@ -378,11 +394,24 @@ def pair_loop_coupling(corr: np.ndarray, member_lists: list[list[int]]) -> tuple
 def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.2):
     """finance.window_stats for one window on its own, the route the batched kernel must match.
 
-    The window's validated Graph, a components walk, a Graph for the largest
-    component, its Fiedler operator (symmetric_eig, FiedlerPairing and
-    permutation_operator) and duality_defect, each called on this window alone.
+    The window's kept tickers (no gap, and returns spanning a nonzero range),
+    their np.corrcoef matrix and its validated Graph, a components walk, a
+    Graph for the largest component, its Fiedler operator (symmetric_eig,
+    FiedlerPairing and permutation_operator) and duality_defect, each
+    computed for this window alone.
     """
-    pos, _, graph, mean_corr = finance._window_graph(r, window_end, window_len, threshold)
+    finance._check_window_args(window_len, threshold)
+    pos = finance._window_position(r, window_end, window_len)
+    rows = np.asarray(r.returns[pos - window_len + 1 : pos + 1])
+    kept = [i for i in range(rows.shape[1])
+            if not np.isnan(rows[:, i]).any() and np.ptp(rows[:, i]) > 0.0]
+    if len(kept) < 2:
+        raise DegenerateWindow(f"fewer than 2 usable tickers in the window ending {r.dates[pos]}")
+    corr = np.corrcoef(rows[:, kept].T)
+    corr = (corr + corr.T) / 2.0
+    mean_corr = float(corr[~np.eye(len(kept), dtype=bool)].mean())
+    graph = Graph(labels=tuple(r.tickers[i] for i in kept),
+                  weights=finance._edge_weights(corr, threshold))
     if graph.edge_count() == 0:
         raise ZeroMatrix(f"window ending {r.dates[pos]} has no edges at threshold")
     largest = max(connected_components(graph), key=len)

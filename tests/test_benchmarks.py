@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     double_sum_modularity,
     loop_dual_network,
+    noise_rows_from_cells,
+    per_trial_noise_cells,
     per_trial_noise_rows,
     rebuild_flip_edges,
     reference_rewire,
@@ -37,7 +40,6 @@ from prism.benchmarks import (
     rewire_experiment,
     rewire_report_to_csv,
     rewire_report_to_json,
-    rmt_denoise,
     rmt_labels,
 )
 from prism.duality import duality_defect
@@ -46,6 +48,7 @@ from prism.errors import (
     DisconnectedGraph,
     LengthMismatch,
     NonBinary,
+    NonFinite,
     TooSmall,
     ValidationError,
     ZeroEdges,
@@ -331,12 +334,13 @@ def test_flip_edges_matches_the_reference_across_blocks_and_fall_throughs():
 
 def test_noise_level_counts_flips_against_node_pairs(monkeypatch):
     counts = []
+    original = benchmarks._flip_weights
 
-    def recording_flip_edges(g, count, seed):
+    def recording_flip_weights(weights, count, seed):
         counts.append(count)
-        return flip_edges(g, count, seed)
+        return original(weights, count, seed)
 
-    monkeypatch.setattr(benchmarks, "flip_edges", recording_flip_edges)
+    monkeypatch.setattr(benchmarks, "_flip_weights", recording_flip_weights)
     noise_benchmark([0.0, 0.05, 0.2], trials=1, seed=123, threads=1)
     # 34 nodes give 561 pairs: 5% is 28 flips, 20% is 112
     assert sorted(set(counts)) == [0, 28, 112]
@@ -370,13 +374,10 @@ def test_fiedler_bipartition_accepts_graph_or_matrix():
 
 
 def test_rmt_fallback_engages_on_club_graph():
-    # the mean-eigenvalue cutoff sits above the whole club spectrum, so the
-    # denoiser keeps nothing and the labels fall back to the raw bipartition
+    # the mean-eigenvalue cutoff sits above the whole club spectrum, so no
+    # eigenvalue survives and the labels fall back to the raw bipartition
     g, _ = karate_club()
     assert np.array_equal(rmt_labels(g), fiedler_bipartition(g))
-    rebuilt = rmt_denoise(g)
-    assert np.array_equal(rebuilt, rebuilt.T)
-    assert np.linalg.norm(rebuilt) == 0.0
 
 
 def test_rewire_experiment_small_run():
@@ -459,17 +460,103 @@ def test_noise_levels_without_flips_compute_one_cell(monkeypatch, threads):
     levels = [0.0, 0.05, 0.001]
     expected = per_trial_noise_rows(levels, trials=5, seed=7)
     calls = []
-    original = benchmarks._noise_trial
+    original = benchmarks._flip_weights
+    # a cell's first draw has the seed child_seed(7, level, trial, 0); a resample
+    # redraws the same cell with a later attempt
+    first_draws = {child_seed(7, li, ti, 0): (li, ti) for li in range(3) for ti in range(5)}
 
-    def counted(clean, operator, count, seed, level_index, trial_index):
-        calls.append((level_index, trial_index))
-        return original(clean, operator, count, seed, level_index, trial_index)
+    def counted(weights, count, seed):
+        if seed in first_draws:
+            calls.append(first_draws[seed])
+        return original(weights, count, seed)
 
-    monkeypatch.setattr(benchmarks, "_noise_trial", counted)
+    monkeypatch.setattr(benchmarks, "_flip_weights", counted)
     report = noise_benchmark(levels, trials=5, seed=7, threads=threads)
     assert report.rows == expected
     assert sorted(calls) == [(0, 0)] + [(1, t) for t in range(5)] + [(2, 0)]
     assert report.rows[0][7] == report.rows[2][7] == 0
+
+
+def test_noise_kernel_matches_the_per_trial_reference_across_chunks():
+    # 1, 16, 17 and 33 trials fill one chunk partly, one chunk fully, one full
+    # chunk and a partial one, and three chunks; at 0.5 and 1.0 many draws are
+    # disconnected and resampled
+    levels = [0.0, 0.001, 0.5, 1.0]
+    assert benchmarks.NOISE_CHUNK == 16
+    cells = per_trial_noise_cells(levels, 33, seed=5)
+    for trials in (1, 16, 17, 33):
+        expected = noise_rows_from_cells(levels, cells, trials)
+        for threads in (1, 3):
+            assert noise_benchmark(levels, trials, seed=5, threads=threads).rows == expected
+    # the first chunk of level 0.5 redraws some of its trials but not all
+    attempts = [attempt for _, attempt in cells[2][:16]]
+    assert any(attempts) and 0 in attempts
+
+
+def test_noise_kernel_redraws_only_the_disconnected_trial(monkeypatch):
+    # the first draw of trial 5 (inside the first chunk) and of trial 16 (the
+    # last chunk, alone) is made disconnected; both routes must redraw these
+    # trials and no other
+    forced = {child_seed(9, 0, 5, 0), child_seed(9, 0, 16, 0)}
+
+    def isolating(flip):
+        def flipped(weights, count, seed):
+            w = np.array(flip(weights, count, seed))
+            if seed in forced:
+                w[0, :] = w[:, 0] = 0.0
+            return w
+        return flipped
+
+    draws = []
+    original = benchmarks._flip_weights
+
+    def recorded(weights, count, seed):
+        draws.append(seed)
+        return original(weights, count, seed)
+
+    first = {child_seed(9, 0, t, 0) for t in range(17)}
+    monkeypatch.setattr(benchmarks, "_flip_weights", recorded)
+    unforced = noise_benchmark([0.05], 17, seed=9, threads=1).rows
+    natural = set(draws) - first
+    monkeypatch.setattr(oracles, "rebuild_flip_edges", isolating(oracles.rebuild_flip_edges))
+    expected = per_trial_noise_rows([0.05], 17, seed=9)
+    assert expected[0][7] == unforced[0][7] + 2
+    monkeypatch.setattr(benchmarks, "_flip_weights", isolating(recorded))
+    for threads in (1, 3):
+        draws.clear()
+        assert noise_benchmark([0.05], 17, seed=9, threads=threads).rows == expected
+        assert set(draws) - first == natural | {child_seed(9, 0, 5, 1), child_seed(9, 0, 16, 1)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_noise_kernel_raises_the_first_failing_trials_error(monkeypatch):
+    # trial 4's degrees overflow, which only the eigendecomposition's check
+    # sees; trials 7 and 17 fail Graph's checks, an earlier stage of the kernel
+    original = benchmarks._flip_weights
+
+    def corrupted(weights, count, seed):
+        w = original(weights, count, seed)
+        if seed == child_seed(4, 0, 4, 0):
+            w[1, 2:4] = w[2:4, 1] = 1e308
+        elif seed == child_seed(4, 0, 7, 0):
+            w[1, 2] = -1.0
+        elif seed == child_seed(4, 0, 17, 0):
+            w[1, 2] = w[2, 1] = np.nan
+        return w
+
+    monkeypatch.setattr(benchmarks, "_flip_weights", corrupted)
+    for threads in (1, 3):
+        with pytest.raises(NonFinite, match="^matrix contains non-finite entries$"):
+            noise_benchmark([0.05], 20, seed=4, threads=threads)
+
+
+def test_noise_kernel_gives_up_after_the_attempt_limit(monkeypatch):
+    def empty(weights, count, seed):
+        return np.zeros_like(weights)
+
+    monkeypatch.setattr(benchmarks, "_flip_weights", empty)
+    with pytest.raises(DegenerateGraph, match="in 1000 attempts"):
+        noise_benchmark([0.05], 2, seed=4, threads=1)
 
 
 def double_star(m: int, bridged: bool) -> Graph:

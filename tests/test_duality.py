@@ -14,6 +14,8 @@ from oracles import (
 )
 from prism.duality import (
     DualityOperator,
+    _gather_commutators,
+    _gather_conjugates,
     commutant_projection,
     duality_defect,
     identity_operator,
@@ -266,6 +268,27 @@ def test_permutation_kernels_match_the_dense_formulas_bitwise(n):
             assert result.defect_before == before
             assert result.defect_after == after
             assert result.deformation == deformation
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 34])
+def test_stacked_gathers_match_the_dense_products_bitwise(n):
+    # each matrix with its own sigma, and one sigma shared by the whole stack
+    rng = np.random.default_rng(2000 + n)
+    stack = np.stack([random_symmetric(rng, n) for _ in range(5)] + [rng.standard_normal((n, n))])
+    sigmas = np.stack([random_sigma(rng, n, fixed) for fixed in (n % 2, n, n % 2) * 2])
+    shared = sigmas[:1]
+    commutators = _gather_commutators(stack, sigmas)
+    conjugates = _gather_conjugates(stack, sigmas)
+    shared_conjugates = _gather_conjugates(stack, shared)
+    for b, l_matrix in enumerate(stack):
+        dense = np.zeros((n, n))
+        dense[np.arange(n), sigmas[b]] = 1.0
+        assert commutators[b].tobytes() == (l_matrix @ dense - dense @ l_matrix).tobytes()
+        assert conjugates[b].tobytes() == (dense @ l_matrix @ dense).tobytes()
+        dense_shared = np.zeros((n, n))
+        dense_shared[np.arange(n), shared[0]] = 1.0
+        assert shared_conjugates[b].tobytes() == (dense_shared @ l_matrix @ dense_shared).tobytes()
+    assert _gather_conjugates(np.zeros((0, n, n)), shared).shape == (0, n, n)
 
 
 def test_dense_involution_dims_match_the_eigenvalue_count():

@@ -1,6 +1,7 @@
 """Price parsing, correlation windows, rolling series, communities, events."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from prism.finance import (
     rolling_series_to_csv,
     rolling_series_to_json,
     window_defect,
+    window_stats,
 )
 from prism.fixtures import generate_returns, planted_sectors, trading_dates, universe_tickers
 from prism.graphs import is_connected, laplacian
@@ -211,6 +213,24 @@ def test_degenerate_window_too_few_varying_tickers():
     panel = panel_from_returns(returns)
     with pytest.raises(DegenerateWindow):
         correlation_graph(panel, panel.dates[-1], 30)
+
+
+def test_flat_nonzero_ticker_is_dropped_from_the_window():
+    # sixty returns of exactly 0.001: rows.std reads about 6.5e-19 for this
+    # column rather than 0.0, and keeping it made the mean correlation NaN
+    rng = np.random.default_rng(8)
+    returns = 0.01 * (rng.standard_normal((60, 4)) + rng.standard_normal((60, 1)))
+    returns[:, 2] = 0.001
+    panel = panel_from_returns(returns)
+    graph, mean_corr = correlation_graph(panel, panel.dates[-1], 60, 0.05)
+    assert graph.labels == ("T00", "T01", "T03")
+    assert math.isfinite(mean_corr)
+    stats = window_stats(panel, panel.dates[-1], 60, 0.05)
+    assert stats == loop_window_stats(panel, panel.dates[-1], 60, 0.05)
+    assert stats.component_size + stats.dropped_nodes == 3
+    assert math.isfinite(stats.mean_correlation) and math.isfinite(stats.defect)
+    series = rolling_defect(panel, 60, threshold=0.05)
+    assert all(math.isfinite(value) for record in series.records for value in record[2:])
 
 
 def test_anticorrelated_pair_has_no_edges():

@@ -18,6 +18,12 @@ from prism.errors import (
 )
 from prism.graphs import (
     Graph,
+    _check_symmetric,
+    _check_weights,
+    _reach,
+    _screen_symmetric,
+    _screen_weights,
+    _signed_eigh,
     connected_components,
     fiedler_vector,
     graph_from_edges,
@@ -219,6 +225,111 @@ def test_symmetric_eig_input_validation():
         symmetric_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         symmetric_eig(np.zeros((2, 3)))
+
+
+# The stack helpers of the batched kernels against their per-matrix originals.
+
+
+def random_weight_stack(rng, count, n):
+    """count random symmetric weight matrices of n nodes, sparse, dense and empty."""
+    stack = np.zeros((count, n, n))
+    for b in range(count):
+        density = (0.0, 0.1, 0.3, 0.8)[b % 4]
+        w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < density), 1)
+        stack[b] = w + w.T
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9, 34])
+def test_reach_walks_every_graph_of_a_stack_like_is_connected(n):
+    rng = np.random.default_rng(n)
+    stack = random_weight_stack(rng, 12, n)
+    labels = tuple(str(i) for i in range(n))
+    for start in {0, n // 2, n - 1}:
+        reach = _reach(stack != 0.0, start)
+        assert reach.shape == (12, n)
+        for b, weights in enumerate(stack):
+            component = next(c for c in stack_walk_components(weights) if start in c)
+            assert np.flatnonzero(reach[b]).tolist() == component
+    connected = _reach(stack != 0.0, 0).all(axis=1)
+    assert connected.tolist() == [is_connected(Graph(labels, w)) for w in stack]
+    assert _reach(np.zeros((0, n, n), dtype=bool), 0).shape == (0, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 34])
+def test_signed_eigh_of_a_stack_matches_symmetric_eig_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    noise = rng.standard_normal((4, n, n))
+    weights = random_weight_stack(rng, 8, n)  # empty and disconnected graphs too
+    lap = np.stack([laplacian(Graph(tuple(map(str, range(n))), w)) for w in weights])
+    for stack in ((noise + noise.transpose(0, 2, 1)) / 2.0, lap):
+        values, vectors = _signed_eigh(stack)
+        for b, m in enumerate(stack):
+            decomp = symmetric_eig(m)
+            assert same_bits(values[b], decomp.eigenvalues)
+            assert same_bits(vectors[b], decomp.eigenvectors)
+            assert same_bits(vectors[b], column_loop_eig(m)[1])
+        if n >= 2:
+            fiedler = _signed_eigh(stack, slice(1, 2))[1]
+            assert same_bits(fiedler, vectors[:, :, 1:2])
+    values, vectors = _signed_eigh(np.zeros((0, n, n)))
+    assert values.shape == (0, n) and vectors.shape == (0, n, n)
+
+
+def first_error(check, m):
+    try:
+        check(m)
+    except (NonFinite, NotSymmetric, ValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def assert_screen_matches(screen, check, stack):
+    keys = list(range(10, 10 + len(stack)))
+    outcomes = {}
+    keep = screen(stack, keys, outcomes)
+    expected = [first_error(check, m) for m in stack]
+    assert keep.tolist() == [e is None for e in expected]
+    assert {k: (type(e), str(e)) for k, e in outcomes.items()} == {
+        k: e for k, e in zip(keys, expected) if e is not None
+    }
+    return expected
+
+
+def test_screen_weights_gives_each_matrix_the_first_error_of_check_weights():
+    rng = np.random.default_rng(4)
+    stack = random_weight_stack(rng, 12, 4)
+    stack[1, 0, 1] = np.nan  # non-finite and asymmetric: non-finite is checked first
+    stack[2, 2, 3] = -1.0  # asymmetric and negative
+    stack[3, 1, 1] = stack[3, 2, 0] = stack[3, 0, 2] = -0.5  # diagonal before sign
+    stack[4, 3, 1] = stack[4, 1, 3] = -2.0
+    stack[5, 0, 0] = np.inf
+    expected = assert_screen_matches(_screen_weights, _check_weights, stack)
+    assert [e and e[1] for e in expected[:6]] == [
+        None,
+        "graph weights contain non-finite entries",
+        "graph weights must be exactly symmetric",
+        "graph weights must have a zero diagonal",
+        "graph weights must be nonnegative",
+        "graph weights contain non-finite entries",
+    ]
+    assert all(e is None for e in expected[6:])
+    assert_screen_matches(_screen_weights, _check_weights, np.zeros((0, 3, 3)))
+    assert_screen_matches(_screen_weights, _check_weights, np.zeros((2, 0, 0)))
+
+
+def test_screen_symmetric_gives_each_matrix_the_first_error_of_check_symmetric():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((6, 5, 5))
+    stack = (stack + stack.transpose(0, 2, 1)) / 2.0
+    stack[1, 0, 1] += 1e-13  # not exactly symmetric, but within tolerance
+    stack[2, 0, 1] += 1e-3
+    stack[3, 4, 4] = np.nan
+    stack[4, 2, 0] = np.inf
+    expected = assert_screen_matches(_screen_symmetric, _check_symmetric, stack)
+    assert [e and e[0] for e in expected] == [None, None, NotSymmetric, NonFinite, NonFinite, None]
+    expected = assert_screen_matches(_screen_symmetric, _check_symmetric, np.zeros((2, 0, 0)))
+    assert expected == [(ValidationError, "expected a square matrix, got shape (0, 0)")] * 2
 
 
 def test_fiedler_vector_of_path():
