@@ -11,16 +11,15 @@ Marchenko-Pastur cutoff, and Fiedler bipartition of the Laplacian projected
 onto the commutant of the clean graph's mirror operator.
 
 All randomness flows from integer seeds through one splitting rule
-(child_seed), so results are identical across runs, chunkings and thread
-counts. The noise benchmark's kernel (_noise_chunk) takes one level's trials
+(child_seed), so results are identical across runs and chunkings.
+The noise benchmark's kernel (_noise_chunk) takes one level's trials
 NOISE_CHUNK at a time: the flips are drawn trial by trial, then the chunk
 shares one stack of Graph checks and connectivity walks (redrawing only the
 disconnected trials), one Laplacian stack, one eigh for the baseline and RMT
 labels, one projection by gathers and one eigh of the projections. These
 stack steps are the helpers of graphs and duality that finance's window
 kernel also uses, and each trial gets the bits and the first error of its
-own per-matrix pipeline. Chunks run serially unless the threads argument or
-PRISM_THREADS asks for more than one worker (resolve_threads); all labels
+own per-matrix pipeline. The chunks run one after another, and all labels
 are scored in one pass at the end. The flips (_flip_weights) read PCG64's
 raw words and apply Generator's own conversions to them (_RawDraws), so
 they are those of the Generator calls; the oracle tests call the Generator
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
+# Unused: perfbench's tracer rebinds this name; delete it once the tracer skips missing names.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -76,23 +75,6 @@ MAX_GENERATION_ATTEMPTS = 100
 def child_seed(*path: int) -> int:
     """Deterministic child seed for a position in a seed tree."""
     return int(np.random.SeedSequence(tuple(path)).generate_state(1, np.uint64)[0])
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else PRISM_THREADS, else 1 (serial).
-
-    None, 0 or a negative count, and an unset or "0" PRISM_THREADS, all mean
-    one worker: the cells are small numpy calls that hold the interpreter lock
-    for most of their time, so a thread pool only adds contention. A count
-    above 1 opts into the pool; the output is the same either way.
-    """
-    if threads is None:
-        env = os.environ.get("PRISM_THREADS", "0")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValidationError(f"PRISM_THREADS must be an integer, got {env!r}") from None
-    return max(threads, 1)
 
 
 # The 34-node, 78-edge club graph and its two-faction ground truth.
@@ -611,12 +593,7 @@ def _noise_chunk(
     return labels, attempts
 
 
-def noise_benchmark(
-    levels: list[float],
-    trials: int,
-    seed: int,
-    threads: int | None = None,
-) -> NoiseBenchmarkReport:
+def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchmarkReport:
     """Flip-edges benchmark on the club graph, three methods per trial.
 
     A noise level is the fraction of the n(n-1)/2 node pairs flipped: each
@@ -625,10 +602,9 @@ def noise_benchmark(
 
     Trials whose noisy graph is disconnected are resampled (with an extended
     child seed) and the number of resamples reported per level. Each level's
-    trials run in chunks of NOISE_CHUNK (_noise_chunk), one after another or
-    on a pool of threads; every trial has its own seed, so neither the chunks
-    nor the thread count change the result. A level with no flips is one
-    computation, whatever the trial count.
+    trials run in chunks of NOISE_CHUNK (_noise_chunk), one after another;
+    every trial has its own seed, so the chunking does not change the result.
+    A level with no flips is one computation, whatever the trial count.
     """
     if any(not 0.0 <= lv <= 1.0 for lv in levels):
         raise ValidationError("noise levels must lie in [0, 1]")
@@ -646,17 +622,7 @@ def noise_benchmark(
         for li in range(len(levels)) if counts[li] > 0
         for start in range(0, trials, NOISE_CHUNK)
     ]
-
-    def evaluate(chunk: tuple[int, range]) -> tuple[np.ndarray, np.ndarray]:
-        li, span = chunk
-        return _noise_chunk(clean, sigma, counts[li], seed, li, span)
-
-    workers = resolve_threads(threads)
-    if workers == 1 or len(chunks) <= 1:
-        results = [evaluate(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
+    results = [_noise_chunk(clean, sigma, counts[li], seed, li, span) for li, span in chunks]
     labels = np.zeros((len(levels), trials, 3, clean.n), dtype=np.int8)
     resamples = np.zeros((len(levels), trials), dtype=int)
     for (li, span), (chunk_labels, attempts) in zip(chunks, results):

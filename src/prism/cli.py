@@ -24,7 +24,7 @@ from .duality import (
     load_operator,
     operator_to_text,
 )
-from .errors import DimensionMismatch, ParseError, PrismError
+from .errors import DimensionMismatch, ParseError, PrismError, ValidationError
 from .graphs import Graph, laplacian, load_graph, load_matrix, save_matrix
 from .learn import (
     AlternatingConfig,
@@ -158,6 +158,12 @@ def _with_operator_options(command):
     return command
 
 
+# Checked when the options are parsed, so a bad value exits 2 like bad input.
+_NONNEGATIVE = click.FloatRange(min=0.0)
+_PROBABILITY = click.FloatRange(0.0, 1.0)
+_WINDOW_LEN = click.IntRange(min=2)
+
+
 @click.group()
 def main() -> None:
     """Structural-symmetry diagnostics for weighted graphs."""
@@ -233,9 +239,9 @@ def learn(graph_path, fiedler, index_reversal, operator_path, defect_tolerance,
 
 
 @main.command("synth-rewire")
-@click.option("--group-size", default=20, show_default=True)
-@click.option("--intra", default=0.4, show_default=True)
-@click.option("--cross", default=0.1, show_default=True)
+@click.option("--group-size", default=20, show_default=True, type=click.IntRange(min=2))
+@click.option("--intra", default=0.4, show_default=True, type=_PROBABILITY)
+@click.option("--cross", default=0.1, show_default=True, type=_PROBABILITY)
 @click.option("--fractions", default="0,0.2,0.4,0.6,0.8", show_default=True)
 @click.option("--seeds", default="1-20", show_default=True,
               help="Comma list, 'a-b' ranges allowed.")
@@ -257,7 +263,7 @@ def synth_rewire(group_size, intra, cross, fractions, seeds, out_format, out) ->
 @click.option("--levels", default="0,0.02,0.05,0.1,0.15,0.2", show_default=True,
               help="Comma-separated noise levels, each the fraction of the n(n-1)/2 "
                    "node pairs flipped (5% is 28 of the club's 561 pairs).")
-@click.option("--trials", default=50, show_default=True)
+@click.option("--trials", default=50, show_default=True, type=click.IntRange(min=1))
 @click.option("--seed", default=123, show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)
@@ -265,16 +271,13 @@ def karate_noise(levels, trials, seed, out_format, out) -> None:
     """Noisy two-faction recovery benchmark on the club graph."""
     with _load_phase():
         level_list = _parse_list(levels)
+        if any(not 0.0 <= lv <= 1.0 for lv in level_list):
+            raise ValidationError("noise levels must lie in [0, 1]")
     with _compute_phase():
         report = bench.noise_benchmark(level_list, trials, seed)
     text = (bench.noise_report_to_csv(report) if out_format == "csv"
             else bench.noise_report_to_json(report))
     _emit(text, out)
-
-
-# Checked when the options are parsed, so a bad value exits 2 like bad input.
-_NONNEGATIVE = click.FloatRange(min=0.0)
-_WINDOW_LEN = click.IntRange(min=2)
 
 
 @main.group()
@@ -366,6 +369,8 @@ def events(prices_path, events_text, offsets, window_lens, threshold, min_covera
         event_list = _parse_events(events_text)
         offset_tuple = tuple(_parse_list(offsets, int))
         window_tuple = tuple(_parse_list(window_lens, int))
+        if any(n < 2 for n in window_tuple):
+            raise ValidationError(f"window lengths must be at least 2, got {window_lens!r}")
     with _compute_phase():
         study = fin.event_study(returns, event_list, offset_tuple, window_tuple, threshold)
     text = (fin.event_study_to_csv(study) if out_format == "csv"

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
+# Unused: perfbench's tracer rebinds this name; delete it once the tracer skips missing names.
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -61,7 +62,6 @@ from .graphs import (
     symmetric_eig,
 )
 from .learn import FiedlerPairing, fiedler_duality_operator
-from .benchmarks import resolve_threads
 from .reporting import csv_text, json_text
 
 
@@ -347,7 +347,7 @@ def _chunk_stats(
 
 
 def _window_stats_at(
-    r: ReturnPanel, positions: list[int], window_len: int, threshold: float, workers: int = 1
+    r: ReturnPanel, positions: list[int], window_len: int, threshold: float
 ) -> list[WindowStats | PrismError]:
     """WindowStats of the window ending at each return row, or its PrismError.
 
@@ -355,24 +355,18 @@ def _window_stats_at(
     the same first check, with the same error, as window_stats on its own:
     the arguments, too few usable tickers, the Graph checks, no edges, the
     eigendecomposition's checks, the pairing and a zero Laplacian. Chunks of
-    WINDOW_CHUNK positions are evaluated one after another, or on a pool of
-    `workers` threads; any exception other than a PrismError propagates.
+    WINDOW_CHUNK positions are evaluated one after another; any exception
+    other than a PrismError propagates.
     """
     try:
         _check_window_args(window_len, threshold)
     except ValidationError as exc:
         return [exc] * len(positions)
-    chunks = [positions[i : i + WINDOW_CHUNK] for i in range(0, len(positions), WINDOW_CHUNK)]
-
-    def evaluate(chunk: list[int]) -> list[WindowStats | PrismError]:
-        return _chunk_stats(r, chunk, window_len, threshold)
-
-    if workers == 1 or len(chunks) <= 1:
-        results = [evaluate(chunk) for chunk in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, chunks))
-    return [outcome for chunk in results for outcome in chunk]
+    return [
+        outcome
+        for i in range(0, len(positions), WINDOW_CHUNK)
+        for outcome in _chunk_stats(r, positions[i : i + WINDOW_CHUNK], window_len, threshold)
+    ]
 
 
 def window_stats(
@@ -420,7 +414,6 @@ def rolling_defect(
     window_len: int,
     stride: int = 1,
     threshold: float = 0.2,
-    threads: int | None = None,
 ) -> RollingSeries:
     """Evaluate (mean correlation, defect) at window ends spaced by stride.
 
@@ -434,7 +427,7 @@ def rolling_defect(
     if stride < 1:
         raise ValidationError(f"stride must be at least 1, got {stride}")
     positions = list(range(window_len - 1, len(r.dates), stride))
-    outcomes = _window_stats_at(r, positions, window_len, threshold, resolve_threads(threads))
+    outcomes = _window_stats_at(r, positions, window_len, threshold)
     records = []
     skipped = []
     for pos, outcome in zip(positions, outcomes):

@@ -25,7 +25,7 @@ from scipy.optimize import linear_sum_assignment
 from prism import finance
 from prism.benchmarks import accuracy, child_seed, karate_club
 from prism.duality import commutant_projection, duality_defect
-from prism.errors import DegenerateWindow, ZeroMatrix
+from prism.errors import DegenerateWindow, PrismError, ZeroMatrix
 from prism.graphs import Graph, connected_components, is_connected, laplacian
 from prism.learn import fiedler_duality_operator
 
@@ -425,4 +425,26 @@ def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.
         defect=defect,
         component_size=component.n,
         dropped_nodes=graph.n - component.n,
+    )
+
+
+def loop_rolling_series(r, window_len: int, stride: int = 1, threshold: float = 0.2):
+    """finance.rolling_defect with every window from loop_window_stats, one at a time."""
+    records, skipped = [], []
+    for pos in range(window_len - 1, len(r.dates), stride):
+        try:
+            stats = loop_window_stats(r, r.dates[pos], window_len, threshold)
+        except PrismError as exc:
+            skipped.append((r.dates[pos], type(exc).__name__))
+            continue
+        records.append((stats.window_end, window_len, stats.mean_correlation, stats.defect))
+    defects = [rec[3] for rec in records]
+    slope = None
+    if len(defects) >= 2:
+        slope = float(np.polyfit(np.arange(len(defects)), defects, 1)[0])
+    return finance.RollingSeries(
+        records=tuple(records),
+        slope=slope,
+        skipped=tuple(skipped),
+        config={"window_len": window_len, "stride": stride, "threshold": threshold},
     )

@@ -17,10 +17,13 @@ from oracles import (
     best_match_count,
     central_fd_gradient,
     eigenbasis_projection,
+    loop_rolling_series,
     penalized_objective,
+    per_trial_noise_rows,
     random_involution,
 )
 from prism.benchmarks import (
+    NoiseBenchmarkReport,
     generate_dual_network,
     karate_club,
     noise_benchmark,
@@ -192,10 +195,14 @@ def test_criterion_7_finance_pipeline(tmp_path, universe_returns, universe_confi
     matched = best_match_count([name[:3] for name in names], [predicted[n] for n in names])
     assert matched >= 0.8 * len(names), f"only {matched}/{len(names)} sector-consistent"
 
-    # (e) every report serializes to identical bytes when recomputed
-    rolling_a = rolling_series_to_csv(rolling_defect(universe_returns, 60, 20))
-    rolling_b = rolling_series_to_csv(rolling_defect(universe_returns, 60, 20, threads=4))
-    assert rolling_a == rolling_b
+    # (e) every report serializes to identical bytes when recomputed, and the
+    # batched rolling records are bitwise those of each window computed alone
+    rolling = rolling_defect(universe_returns, 60, 20)
+    assert rolling_series_to_csv(rolling) == rolling_series_to_csv(
+        rolling_defect(universe_returns, 60, 20)
+    )
+    reference = loop_rolling_series(universe_returns, 60, 20)
+    assert repr(rolling.records) == repr(reference.records)
     assert community_report_to_csv(
         communities(universe_returns, "2021-10-01", 450, k=6)
     ) == community_report_to_csv(report)
@@ -215,8 +222,8 @@ def test_criterion_8_cli_determinism(tmp_path):
     operator_path = tmp_path / "swap.txt"
     save_operator(validate_involution(swap), operator_path)
 
-    def run(args, env=None):
-        result = runner.invoke(main, args, env=env)
+    def run(args):
+        result = runner.invoke(main, args)
         assert result.exit_code == 0, f"{args}: {result.output}"
         return result.output
 
@@ -241,12 +248,16 @@ def test_criterion_8_cli_determinism(tmp_path):
     assert summary_a == summary_b
     assert out_a.read_bytes() == out_b.read_bytes()
 
-    threaded = [
-        ["karate-noise", "--levels", "0,0.05", "--trials", "2", "--seed", "11"],
-        ["finance", "rolling", "--prices", str(UNIVERSE_CSV), "--window", "60", "--stride", "30"],
-    ]
-    for args in threaded:
-        serial = run(args, env={"PRISM_THREADS": "1"})
-        parallel = run(args, env={"PRISM_THREADS": "4"})
-        assert serial == parallel, f"{args}: thread count changed the output"
+    # the batched commands print the bytes of their one-at-a-time references
+    noise = ["karate-noise", "--levels", "0,0.05", "--trials", "2", "--seed", "11"]
+    noise_reference = NoiseBenchmarkReport(
+        rows=per_trial_noise_rows([0.0, 0.05], trials=2, seed=11),
+        trials=2,
+        config={"levels": "0.0;0.05", "trials": 2, "seed": 11},
+    )
+    assert run(noise) == noise_report_to_csv(noise_reference)
+    rolling = ["finance", "rolling", "--prices", str(UNIVERSE_CSV), "--window", "60",
+               "--stride", "30"]
+    rolling_reference = loop_rolling_series(log_returns(load_prices(UNIVERSE_CSV)), 60, 30)
+    assert run(rolling) == rolling_series_to_csv(rolling_reference)
     assert time.perf_counter() - start < 30.0

@@ -35,7 +35,6 @@ from prism.benchmarks import (
     noise_benchmark,
     noise_report_to_csv,
     noise_report_to_json,
-    resolve_threads,
     rewire,
     rewire_experiment,
     rewire_report_to_csv,
@@ -63,19 +62,6 @@ def test_child_seed_is_deterministic_and_path_sensitive():
     assert child_seed(3, 1, 4) != child_seed(3, 2, 4)
     assert child_seed(3, 1, 4) != child_seed(4, 1, 4)
     assert child_seed(123, 2, 7, 0) != child_seed(123, 2, 7, 1)
-
-
-def test_resolve_threads_precedence(monkeypatch):
-    monkeypatch.setenv("PRISM_THREADS", "3")
-    assert resolve_threads() == 3
-    assert resolve_threads(2) == 2  # explicit argument wins over env
-    monkeypatch.setenv("PRISM_THREADS", "0")
-    assert resolve_threads() == 1
-    monkeypatch.delenv("PRISM_THREADS")
-    assert resolve_threads() == 1
-    monkeypatch.setenv("PRISM_THREADS", "many")
-    with pytest.raises(ValidationError):
-        resolve_threads()
 
 
 def test_karate_club_shape():
@@ -341,7 +327,7 @@ def test_noise_level_counts_flips_against_node_pairs(monkeypatch):
         return original(weights, count, seed)
 
     monkeypatch.setattr(benchmarks, "_flip_weights", recording_flip_weights)
-    noise_benchmark([0.0, 0.05, 0.2], trials=1, seed=123, threads=1)
+    noise_benchmark([0.0, 0.05, 0.2], trials=1, seed=123)
     # 34 nodes give 561 pairs: 5% is 28 flips, 20% is 112
     assert sorted(set(counts)) == [0, 28, 112]
 
@@ -430,15 +416,13 @@ def test_rewire_report_formats_agree():
     assert doc["sensitivity"]["defect_true"] == report.sensitivity_true
 
 
-def test_noise_benchmark_small_run_and_thread_independence():
-    serial = noise_benchmark([0.0, 0.1], trials=4, seed=11, threads=1)
-    threaded = noise_benchmark([0.0, 0.1], trials=4, seed=11, threads=3)
-    assert serial.rows == threaded.rows
-    level0 = serial.rows[0]
+def test_noise_benchmark_small_run():
+    report = noise_benchmark([0.0, 0.1], trials=4, seed=11)
+    level0 = report.rows[0]
     assert level0[0] == 0.0
     assert level0[1] == level0[3]  # RMT fallback reproduces the baseline exactly
-    assert all(0.5 <= row[k] <= 1.0 for row in serial.rows for k in (1, 3, 5))
-    assert all(row[2] >= 0.0 and row[7] >= 0 for row in serial.rows)
+    assert all(0.5 <= row[k] <= 1.0 for row in report.rows for k in (1, 3, 5))
+    assert all(row[2] >= 0.0 and row[7] >= 0 for row in report.rows)
 
 
 @pytest.mark.parametrize("seed", [1, 123, 286])
@@ -450,12 +434,10 @@ def test_noise_benchmark_matches_the_per_trial_reference(seed):
     if seed == 286:
         # a 5% draw keeps two eigenvalues above the cutoff: RMT leaves the fallback
         assert expected[1][3] != expected[1][1]
-    for threads in (1, 3):
-        assert noise_benchmark(levels, trials=6, seed=seed, threads=threads).rows == expected
+    assert noise_benchmark(levels, trials=6, seed=seed).rows == expected
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_noise_levels_without_flips_compute_one_cell(monkeypatch, threads):
+def test_noise_levels_without_flips_compute_one_cell(monkeypatch):
     # 0.001 of the club's 561 pairs also floors to 0 flips
     levels = [0.0, 0.05, 0.001]
     expected = per_trial_noise_rows(levels, trials=5, seed=7)
@@ -471,7 +453,7 @@ def test_noise_levels_without_flips_compute_one_cell(monkeypatch, threads):
         return original(weights, count, seed)
 
     monkeypatch.setattr(benchmarks, "_flip_weights", counted)
-    report = noise_benchmark(levels, trials=5, seed=7, threads=threads)
+    report = noise_benchmark(levels, trials=5, seed=7)
     assert report.rows == expected
     assert sorted(calls) == [(0, 0)] + [(1, t) for t in range(5)] + [(2, 0)]
     assert report.rows[0][7] == report.rows[2][7] == 0
@@ -486,8 +468,7 @@ def test_noise_kernel_matches_the_per_trial_reference_across_chunks():
     cells = per_trial_noise_cells(levels, 33, seed=5)
     for trials in (1, 16, 17, 33):
         expected = noise_rows_from_cells(levels, cells, trials)
-        for threads in (1, 3):
-            assert noise_benchmark(levels, trials, seed=5, threads=threads).rows == expected
+        assert noise_benchmark(levels, trials, seed=5).rows == expected
     # the first chunk of level 0.5 redraws some of its trials but not all
     attempts = [attempt for _, attempt in cells[2][:16]]
     assert any(attempts) and 0 in attempts
@@ -516,16 +497,15 @@ def test_noise_kernel_redraws_only_the_disconnected_trial(monkeypatch):
 
     first = {child_seed(9, 0, t, 0) for t in range(17)}
     monkeypatch.setattr(benchmarks, "_flip_weights", recorded)
-    unforced = noise_benchmark([0.05], 17, seed=9, threads=1).rows
+    unforced = noise_benchmark([0.05], 17, seed=9).rows
     natural = set(draws) - first
     monkeypatch.setattr(oracles, "rebuild_flip_edges", isolating(oracles.rebuild_flip_edges))
     expected = per_trial_noise_rows([0.05], 17, seed=9)
     assert expected[0][7] == unforced[0][7] + 2
     monkeypatch.setattr(benchmarks, "_flip_weights", isolating(recorded))
-    for threads in (1, 3):
-        draws.clear()
-        assert noise_benchmark([0.05], 17, seed=9, threads=threads).rows == expected
-        assert set(draws) - first == natural | {child_seed(9, 0, 5, 1), child_seed(9, 0, 16, 1)}
+    draws.clear()
+    assert noise_benchmark([0.05], 17, seed=9).rows == expected
+    assert set(draws) - first == natural | {child_seed(9, 0, 5, 1), child_seed(9, 0, 16, 1)}
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -545,9 +525,8 @@ def test_noise_kernel_raises_the_first_failing_trials_error(monkeypatch):
         return w
 
     monkeypatch.setattr(benchmarks, "_flip_weights", corrupted)
-    for threads in (1, 3):
-        with pytest.raises(NonFinite, match="^matrix contains non-finite entries$"):
-            noise_benchmark([0.05], 20, seed=4, threads=threads)
+    with pytest.raises(NonFinite, match="^matrix contains non-finite entries$"):
+        noise_benchmark([0.05], 20, seed=4)
 
 
 def test_noise_kernel_gives_up_after_the_attempt_limit(monkeypatch):
@@ -556,7 +535,7 @@ def test_noise_kernel_gives_up_after_the_attempt_limit(monkeypatch):
 
     monkeypatch.setattr(benchmarks, "_flip_weights", empty)
     with pytest.raises(DegenerateGraph, match="in 1000 attempts"):
-        noise_benchmark([0.05], 2, seed=4, threads=1)
+        noise_benchmark([0.05], 2, seed=4)
 
 
 def double_star(m: int, bridged: bool) -> Graph:
@@ -599,7 +578,7 @@ def test_noise_report_validation():
 
 
 def test_noise_report_formats_agree():
-    report = noise_benchmark([0.0], trials=2, seed=5, threads=1)
+    report = noise_benchmark([0.0], trials=2, seed=5)
     csv_lines = [
         line for line in noise_report_to_csv(report).splitlines()
         if line and not line.startswith("#")

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import REPO, UNIVERSE_CSV
+from prism import benchmarks
 from prism.benchmarks import generate_dual_network, rewire
 from prism.cli import main
 from prism.duality import save_operator, validate_involution
@@ -165,12 +166,15 @@ def test_karate_noise_single_clean_trial_is_perfect(runner):
     assert doc["rows"][0]["baseline_mean"] == pytest.approx(32 / 34, abs=1e-12)
 
 
-def test_karate_noise_thread_count_does_not_change_bytes(runner):
-    args = ["karate-noise", "--levels", "0,0.05", "--trials", "3", "--seed", "9"]
-    serial = runner.invoke(main, args, env={"PRISM_THREADS": "1"})
-    threaded = runner.invoke(main, args, env={"PRISM_THREADS": "4"})
-    assert serial.exit_code == 0
-    assert serial.output == threaded.output
+def test_karate_noise_ignores_prism_threads(runner):
+    # the variable no longer selects anything, not even an error for a non-integer
+    args = ["karate-noise", "--levels", "0,0.05", "--trials", "2", "--seed", "11"]
+    unset = runner.invoke(main, args, env={"PRISM_THREADS": None})
+    assert unset.exit_code == 0
+    for value in ("many", "4"):
+        result = runner.invoke(main, args, env={"PRISM_THREADS": value})
+        assert result.exit_code == 0, result.output
+        assert result.output == unset.output
 
 
 def test_finance_window_golden_output(runner):
@@ -234,6 +238,13 @@ COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date"
     (ROLLING + ["--window", "1"], "Invalid value for '--window'"),
     (COMMUNITIES + ["--window", "0"], "Invalid value for '--window'"),
     (ROLLING + ["--stride", "0"], "Invalid value for '--stride'"),
+    (["karate-noise", "--trials", "0"], "Invalid value for '--trials'"),
+    (["karate-noise", "--levels", "0,2"], "error: noise levels must lie in [0, 1]"),
+    (["karate-noise", "--levels", "-0.1"], "error: noise levels must lie in [0, 1]"),
+    (["synth-rewire", "--group-size", "1"], "Invalid value for '--group-size'"),
+    (["synth-rewire", "--intra", "2"], "Invalid value for '--intra'"),
+    (["synth-rewire", "--cross", "-0.5"], "Invalid value for '--cross'"),
+    ([*EVENTS, "--window-lens", "60,1"], "error: window lengths must be at least 2"),
 ])
 def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, args, message):
     result = runner.invoke(main, args)
@@ -248,16 +259,40 @@ def test_finance_boundary_option_values_are_accepted(runner):
     assert zero.exit_code == 0 and "window_len=2" in zero.output
     rolling = runner.invoke(main, ROLLING + ["--window", "2", "--stride", "1", "--threshold", "0"])
     assert rolling.exit_code == 0 and "# stride=1" in rolling.output
+    events = runner.invoke(main, EVENTS + ["--window-lens", "2", "--offsets", "0"])
+    assert events.exit_code == 0 and "SPIKE,2,0," in events.output
 
 
-def test_finance_rolling_formats_and_threads(runner):
+def test_benchmark_boundary_option_values_are_accepted(runner):
+    noise = runner.invoke(main, ["karate-noise", "--levels", "0,1", "--trials", "1"])
+    assert noise.exit_code == 0 and "\n1.0," in noise.output
+    rewired = runner.invoke(main, ["synth-rewire", "--group-size", "2", "--intra", "0",
+                                   "--cross", "1", "--fractions", "0", "--seeds", "1"])
+    assert rewired.exit_code == 0, rewired.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_numerics_in_the_noise_kernel_exit_1(runner, monkeypatch):
+    # valid options, but a noisy graph whose degrees overflow: a compute failure
+    original = benchmarks._flip_weights
+
+    def overflowing(weights, count, seed):
+        w = original(weights, count, seed)
+        w[1, 2:4] = w[2:4, 1] = 1e308
+        return w
+
+    monkeypatch.setattr(benchmarks, "_flip_weights", overflowing)
+    result = runner.invoke(main, ["karate-noise", "--levels", "0.05", "--trials", "2"])
+    assert result.exit_code == 1
+    assert "error: matrix contains non-finite entries" in result.output
+
+
+def test_finance_rolling_formats_agree(runner):
     base = ["finance", "rolling", "--prices", str(UNIVERSE_CSV),
             "--window", "60", "--stride", "60"]
-    csv_run = runner.invoke(main, base, env={"PRISM_THREADS": "1"})
-    threaded = runner.invoke(main, base, env={"PRISM_THREADS": "4"})
+    csv_run = runner.invoke(main, base)
     assert csv_run.exit_code == 0
-    assert csv_run.output == threaded.output
-    json_run = runner.invoke(main, base + ["--format", "json"], env={"PRISM_THREADS": "1"})
+    json_run = runner.invoke(main, base + ["--format", "json"])
     doc = json.loads(json_run.output)
     csv_rows = [
         line for line in csv_run.output.splitlines() if line and not line.startswith("#")

@@ -320,11 +320,13 @@ def test_rolling_series_on_shipped_fixture(universe_returns):
     assert series.records[0][0] == universe_returns.dates[59]
 
 
-def test_rolling_threads_do_not_change_results(universe_returns):
-    serial = rolling_defect(universe_returns, 60, stride=25, threads=1)
-    threaded = rolling_defect(universe_returns, 60, stride=25, threads=4)
-    assert serial.records == threaded.records
-    assert serial.slope == threaded.slope
+def test_rolling_stride_picks_the_same_windows_as_stride_1(universe_returns):
+    # the windows share chunks with other neighbours at stride 25, so equal
+    # records show a window's numbers do not depend on its chunk
+    every = rolling_defect(universe_returns, 60, stride=1)
+    strided = rolling_defect(universe_returns, 60, stride=25)
+    assert every.skipped == strided.skipped == ()
+    assert repr(strided.records) == repr(every.records[::25])
 
 
 def test_rolling_detects_structural_drift(universe_config):
@@ -359,18 +361,17 @@ def test_rolling_skips_failing_windows():
     assert len(series.skipped) == 5
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, threads):
+def test_non_prism_window_errors_propagate(universe_returns, monkeypatch):
     # only a PrismError may become a skipped window or a partial row; any
-    # other exception is a bug and must surface, on the pool path as well
+    # other exception is a bug and must surface, from a run of many chunks too
     def broken(*args, **kwargs):
         raise TypeError("broken window")
 
     monkeypatch.setattr(finance, "_chunk_stats", broken)
-    # stride 10 gives 54 windows, more than one chunk: threads=2 runs them on the pool
+    # stride 10 gives 54 windows, more than one chunk
     assert len(range(59, len(universe_returns.dates), 10)) > finance.WINDOW_CHUNK
     with pytest.raises(TypeError, match="broken window"):
-        rolling_defect(universe_returns, 60, stride=10, threads=threads)
+        rolling_defect(universe_returns, 60, stride=10)
     with pytest.raises(TypeError, match="broken window"):
         event_study(universe_returns, [("SPIKE", "2021-12-24")])
 
@@ -490,14 +491,14 @@ def outcome_of(compute, *args):
         return exc
 
 
-def assert_kernel_matches_loop(r, window_len, threshold, stride=1, threads=1):
+def assert_kernel_matches_loop(r, window_len, threshold, stride=1):
     """Compare every window of a rolling series with the loop; returns the outcomes."""
     positions = list(range(window_len - 1, len(r.dates), stride))
     expected = [outcome_of(loop_window_stats, r, r.dates[pos], window_len, threshold)
                 for pos in positions]
-    outcomes = finance._window_stats_at(r, positions, window_len, threshold, threads)
+    outcomes = finance._window_stats_at(r, positions, window_len, threshold)
     assert [outcome_key(o) for o in outcomes] == [outcome_key(e) for e in expected]
-    series = rolling_defect(r, window_len, stride, threshold, threads=threads)
+    series = rolling_defect(r, window_len, stride, threshold)
     assert repr(series.records) == repr(tuple(
         (e.window_end, window_len, e.mean_correlation, e.defect)
         for e in expected if not isinstance(e, PrismError)
@@ -514,9 +515,8 @@ def assert_kernel_matches_loop(r, window_len, threshold, stride=1, threads=1):
     return expected
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_window_kernel_matches_the_loop_across_chunks(universe_returns, threads):
-    outcomes = assert_kernel_matches_loop(universe_returns, 60, 0.2, threads=threads)
+def test_window_kernel_matches_the_loop_across_chunks(universe_returns):
+    outcomes = assert_kernel_matches_loop(universe_returns, 60, 0.2)
     assert len(outcomes) == 540 > 8 * finance.WINDOW_CHUNK  # many chunks, the last one short
     assert len(outcomes) % finance.WINDOW_CHUNK != 0
     assert all(isinstance(o, finance.WindowStats) for o in outcomes)
