@@ -437,8 +437,11 @@ def test_noise_benchmark_matches_the_per_trial_reference(seed):
     assert noise_benchmark(levels, trials=6, seed=seed).rows == expected
 
 
-def test_noise_levels_without_flips_compute_one_cell(monkeypatch):
-    # 0.001 of the club's 561 pairs also floors to 0 flips
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_noise_levels_without_flips_compute_one_cell(monkeypatch, chunk):
+    # 0.001 of the club's 561 pairs also floors to 0 flips; chunks of 1 and 3
+    # trials split the 5 trials of a level with flips into 5 and 2 chunks
+    monkeypatch.setattr(benchmarks, "NOISE_CHUNK", chunk)
     levels = [0.0, 0.05, 0.001]
     expected = per_trial_noise_rows(levels, trials=5, seed=7)
     calls = []

@@ -361,19 +361,31 @@ def test_rolling_skips_failing_windows():
     assert len(series.skipped) == 5
 
 
-def test_non_prism_window_errors_propagate(universe_returns, monkeypatch):
+@pytest.mark.parametrize("failing_chunk", [1, 2])
+def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, failing_chunk):
     # only a PrismError may become a skipped window or a partial row; any
-    # other exception is a bug and must surface, from a run of many chunks too
+    # other exception is a bug and must surface, from the first chunk of a
+    # run or from a later one after a good chunk
+    original = finance._chunk_stats
+    calls = []
+
     def broken(*args, **kwargs):
-        raise TypeError("broken window")
+        calls.append(None)
+        if len(calls) == failing_chunk:
+            raise TypeError("broken window")
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(finance, "_chunk_stats", broken)
     # stride 10 gives 54 windows, more than one chunk
     assert len(range(59, len(universe_returns.dates), 10)) > finance.WINDOW_CHUNK
     with pytest.raises(TypeError, match="broken window"):
         rolling_defect(universe_returns, 60, stride=10)
+    assert len(calls) == failing_chunk
+    calls.clear()
+    # the default study runs one kernel call per window length, two in all
     with pytest.raises(TypeError, match="broken window"):
         event_study(universe_returns, [("SPIKE", "2021-12-24")])
+    assert len(calls) == failing_chunk
 
 
 def test_rolling_stride_validation(universe_returns):
@@ -515,9 +527,11 @@ def assert_kernel_matches_loop(r, window_len, threshold, stride=1):
     return expected
 
 
-def test_window_kernel_matches_the_loop_across_chunks(universe_returns):
-    outcomes = assert_kernel_matches_loop(universe_returns, 60, 0.2)
-    assert len(outcomes) == 540 > 8 * finance.WINDOW_CHUNK  # many chunks, the last one short
+@pytest.mark.parametrize("stride", [1, 2])
+def test_window_kernel_matches_the_loop_across_chunks(universe_returns, stride):
+    outcomes = assert_kernel_matches_loop(universe_returns, 60, 0.2, stride=stride)
+    # 540 and 270 windows: many chunks, the last one short
+    assert len(outcomes) == 540 // stride > 8 * finance.WINDOW_CHUNK
     assert len(outcomes) % finance.WINDOW_CHUNK != 0
     assert all(isinstance(o, finance.WindowStats) for o in outcomes)
 
