@@ -16,15 +16,15 @@ The noise benchmark's kernel (_noise_chunk) takes one level's trials
 NOISE_CHUNK at a time: the flips are drawn trial by trial, then the chunk
 shares one stack of Graph checks and connectivity walks (redrawing only the
 disconnected trials), one Laplacian stack, one eigh for the baseline and RMT
-labels, one projection by gathers and one eigh of the projections. These
-stack steps are the helpers of graphs and duality that finance's window
-kernel also uses, and each trial gets the bits and the first error of its
-own per-matrix pipeline. The chunks run one after another, and all labels
-are scored in one pass at the end. The flips (_flip_weights) read PCG64's
-raw words and apply Generator's own conversions to them (_RawDraws), so
-they are those of the Generator calls; the oracle tests call the Generator
-itself, so a numpy change to either conversion fails them instead of
-silently changing the output.
+labels, commutant_projection's own gather and average on the whole stack,
+and one eigh of the projections. Each step is the per-matrix API's own
+helper, so each trial gets the bits and the first error of its own
+per-matrix pipeline. The chunks run one after another, and all labels are
+scored in one pass at the end (_accuracies, which accuracy runs on one row).
+The flips (_flip_weights) read PCG64's raw words and apply Generator's own
+conversions to them (_RawDraws), so they are those of the Generator calls;
+the oracle tests call the Generator itself, so a numpy change to either
+conversion fails them instead of silently changing the output.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .duality import (
     DualityOperator,
     _commutant_average,
-    _gather_conjugates,
+    _conjugate,
     duality_defect,
     permutation_operator,
 )
@@ -381,19 +381,14 @@ def accuracy(predicted, truth) -> float:
         raise LengthMismatch(
             f"label lengths differ: {predicted.shape} vs {truth.shape}"
         )
-    for labels in (predicted, truth):
-        if not np.all((labels == 0) | (labels == 1)):
-            raise NonBinary("labels must be 0/1")
-    agree = float(np.mean(predicted == truth))
-    return max(agree, 1.0 - agree)
+    return float(_accuracies(predicted.ravel(), truth.ravel()))
 
 
 def _accuracies(labels: np.ndarray, truth) -> np.ndarray:
     """The accuracy of every label vector along the last axis, in one pass.
 
-    Bit for bit equal to calling accuracy row by row: the agreement is an
-    exact integer count divided by n, as in np.mean of the boolean match.
-    The shape and binary checks run once for the whole stack.
+    The agreement is an exact integer count divided by n. The shape and
+    binary checks run once for the whole stack; accuracy is this on one row.
     """
     truth = np.asarray(truth)
     if labels.shape[-1:] != truth.shape:
@@ -534,7 +529,7 @@ MAX_NOISE_ATTEMPTS = 1000
 
 def _noise_chunk(
     clean: Graph,
-    sigma: np.ndarray,
+    operator: DualityOperator,
     count: int,
     seed: int,
     level_index: int,
@@ -547,8 +542,8 @@ def _noise_chunk(
     from node 0, and only the disconnected ones are redrawn, with the next
     attempt's seed. The connected graphs then share one Laplacian stack,
     one checked eigh with the sign rule on every column (baseline and RMT
-    labels), the projection (L + PLP) / 2 onto the commutant of sigma by
-    gathers with commutant_projection's steps, and one checked eigh of the
+    labels), the projection (L + PLP) / 2 onto the commutant of the club's
+    operator with commutant_projection's steps, and one checked eigh of the
     projections for their Fiedler labels. Every trial gets the bits of its
     own per-matrix pipeline; when trials fail, the lowest one's PrismError
     is raised, the error a trial-by-trial loop would meet first.
@@ -580,7 +575,7 @@ def _noise_chunk(
     keep = _screen_symmetric(lap, good, errors)
     good, lap = [b for b, ok in zip(good, keep) if ok], lap[keep]
     values, vectors = _signed_eigh(lap)
-    projected = _commutant_average(lap, _gather_conjugates(lap, sigma[None]))
+    projected = _commutant_average(lap, _conjugate(lap, operator))
     keep = _screen_symmetric(projected, good, errors)
     fiedler = _signed_eigh(projected[keep], slice(1, 2))[1][:, :, 0]
     failed = [error for error in errors if error is not None]
@@ -611,7 +606,7 @@ def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchma
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     clean, truth = karate_club()
-    sigma = fiedler_duality_operator(clean).sigma
+    operator = fiedler_duality_operator(clean)
     pairs = clean.n * (clean.n - 1) // 2
     counts = [math.floor(lv * pairs) for lv in levels]
     # With no flips every trial of a level sees the clean graph: its first trial
@@ -622,7 +617,7 @@ def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchma
         for li in range(len(levels)) if counts[li] > 0
         for start in range(0, trials, NOISE_CHUNK)
     ]
-    results = [_noise_chunk(clean, sigma, counts[li], seed, li, span) for li, span in chunks]
+    results = [_noise_chunk(clean, operator, counts[li], seed, li, span) for li, span in chunks]
     labels = np.zeros((len(levels), trials, 3, clean.n), dtype=np.int8)
     resamples = np.zeros((len(levels), trials), dtype=int)
     for (li, span), (chunk_labels, attempts) in zip(chunks, results):

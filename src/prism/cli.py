@@ -158,9 +158,19 @@ def _with_operator_options(command):
     return command
 
 
+class _FloatRange(click.FloatRange):
+    """click.FloatRange that also rejects nan, which passes every comparison."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if np.isnan(number):
+            self.fail(f"{number} is not in the range {self._describe_range()}.", param, ctx)
+        return number
+
+
 # Checked when the options are parsed, so a bad value exits 2 like bad input.
-_NONNEGATIVE = click.FloatRange(min=0.0)
-_PROBABILITY = click.FloatRange(0.0, 1.0)
+_NONNEGATIVE = _FloatRange(min=0.0)
+_PROBABILITY = _FloatRange(0.0, 1.0)
 _WINDOW_LEN = click.IntRange(min=2)
 
 
@@ -295,7 +305,7 @@ def _load_returns(prices_path: str, min_coverage: float) -> fin.ReturnPanel:
 @click.option("--date", "window_end", required=True)
 @click.option("--window", "window_len", default=60, show_default=True, type=_WINDOW_LEN)
 @click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
-@click.option("--min-coverage", default=0.95, show_default=True)
+@click.option("--min-coverage", default=0.95, show_default=True, type=_PROBABILITY)
 def window(prices_path, window_end, window_len, threshold, min_coverage) -> None:
     """Mean correlation and duality defect for one window."""
     with _load_phase():
@@ -315,7 +325,7 @@ def window(prices_path, window_end, window_len, threshold, min_coverage) -> None
 @click.option("--window", "window_len", default=60, show_default=True, type=_WINDOW_LEN)
 @click.option("--stride", default=5, show_default=True, type=click.IntRange(min=1))
 @click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
-@click.option("--min-coverage", default=0.95, show_default=True)
+@click.option("--min-coverage", default=0.95, show_default=True, type=_PROBABILITY)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)
 def rolling(prices_path, window_len, stride, threshold, min_coverage, out_format, out) -> None:
@@ -335,7 +345,7 @@ def rolling(prices_path, window_len, stride, threshold, min_coverage, out_format
 @click.option("--window", "window_len", default=120, show_default=True, type=_WINDOW_LEN)
 @click.option("--k", default=6, show_default=True, type=click.IntRange(min=1))
 @click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
-@click.option("--min-coverage", default=0.95, show_default=True)
+@click.option("--min-coverage", default=0.95, show_default=True, type=_PROBABILITY)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)
@@ -358,7 +368,7 @@ def communities(prices_path, window_end, window_len, k, threshold, min_coverage,
 @click.option("--offsets", default="-90,-60,-30,-10,0", show_default=True)
 @click.option("--window-lens", default="60,90", show_default=True)
 @click.option("--threshold", default=0.2, show_default=True, type=_NONNEGATIVE)
-@click.option("--min-coverage", default=0.95, show_default=True)
+@click.option("--min-coverage", default=0.95, show_default=True, type=_PROBABILITY)
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)
 def events(prices_path, events_text, offsets, window_lens, threshold, min_coverage,

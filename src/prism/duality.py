@@ -130,37 +130,22 @@ def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
 # (PLP)_ij = L[sigma_i, sigma_j]: the gathers are exact, and for finite L so is
 # every product with a 0/1 matrix, so both routes give the same bits. The
 # gathers build C-ordered arrays, because np.linalg.norm sums in memory order.
-# The batched kernels gather on (B, n, n) stacks, each matrix with its row of a
-# (B, n) or (1, n) sigma; take_along_axis is slower than np.take at large n,
-# so one matrix keeps the np.take and slicing gathers.
+# The per-matrix API and the batched kernels share them: the kernels gather
+# LP - PL one matrix at a time, and PLP on a whole stack sharing one operator.
 
-def _gather_commutators(l_stack: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """LP - PL for each matrix of a stack, as a new array."""
-    commutator = np.take_along_axis(l_stack, sigma[:, None, :], axis=2)
-    commutator -= np.take_along_axis(l_stack, sigma[:, :, None], axis=1)
-    return commutator
-
-
-def _gather_conjugates(l_stack: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """PLP for each matrix of a stack, as a new array."""
-    batch = np.arange(len(l_stack))[:, None, None]
-    return l_stack[batch, sigma[:, :, None], sigma[:, None, :]]
-
-
-def _commutator(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
-    """LP - PL as a new array."""
-    if p.sigma is None:
-        return l_matrix @ p.matrix - p.matrix @ l_matrix
-    commutator = np.take(l_matrix, p.sigma, axis=1)
-    commutator -= l_matrix[p.sigma]
+def _commutator(l_matrix: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """LP - PL for P = I[sigma], as a new array."""
+    commutator = np.take(l_matrix, sigma, axis=1)
+    commutator -= l_matrix[sigma]
     return commutator
 
 
 def _conjugate(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
-    """PLP as a new array."""
+    """PLP as a new array, for one matrix or a (..., n, n) stack sharing p."""
     if p.sigma is None:
         return p.matrix @ l_matrix @ p.matrix
-    return l_matrix[p.sigma[:, None], p.sigma]
+    # a stack's gather comes out stack axis innermost, which slows every later step
+    return np.ascontiguousarray(l_matrix[..., p.sigma[:, None], p.sigma])
 
 
 def _commutant_average(l_matrix: np.ndarray, conjugate: np.ndarray) -> np.ndarray:
@@ -178,7 +163,9 @@ def _commutant_average(l_matrix: np.ndarray, conjugate: np.ndarray) -> np.ndarra
 
 def commutator_norm(l_matrix: np.ndarray, p: DualityOperator) -> float:
     """||LP - PL||_F, the unnormalized numerator of the defect."""
-    return float(np.linalg.norm(_commutator(l_matrix, p)))
+    if p.sigma is None:
+        return float(np.linalg.norm(l_matrix @ p.matrix - p.matrix @ l_matrix))
+    return float(np.linalg.norm(_commutator(l_matrix, p.sigma)))
 
 
 def duality_defect(l_matrix: np.ndarray, p: DualityOperator) -> float:

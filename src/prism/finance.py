@@ -15,14 +15,13 @@ length) pass it all of theirs. It takes each window's correlation from
 np.corrcoef, then works through chunks of WINDOW_CHUNK windows, stacking the
 windows of one graph size for the Graph checks, the edge count and the
 connectivity walk, and the components of one size for the Laplacian, one
-batched eigh, the Fiedler pairing and the commutator. The stack steps are
-the helpers of graphs and duality that the noise benchmark's kernel also
-uses. Each window keeps its own Frobenius norms, so its numbers and its
-first failing check are those of the window computed alone. communities
-and correlation_graph build the same window graph from the same
-correlation helper (_window_graph); communities projects its largest
-component onto the commutant of the Fiedler operator and clusters the
-projected Laplacian.
+batched eigh and the Fiedler rank pairing, then takes each window's
+commutator and norms on its own. Each step is the per-matrix API's own
+helper, so a window's numbers and first failing check are those of the
+window computed alone. communities and correlation_graph build the same
+window graph from the same correlation helper (_window_graph); communities
+projects its largest component onto the commutant of the Fiedler operator
+and clusters the projected Laplacian.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .duality import _defect_norm, _gather_commutators, commutant_projection
+from .duality import _commutator, _defect_norm, commutant_projection
 from .errors import (
     DegenerateWindow,
     DuplicateDate,
@@ -53,7 +52,6 @@ from .graphs import (
     _as_readonly,
     _laplacians,
     _reach,
-    _screen,
     _screen_symmetric,
     _screen_weights,
     _signed_eigh,
@@ -61,7 +59,7 @@ from .graphs import (
     laplacian,
     symmetric_eig,
 )
-from .learn import FiedlerPairing, fiedler_duality_operator
+from .learn import _rank_pairings, fiedler_duality_operator
 from .reporting import csv_text, json_text
 
 
@@ -154,8 +152,10 @@ def log_returns(panel: PricePanel, min_coverage: float = 0.95) -> ReturnPanel:
 
     Tickers whose price coverage falls below min_coverage are dropped and
     recorded, which is how a 30-name universe shrinks to the subset that is
-    actually usable.
+    actually usable. min_coverage must lie in [0, 1].
     """
+    if not 0.0 <= min_coverage <= 1.0:  # also rejects nan
+        raise ValidationError(f"min_coverage {min_coverage} outside [0, 1]")
     if len(panel.dates) < 2:
         raise EmptyPanel("need at least 2 dates to compute returns")
     present = ~np.isnan(panel.prices)
@@ -279,7 +279,7 @@ def _chunk_stats(
 
     Windows are stacked by graph size for the Graph checks, the edge count
     and the connectivity walk, then by component size for the Laplacian,
-    its eigendecomposition, the Fiedler pairing and the commutator.
+    its eigendecomposition and the Fiedler pairing.
     """
     outcomes: list = [None] * len(positions)
     means = [0.0] * len(positions)
@@ -320,16 +320,8 @@ def _chunk_stats(
         keep = _screen_symmetric(lap, keys, outcomes)
         keys, lap = [k for k, ok in zip(keys, keep) if ok], lap[keep]
         fiedler = _signed_eigh(lap, slice(1, 2))[1][:, :, 0]  # symmetric_eig's Fiedler column
-        # fiedler_pairing: rank k pairs with rank m-1-k
-        order = np.argsort(fiedler, axis=1, kind="stable")
-        sigma = np.empty_like(order)
-        np.put_along_axis(sigma, order, order[:, ::-1], axis=1)
-        involution = (np.take_along_axis(sigma, sigma, axis=1) == np.arange(m)).all(axis=1)
-        keep = _screen(sigma, involution, lambda s: FiedlerPairing(tuple(s.tolist()), None),
-                       keys, outcomes)
-        commutator = _gather_commutators(lap, sigma)
-        for b in np.flatnonzero(keep):
-            k = keys[b]
+        sigma = _rank_pairings(fiedler)
+        for b, k in enumerate(keys):
             try:
                 norm = _defect_norm(lap[b])  # per matrix: a batched norm sums in another order
             except PrismError as exc:
@@ -339,7 +331,7 @@ def _chunk_stats(
                 window_end=r.dates[positions[k]],
                 window_len=window_len,
                 mean_correlation=means[k],
-                defect=float(np.linalg.norm(commutator[b])) / norm,
+                defect=float(np.linalg.norm(_commutator(lap[b], sigma[b]))) / norm,
                 component_size=m,
                 dropped_nodes=graph_sizes[k] - m,
             )
@@ -354,7 +346,7 @@ def _window_stats_at(
     Every position must have window_len rows up to it. Each window fails on
     the same first check, with the same error, as window_stats on its own:
     the arguments, too few usable tickers, the Graph checks, no edges, the
-    eigendecomposition's checks, the pairing and a zero Laplacian. Chunks of
+    eigendecomposition's checks and a zero Laplacian. Chunks of
     WINDOW_CHUNK positions are evaluated one after another; any exception
     other than a PrismError propagates.
     """

@@ -178,9 +178,3 @@ def generate_universe_csv(config: dict) -> str:
         lines.append(f"{date},{cells}")
     return "\n".join(lines) + "\n"
 
-
-def write_universe(config_path, out_path) -> None:
-    config = load_universe_config(config_path)
-    text = generate_universe_csv(config)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

@@ -74,19 +74,27 @@ class LearnResult:
         object.__setattr__(self, "projected", _as_readonly(self.projected))
 
 
+def _rank_pairings(fiedler: np.ndarray) -> np.ndarray:
+    """Pair Fiedler rank k with rank n-1-k along the last axis; ties rank by index.
+
+    The pairing is an involution for any ranking, so it needs no check.
+    """
+    order = np.argsort(fiedler, axis=-1, kind="stable")
+    sigma = np.empty_like(order)
+    np.put_along_axis(sigma, order, order[..., ::-1], axis=-1)
+    return sigma
+
+
 def fiedler_pairing(g: Graph) -> FiedlerPairing:
     """Pair the node of Fiedler rank k with the node of rank n-1-k.
 
     Ranks sort the Fiedler values ascending with ties broken by node index;
     for odd n the median-ranked node is its own partner.
     """
-    v = fiedler_vector(g)
-    n = g.n
-    order = np.argsort(v, kind="stable")
-    sigma = np.empty(n, dtype=int)
-    sigma[order] = order[::-1]
-    fixed = int(order[n // 2]) if n % 2 == 1 else None
-    return FiedlerPairing(permutation=tuple(sigma.tolist()), fixed_point=fixed)
+    sigma = _rank_pairings(fiedler_vector(g))
+    fixed = np.flatnonzero(sigma == np.arange(g.n))
+    return FiedlerPairing(permutation=tuple(sigma.tolist()),
+                          fixed_point=int(fixed[0]) if fixed.size else None)
 
 
 def pairing_operator(pairing: FiedlerPairing) -> DualityOperator:

@@ -1,6 +1,7 @@
 """Synthetic dual networks, perturbations, club-graph benchmark, reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from oracles import (
     double_sum_modularity,
     loop_dual_network,
+    mean_accuracy,
     noise_rows_from_cells,
     per_trial_noise_cells,
     per_trial_noise_rows,
@@ -110,6 +112,15 @@ def test_accuracy_best_of_both_identifications():
     assert accuracy(pred, truth) == accuracy(1 - pred, truth)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 for empty labels
+def test_accuracy_of_empty_0d_and_2d_labels():
+    assert math.isnan(accuracy([], []))
+    assert accuracy(np.array(1), np.array(0)) == 1.0
+    assert accuracy([[0, 1], [1, 1]], [[0, 1], [0, 0]]) == 0.5
+    with pytest.raises(LengthMismatch):
+        accuracy([[0, 1]], [0, 1])
+
+
 def test_accuracies_match_accuracy_row_by_row():
     truth = np.array(KARATE_FACTIONS)
     rng = np.random.default_rng(3)
@@ -126,7 +137,7 @@ def test_accuracies_match_accuracy_row_by_row():
     scores = _accuracies(stack, truth)
     assert scores.shape == (3, 20)
     for index in np.ndindex(3, 20):
-        assert scores[index] == accuracy(stack[index], truth)
+        assert scores[index] == accuracy(stack[index], truth) == mean_accuracy(stack[index], truth)
     assert scores[0, 4] == 0.5
     with pytest.raises(LengthMismatch):
         _accuracies(stack[..., :-1], truth)

@@ -245,6 +245,17 @@ COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date"
     (["synth-rewire", "--intra", "2"], "Invalid value for '--intra'"),
     (["synth-rewire", "--cross", "-0.5"], "Invalid value for '--cross'"),
     ([*EVENTS, "--window-lens", "60,1"], "error: window lengths must be at least 2"),
+    (WINDOW + ["--threshold", "nan"], "Invalid value for '--threshold'"),
+    (ROLLING + ["--threshold", "nan"], "Invalid value for '--threshold'"),
+    (COMMUNITIES + ["--threshold", "nan"], "Invalid value for '--threshold'"),
+    ([*EVENTS, "--threshold", "nan"], "Invalid value for '--threshold'"),
+    (["synth-rewire", "--intra", "nan"], "Invalid value for '--intra'"),
+    (["synth-rewire", "--cross", "nan"], "Invalid value for '--cross'"),
+    (WINDOW + ["--min-coverage", "1.5"], "Invalid value for '--min-coverage'"),
+    (WINDOW + ["--min-coverage", "nan"], "Invalid value for '--min-coverage'"),
+    (ROLLING + ["--min-coverage", "-3"], "Invalid value for '--min-coverage'"),
+    (COMMUNITIES + ["--min-coverage", "nan"], "Invalid value for '--min-coverage'"),
+    ([*EVENTS, "--min-coverage", "1.01"], "Invalid value for '--min-coverage'"),
 ])
 def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, args, message):
     result = runner.invoke(main, args)

@@ -14,8 +14,8 @@ from oracles import (
 )
 from prism.duality import (
     DualityOperator,
-    _gather_commutators,
-    _gather_conjugates,
+    _commutator,
+    _conjugate,
     commutant_projection,
     duality_defect,
     identity_operator,
@@ -272,23 +272,25 @@ def test_permutation_kernels_match_the_dense_formulas_bitwise(n):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 34])
 def test_stacked_gathers_match_the_dense_products_bitwise(n):
-    # each matrix with its own sigma, and one sigma shared by the whole stack
+    # each matrix with its own sigma, and one operator shared by the whole stack
     rng = np.random.default_rng(2000 + n)
     stack = np.stack([random_symmetric(rng, n) for _ in range(5)] + [rng.standard_normal((n, n))])
     sigmas = np.stack([random_sigma(rng, n, fixed) for fixed in (n % 2, n, n % 2) * 2])
-    shared = sigmas[:1]
-    commutators = _gather_commutators(stack, sigmas)
-    conjugates = _gather_conjugates(stack, sigmas)
-    shared_conjugates = _gather_conjugates(stack, shared)
+    shared = permutation_operator(sigmas[0])
+    shared_conjugates = _conjugate(stack, shared)
+    assert shared_conjugates.shape == stack.shape and shared_conjugates.flags.c_contiguous
     for b, l_matrix in enumerate(stack):
         dense = np.zeros((n, n))
         dense[np.arange(n), sigmas[b]] = 1.0
-        assert commutators[b].tobytes() == (l_matrix @ dense - dense @ l_matrix).tobytes()
-        assert conjugates[b].tobytes() == (dense @ l_matrix @ dense).tobytes()
-        dense_shared = np.zeros((n, n))
-        dense_shared[np.arange(n), shared[0]] = 1.0
-        assert shared_conjugates[b].tobytes() == (dense_shared @ l_matrix @ dense_shared).tobytes()
-    assert _gather_conjugates(np.zeros((0, n, n)), shared).shape == (0, n, n)
+        commutator = _commutator(l_matrix, sigmas[b])
+        assert commutator.flags.c_contiguous
+        assert commutator.tobytes() == (l_matrix @ dense - dense @ l_matrix).tobytes()
+        conjugate = _conjugate(l_matrix, permutation_operator(sigmas[b]))
+        assert conjugate.flags.c_contiguous
+        assert conjugate.tobytes() == (dense @ l_matrix @ dense).tobytes()
+        expected = shared.matrix @ l_matrix @ shared.matrix
+        assert shared_conjugates[b].tobytes() == expected.tobytes()
+    assert _conjugate(np.zeros((0, n, n)), shared).shape == (0, n, n)
 
 
 def test_dense_involution_dims_match_the_eigenvalue_count():

@@ -140,6 +140,14 @@ def test_log_returns_drops_low_coverage_tickers(tmp_path):
     assert panel.dropped == ("BBB",)
 
 
+@pytest.mark.parametrize("min_coverage", [-0.1, 1.5, float("nan")])
+def test_log_returns_rejects_coverage_outside_0_1(tmp_path, min_coverage):
+    panel = load_prices(write_prices(tmp_path, "date,AAA\n2021-01-04,1.0\n2021-01-05,2.0\n"))
+    with pytest.raises(ValidationError, match="outside"):
+        log_returns(panel, min_coverage)
+    assert log_returns(panel, 0.0).tickers == log_returns(panel, 1.0).tickers == ("AAA",)
+
+
 def test_log_returns_needs_two_dates(tmp_path):
     with pytest.raises(EmptyPanel):
         log_returns(load_prices(write_prices(tmp_path, "date,AAA\n2021-01-04,1.0\n")))

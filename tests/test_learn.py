@@ -79,6 +79,21 @@ def test_fiedler_pairing_matches_the_rank_loop():
         assert all(type(i) is int for i in sigma)
 
 
+def test_rank_pairings_match_the_rank_loop_row_by_row():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 7, 8, 33, 34):
+        rows = [rng.standard_normal(n), np.zeros(n), np.arange(n)[::-1] % 3 * 0.5,
+                rng.integers(0, 2, n) - 0.5]  # the last three tie exactly
+        stack = np.array(rows)
+        sigma = learn._rank_pairings(stack)
+        assert sigma.shape == (4, n)
+        for row, pairs in zip(stack, sigma):
+            assert tuple(pairs.tolist()) == rank_loop_pairing(row)
+            assert np.array_equal(pairs[pairs], np.arange(n))
+    # ties keep index order: the zeros take ranks 0, 1, 2 and the ones ranks 3, 4
+    assert learn._rank_pairings(np.array([0.0, 0.0, 0.0, 1.0, 1.0])).tolist() == [4, 3, 2, 1, 0]
+
+
 def test_fiedler_pairing_rejects_non_involution():
     with pytest.raises(ValidationError):
         FiedlerPairing(permutation=(1, 2, 0), fixed_point=None)  # a 3-cycle
