@@ -156,6 +156,11 @@ def generate_dual_network(
     )
 
 
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 <= fraction <= 1.0:
+        raise ValidationError(f"fraction {fraction} outside [0, 1]")
+
+
 def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     """Delete floor(fraction * |E|) distinct edges and reinsert them elsewhere.
 
@@ -164,8 +169,7 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     exactly. An empty slot always exists, because all chosen edges are
     deleted before the first one is reinserted.
     """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValidationError(f"fraction {fraction} outside [0, 1]")
+    _check_fraction(fraction)
     rows, cols = np.nonzero(np.triu(g.weights, 1))  # the order of g.edges()
     if len(rows) == 0:
         raise ValidationError("rewire requires at least one edge")
@@ -421,6 +425,18 @@ class RewireReport:
                 raise ValidationError("defect outside [0, 2]")
 
 
+def _check_rewire_lists(fractions: list[float], seeds: list[int]) -> None:
+    """rewire_experiment's list checks, which the CLI also runs at load time."""
+    if not fractions:
+        raise ValidationError("fractions must be nonempty")
+    if any(b <= a for a, b in zip(fractions, fractions[1:])):
+        raise ValidationError("fractions must be ascending")
+    if not seeds:
+        raise ValidationError("seeds must be nonempty")
+    for fraction in fractions:
+        _check_fraction(fraction)
+
+
 def rewire_experiment(
     group_size: int,
     probs: tuple[float, float],
@@ -434,12 +450,7 @@ def rewire_experiment(
     (seed, fraction index). Disconnected rewired graphs are kept: defect and
     modularity do not need a Fiedler vector.
     """
-    if not fractions:
-        raise ValidationError("fractions must be nonempty")
-    if any(b <= a for a, b in zip(fractions, fractions[1:])):
-        raise ValidationError("fractions must be ascending")
-    if not seeds:
-        raise ValidationError("seeds must be nonempty")
+    _check_rewire_lists(fractions, seeds)
     intra, cross = probs
     networks = [generate_dual_network(group_size, intra, cross, s) for s in seeds]
     n = 2 * group_size

@@ -80,6 +80,8 @@ def _parse_seed_list(text: str) -> list[int]:
                 seeds.append(int(part))
         except ValueError:
             raise ParseError(f"bad seed {part!r} in {text!r}") from None
+    if any(seed < 0 for seed in seeds):
+        raise ValidationError(f"seeds must be nonnegative, got {text!r}")
     return seeds
 
 
@@ -100,8 +102,13 @@ def _resolve_operator(
     index_reversal: bool,
     operator_path: str | None,
     graph: Graph | None = None,
-) -> DualityOperator:
-    """Build P for n nodes from the selected mode; --fiedler (the default) needs the graph."""
+) -> DualityOperator | None:
+    """P for n nodes from the selected mode, or None for the Fiedler pairing (the default).
+
+    The flags and the operator file are inputs, resolved in the load phase.
+    The Fiedler pairing is computed from the graph in the compute phase
+    (_operator_or_fiedler), so a disconnected graph exits 1 in every command.
+    """
     chosen = sum([fiedler, index_reversal, operator_path is not None])
     if chosen == 0:
         fiedler = True
@@ -110,7 +117,7 @@ def _resolve_operator(
     if fiedler:
         if graph is None:
             raise DimensionMismatch("--matrix input needs --operator or --index-reversal")
-        return fiedler_duality_operator(graph)
+        return None
     if index_reversal:
         return bench.index_reversal_operator(n)
     if operator_path == "identity":
@@ -121,19 +128,24 @@ def _resolve_operator(
     return operator
 
 
-def _load_input(path: str, as_matrix: bool, fiedler: bool, index_reversal: bool,
-                operator_path: str | None) -> tuple[np.ndarray, DualityOperator]:
-    """The Laplacian (or the --matrix file as is) and the operator it is measured against.
+def _operator_or_fiedler(operator: DualityOperator | None, graph: Graph) -> DualityOperator:
+    return fiedler_duality_operator(graph) if operator is None else operator
+
+
+def _load_input(
+    path: str, as_matrix: bool, fiedler: bool, index_reversal: bool, operator_path: str | None
+) -> tuple[np.ndarray, Graph | None, DualityOperator | None]:
+    """The Laplacian (or the --matrix file as is), its graph and the resolved operator.
 
     A bare matrix has no graph to derive a Fiedler pairing from, so --fiedler
     is ignored there and an explicit operator is required.
     """
     if as_matrix:
         lap = load_matrix(path)
-        return lap, _resolve_operator(lap.shape[0], False, index_reversal, operator_path)
+        return lap, None, _resolve_operator(lap.shape[0], False, index_reversal, operator_path)
     graph = load_graph(path)
     operator = _resolve_operator(graph.n, fiedler, index_reversal, operator_path, graph)
-    return laplacian(graph), operator
+    return laplacian(graph), graph, operator
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -187,9 +199,10 @@ def main() -> None:
 def defect(graph_path, fiedler, index_reversal, operator_path, as_matrix) -> None:
     """Print the duality defect of a graph against an operator."""
     with _load_phase():
-        lap, operator = _load_input(graph_path, as_matrix, fiedler, index_reversal,
-                                    operator_path)
+        lap, graph, operator = _load_input(graph_path, as_matrix, fiedler, index_reversal,
+                                           operator_path)
     with _compute_phase():
+        operator = _operator_or_fiedler(operator, graph)
         delta = duality_defect(lap, operator)
         commutator = commutator_norm(lap, operator)
     click.echo(f"delta={fmt(delta)}")
@@ -208,10 +221,10 @@ def project(graph_path, fiedler, index_reversal, operator_path, as_matrix,
             out_matrix, out) -> None:
     """Project the Laplacian onto the commutant of an operator."""
     with _load_phase():
-        lap, operator = _load_input(graph_path, as_matrix, fiedler, index_reversal,
-                                    operator_path)
+        lap, graph, operator = _load_input(graph_path, as_matrix, fiedler, index_reversal,
+                                           operator_path)
     with _compute_phase():
-        result = commutant_projection(lap, operator)
+        result = commutant_projection(lap, _operator_or_fiedler(operator, graph))
     save_matrix(result.projected, out_matrix)
     summary = {
         "defect_before": result.defect_before,
@@ -242,8 +255,9 @@ def learn(graph_path, fiedler, index_reversal, operator_path, defect_tolerance,
             penalty_weight=penalty,
             inner_gradient_steps=inner_steps,
         )
+        operator = _resolve_operator(graph.n, fiedler, index_reversal, operator_path, graph)
     with _compute_phase():
-        initial = _resolve_operator(graph.n, fiedler, index_reversal, operator_path, graph)
+        initial = _operator_or_fiedler(operator, graph)
         result = alternate(laplacian(graph), initial, config)
     _emit(learn_result_to_json(result), out)
 
@@ -262,6 +276,7 @@ def synth_rewire(group_size, intra, cross, fractions, seeds, out_format, out) ->
     with _load_phase():
         fraction_list = _parse_list(fractions)
         seed_list = _parse_seed_list(seeds)
+        bench._check_rewire_lists(fraction_list, seed_list)
     with _compute_phase():
         report = bench.rewire_experiment(group_size, (intra, cross), fraction_list, seed_list)
     text = (bench.rewire_report_to_csv(report) if out_format == "csv"
@@ -274,7 +289,7 @@ def synth_rewire(group_size, intra, cross, fractions, seeds, out_format, out) ->
               help="Comma-separated noise levels, each the fraction of the n(n-1)/2 "
                    "node pairs flipped (5% is 28 of the club's 561 pairs).")
 @click.option("--trials", default=50, show_default=True, type=click.IntRange(min=1))
-@click.option("--seed", default=123, show_default=True)
+@click.option("--seed", default=123, show_default=True, type=click.IntRange(min=0))
 @click.option("--format", "out_format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--out", default=None)
 def karate_noise(levels, trials, seed, out_format, out) -> None:

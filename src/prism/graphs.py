@@ -9,10 +9,10 @@ The batched kernels (the noise benchmark's trials, finance's windows) work
 on (B, n, n) stacks through the private helpers here: the Graph weight
 checks (_screen_weights), the connectivity walk (_reach), the Laplacian
 (_laplacians), symmetric_eig's checks (_screen_symmetric) and its
-decomposition with the sign rule (_signed_eigh). Each gives every matrix of
-the stack the bits, and the first error, of the per-matrix function:
-laplacian, is_connected, connected_components and symmetric_eig run the
-same helpers on a stack of one.
+decomposition with the sign rule (_signed_eigh). These helpers are the only
+implementation of each step: Graph, laplacian, is_connected,
+connected_components and symmetric_eig run them on a stack of one, so every
+matrix of a stack gets the bits, and the first error, it would get alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     NonFinite,
     NotSymmetric,
     ParseError,
-    PrismError,
     TooSmall,
     ValidationError,
 )
@@ -60,7 +59,7 @@ class Graph:
         n = len(self.labels)
         if w.shape != (n, n):
             raise ValidationError(f"weight matrix {w.shape} does not match {n} labels")
-        _check_weights(w)
+        _raise_first(_screen_weights, w)
 
     @property
     def n(self) -> int:
@@ -82,46 +81,42 @@ class Graph:
         )
 
 
-def _check_weights(w: np.ndarray) -> None:
-    """Graph's weight checks, in order: finite, exactly symmetric, zero diagonal, nonnegative."""
-    if not np.all(np.isfinite(w)):
-        raise NonFinite("graph weights contain non-finite entries")
-    if not np.array_equal(w, w.T):
-        raise NotSymmetric("graph weights must be exactly symmetric")
-    if np.any(np.diagonal(w) != 0.0):
-        raise ValidationError("graph weights must have a zero diagonal")
-    if np.any(w < 0.0):
-        raise ValidationError("graph weights must be nonnegative")
+def _first_failures(checks, keys: list, outcomes: list) -> np.ndarray:
+    """Keep mask of a (B, n, n) stack from (passed, error, message) checks in order.
 
-
-def _screen(stack: np.ndarray, passed: np.ndarray, check, keys: list, outcomes: list) -> np.ndarray:
-    """Mask of the matrices of a stack that pass one per-matrix check.
-
-    passed is the check run on the whole stack at once. A matrix it fails
-    runs the per-matrix check, whose PrismError becomes outcomes[keys[b]], so
-    every matrix fails with the same error and message as on its own.
+    The first check a matrix fails becomes outcomes[keys[b]], a fresh
+    error(message).
     """
-    keep = passed.copy()
-    for b in np.flatnonzero(~passed):
-        try:
-            check(stack[b])
-        except PrismError as exc:
-            outcomes[keys[b]] = exc
-        else:
-            keep[b] = True
+    passed = np.array([mask for mask, _, _ in checks])
+    keep = passed.all(axis=0)
+    for b in np.flatnonzero(~keep):
+        _, error, message = checks[np.argmin(passed[:, b])]  # the first failing check
+        outcomes[keys[b]] = error(message)
     return keep
 
 
+def _raise_first(screen, m: np.ndarray) -> None:
+    """Run a stack screen on m alone and raise the error it records, if any."""
+    outcome = [None]
+    if not screen(m[None], [0], outcome)[0]:
+        raise outcome[0]
+
+
 def _screen_weights(w: np.ndarray, keys: list, outcomes: list) -> np.ndarray:
-    """_check_weights on each matrix of a (B, n, n) stack; see _screen."""
+    """Graph's weight checks on each matrix of a (B, n, n) stack; see _first_failures.
+
+    In order: finite, exactly symmetric, zero diagonal, nonnegative. Graph
+    runs this, its only copy, on a stack of one.
+    """
     diagonal = np.arange(w.shape[-1])
-    passed = (
-        np.isfinite(w).all(axis=(1, 2))
-        & (w == w.transpose(0, 2, 1)).all(axis=(1, 2))
-        & (w[:, diagonal, diagonal] == 0.0).all(axis=1)
-        & (w >= 0.0).all(axis=(1, 2))
-    )
-    return _screen(w, passed, _check_weights, keys, outcomes)
+    return _first_failures([
+        (np.isfinite(w).all(axis=(1, 2)), NonFinite, "graph weights contain non-finite entries"),
+        ((w == w.transpose(0, 2, 1)).all(axis=(1, 2)), NotSymmetric,
+         "graph weights must be exactly symmetric"),
+        ((w[:, diagonal, diagonal] == 0.0).all(axis=1), ValidationError,
+         "graph weights must have a zero diagonal"),
+        ((w >= 0.0).all(axis=(1, 2)), ValidationError, "graph weights must be nonnegative"),
+    ], keys, outcomes)
 
 
 def graph_from_edges(
@@ -201,28 +196,25 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
 
 
-def _check_symmetric(m: np.ndarray) -> None:
-    """symmetric_eig's input checks: square, finite, symmetric within SYMMETRY_RTOL."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix contains non-finite entries")
-    norm = np.linalg.norm(m)
-    if np.linalg.norm(m - m.T) > SYMMETRY_RTOL * max(1.0, norm):
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-
-
 def _screen_symmetric(m: np.ndarray, keys: list, outcomes: list) -> np.ndarray:
-    """_check_symmetric on each matrix of a (B, n, n) stack; see _screen.
+    """symmetric_eig's checks on each matrix of a (B, n, n) stack; see _first_failures.
 
-    A finite, exactly symmetric matrix passes without computing its norms.
+    In order: at least one row, finite, symmetric within SYMMETRY_RTOL. An
+    exactly symmetric matrix passes without computing its norms; the others
+    take them per matrix, as a batched norm sums in another order.
+    symmetric_eig runs this, its only copy, on a stack of one.
     """
-    passed = (
-        (m.shape[-1] >= 1)
-        & np.isfinite(m).all(axis=(1, 2))
-        & (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
-    )
-    return _screen(m, passed, _check_symmetric, keys, outcomes)
+    finite = np.isfinite(m).all(axis=(1, 2))
+    symmetric = (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
+    for b in np.flatnonzero(finite & ~symmetric):
+        symmetric[b] = not np.linalg.norm(m[b] - m[b].T) > SYMMETRY_RTOL * max(
+            1.0, np.linalg.norm(m[b]))
+    return _first_failures([
+        (np.full(len(m), m.shape[-1] >= 1), ValidationError,
+         f"expected a square matrix, got shape {m.shape[1:]}"),
+        (finite, NonFinite, "matrix contains non-finite entries"),
+        (symmetric, NotSymmetric, "matrix is not symmetric within tolerance"),
+    ], keys, outcomes)
 
 
 def _signed_eigh(m: np.ndarray, columns: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +238,9 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     ties go to the lowest index. Rejects asymmetric or non-finite input.
     """
     m = np.asarray(m, dtype=float)
-    _check_symmetric(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    _raise_first(_screen_symmetric, m)
     values, vectors = _signed_eigh(m)
     return SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .duality import (
     DualityOperator,
+    _check_dims,
     commutant_projection,
     commutator_norm,
     duality_defect,
@@ -147,12 +148,8 @@ def optimize_p_step(
     1e-9 slack; otherwise p0 is returned unchanged (monotone safeguard).
     """
     cfg = cfg or AlternatingConfig()
-    lp = np.asarray(lp, dtype=float)
+    lp = _check_dims(lp, p0)
     n = lp.shape[0]
-    if lp.shape != p0.matrix.shape:
-        raise ValidationError(
-            f"matrix shape {lp.shape} does not match operator shape {p0.matrix.shape}"
-        )
     baseline = commutator_norm(lp, p0)
     if baseline == 0.0:
         return p0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,12 @@ REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
 UNIVERSE_CSV = FIXTURES / "synthetic_universe.csv"
 UNIVERSE_CONFIG = FIXTURES / "universe_config.json"
+
+
+def child_env() -> dict[str, str]:
+    """os.environ with this checkout's src first on PYTHONPATH, for a fresh interpreter."""
+    paths = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 @pytest.fixture(scope="session")

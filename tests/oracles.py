@@ -12,9 +12,10 @@ eigendecomposition instead of index gathers and a trace, rewiring from the
 list of edge tuples, the mirror network filled one node pair at a time,
 connected components by a stack walk that visits one node per step, the
 Fiedler pairing one rank at a time, the community coupling table from one
-list of node pairs per block, and each finance window through its own
+list of node pairs per block, each finance window through its own
 kept-ticker range test, Graph, components walk, eigendecomposition and
-operator instead of the stacked per-chunk kernel.
+operator instead of the stacked per-chunk kernel, and the Graph weight and
+symmetric_eig input checks one matrix at a time instead of by stack masks.
 Agreement between the two routes is the test.
 """
 
@@ -26,8 +27,15 @@ from scipy.optimize import linear_sum_assignment
 from prism import finance
 from prism.benchmarks import child_seed, karate_club
 from prism.duality import commutant_projection, duality_defect
-from prism.errors import DegenerateWindow, PrismError, ZeroMatrix
-from prism.graphs import Graph, connected_components, is_connected, laplacian
+from prism.errors import (
+    DegenerateWindow,
+    NonFinite,
+    NotSymmetric,
+    PrismError,
+    ValidationError,
+    ZeroMatrix,
+)
+from prism.graphs import SYMMETRY_RTOL, Graph, connected_components, is_connected, laplacian
 from prism.learn import fiedler_duality_operator
 
 
@@ -336,6 +344,29 @@ def loop_dual_network(m: int, p_intra: float, p_cross: float, seed: int) -> np.n
                 w[i, j + m] = w[j + m, i] = 1.0
                 w[j, i + m] = w[i + m, j] = 1.0
     return w
+
+
+def check_weights(w: np.ndarray) -> None:
+    """Graph's weight checks, in order: finite, exactly symmetric, zero diagonal, nonnegative."""
+    if not np.all(np.isfinite(w)):
+        raise NonFinite("graph weights contain non-finite entries")
+    if not np.array_equal(w, w.T):
+        raise NotSymmetric("graph weights must be exactly symmetric")
+    if np.any(np.diagonal(w) != 0.0):
+        raise ValidationError("graph weights must have a zero diagonal")
+    if np.any(w < 0.0):
+        raise ValidationError("graph weights must be nonnegative")
+
+
+def check_symmetric(m: np.ndarray) -> None:
+    """symmetric_eig's input checks: square, finite, symmetric within SYMMETRY_RTOL."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NonFinite("matrix contains non-finite entries")
+    norm = np.linalg.norm(m)
+    if np.linalg.norm(m - m.T) > SYMMETRY_RTOL * max(1.0, norm):
+        raise NotSymmetric("matrix is not symmetric within tolerance")
 
 
 def stack_walk_components(weights: np.ndarray) -> list[list[int]]:

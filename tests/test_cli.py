@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import REPO, UNIVERSE_CSV
+from conftest import REPO, UNIVERSE_CSV, child_env
 from prism import benchmarks
 from prism.benchmarks import generate_dual_network, rewire
 from prism.cli import main
@@ -256,9 +256,60 @@ COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date"
     (ROLLING + ["--min-coverage", "-3"], "Invalid value for '--min-coverage'"),
     (COMMUNITIES + ["--min-coverage", "nan"], "Invalid value for '--min-coverage'"),
     ([*EVENTS, "--min-coverage", "1.01"], "Invalid value for '--min-coverage'"),
+    (["synth-rewire", "--seeds", "-3", "--fractions", "0"], "error: seeds must be nonnegative"),
+    (["synth-rewire", "--seeds", "-2-4"], "error: seeds must be nonnegative"),
+    (["karate-noise", "--seed", "-1", "--levels", "0.05", "--trials", "2"],
+     "Invalid value for '--seed'"),
+    (["synth-rewire", "--fractions", "0,2"], "error: fraction 2.0 outside [0, 1]"),
+    (["synth-rewire", "--fractions", "0,nan"], "error: fraction nan outside [0, 1]"),
+    (["synth-rewire", "--fractions", "0.4,0.2"], "error: fractions must be ascending"),
+    (["synth-rewire", "--fractions", ","], "error: fractions must be nonempty"),
+    (["synth-rewire", "--seeds", ","], "error: seeds must be nonempty"),
 ])
 def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, args, message):
     result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+
+
+GRAPH_COMMANDS = {
+    "defect": [],
+    "project": ["--out-matrix", "projected.txt"],
+    "learn": [],
+    "export-operator": [],
+}
+
+
+@pytest.mark.parametrize("command", list(GRAPH_COMMANDS))
+def test_graph_commands_exit_1_when_the_fiedler_operator_is_undefined(runner, tmp_path, command):
+    graph_path = tmp_path / "two_edges.txt"
+    save_graph(graph_from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]), graph_path)
+    extra = [str(tmp_path / arg) if arg.endswith(".txt") else arg
+             for arg in GRAPH_COMMANDS[command]]
+    result = runner.invoke(main, [command, str(graph_path), *extra])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: graph is disconnected" in result.output
+
+
+@pytest.mark.parametrize("command", ["defect", "project", "learn"])
+@pytest.mark.parametrize("operator_args, message", [
+    (["--operator", "garbage.txt"], "error: expected '#pairing n: N' or '#dense n: N' header"),
+    (["--fiedler", "--index-reversal"], "error: choose exactly one of"),
+    (["--operator", "op5.txt"], "error: operator is 5x5 but graph has 4 nodes"),
+])
+def test_graph_commands_exit_2_on_a_bad_operator_before_the_fiedler_operator(
+    runner, tmp_path, command, operator_args, message
+):
+    # the graph is disconnected too: the operator is resolved first, in the load phase
+    graph_path = tmp_path / "two_edges.txt"
+    save_graph(graph_from_edges(["a", "b", "c", "d"], [(0, 1), (2, 3)]), graph_path)
+    (tmp_path / "garbage.txt").write_text("garbage\n", encoding="utf-8")
+    save_operator(validate_involution(np.eye(5)), tmp_path / "op5.txt")
+    extra = [str(tmp_path / arg) if arg.endswith(".txt") else arg
+             for arg in [*operator_args, *GRAPH_COMMANDS[command]]]
+    result = runner.invoke(main, [command, str(graph_path), *extra])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert message in result.output
@@ -367,7 +418,7 @@ def test_installed_entry_point_responds():
     module, func = pyproject["project"]["scripts"]["prism"].split(":")
     code = f"import sys; from {module} import {func}; sys.argv[0] = 'prism'; sys.exit({func}())"
     proc = subprocess.run([sys.executable, "-c", code, "--help"], capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=60, env=child_env())
     assert proc.returncode == 0
     assert "Structural-symmetry diagnostics" in proc.stdout
 
@@ -390,7 +441,7 @@ def test_fresh_interpreter_runs_learn_without_scipy(tmp_path):
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, str(graph_path), str(out_path)],
-                          capture_output=True, text=True, timeout=60, cwd=REPO)
+                          capture_output=True, text=True, timeout=60, cwd=REPO, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     assert json.loads(out_path.read_text(encoding="utf-8"))["iterations"] == 1

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import column_loop_eig, stack_walk_components
+from oracles import check_symmetric, check_weights, column_loop_eig, stack_walk_components
 from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.duality import operator_from_text
 from prism.errors import (
@@ -17,9 +19,8 @@ from prism.errors import (
     ValidationError,
 )
 from prism.graphs import (
+    SYMMETRY_RTOL,
     Graph,
-    _check_symmetric,
-    _check_weights,
     _reach,
     _screen_symmetric,
     _screen_weights,
@@ -304,7 +305,7 @@ def test_screen_weights_gives_each_matrix_the_first_error_of_check_weights():
     stack[3, 1, 1] = stack[3, 2, 0] = stack[3, 0, 2] = -0.5  # diagonal before sign
     stack[4, 3, 1] = stack[4, 1, 3] = -2.0
     stack[5, 0, 0] = np.inf
-    expected = assert_screen_matches(_screen_weights, _check_weights, stack)
+    expected = assert_screen_matches(_screen_weights, check_weights, stack)
     assert [e and e[1] for e in expected[:6]] == [
         None,
         "graph weights contain non-finite entries",
@@ -314,8 +315,8 @@ def test_screen_weights_gives_each_matrix_the_first_error_of_check_weights():
         "graph weights contain non-finite entries",
     ]
     assert all(e is None for e in expected[6:])
-    assert_screen_matches(_screen_weights, _check_weights, np.zeros((0, 3, 3)))
-    assert_screen_matches(_screen_weights, _check_weights, np.zeros((2, 0, 0)))
+    assert_screen_matches(_screen_weights, check_weights, np.zeros((0, 3, 3)))
+    assert_screen_matches(_screen_weights, check_weights, np.zeros((2, 0, 0)))
 
 
 def test_screen_symmetric_gives_each_matrix_the_first_error_of_check_symmetric():
@@ -326,10 +327,52 @@ def test_screen_symmetric_gives_each_matrix_the_first_error_of_check_symmetric()
     stack[2, 0, 1] += 1e-3
     stack[3, 4, 4] = np.nan
     stack[4, 2, 0] = np.inf
-    expected = assert_screen_matches(_screen_symmetric, _check_symmetric, stack)
+    expected = assert_screen_matches(_screen_symmetric, check_symmetric, stack)
     assert [e and e[0] for e in expected] == [None, None, NotSymmetric, NonFinite, NonFinite, None]
-    expected = assert_screen_matches(_screen_symmetric, _check_symmetric, np.zeros((2, 0, 0)))
+    expected = assert_screen_matches(_screen_symmetric, check_symmetric, np.zeros((2, 0, 0)))
     assert expected == [(ValidationError, "expected a square matrix, got shape (0, 0)")] * 2
+
+
+# Faults injected into one matrix of a stack. The asymmetries land at, just
+# inside, just outside and well outside SYMMETRY_RTOL: the perturbation e at
+# (i, j) gives ||M - M^T||_F = e * sqrt(2) against SYMMETRY_RTOL * max(1, ||M||_F).
+ASYMMETRY = {"asymmetric at": 1.0, "asymmetric inside": 1.0 - 1e-6,
+             "asymmetric just outside": 1.0 + 1e-6, "asymmetric outside": 1e3}
+FAULTS = ["nan", "inf", "-inf", "negative", "diagonal", *ASYMMETRY]
+
+
+def inject(m, fault, rng):
+    n = len(m)
+    i, j = rng.choice(n, size=2, replace=False) if n >= 2 else (0, 0)
+    if fault in ("nan", "inf", "-inf"):
+        m[i, j] = float(fault)
+    elif fault == "negative":
+        m[i, j] = m[j, i] = -rng.random() - 0.5
+    elif fault == "diagonal":
+        m[i, i] = rng.random() + 0.5
+    elif n >= 2 and np.isfinite(m).all():
+        bound = SYMMETRY_RTOL * max(1.0, np.linalg.norm(m))
+        m[i, j] += ASYMMETRY[fault] * bound / math.sqrt(2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 5),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    faults=st.lists(st.lists(st.sampled_from(FAULTS), max_size=3), max_size=5),
+)
+def test_screens_give_every_matrix_the_first_error_of_the_reference_checks(
+    seed, n, scale, faults
+):
+    rng = np.random.default_rng(seed)
+    stack = scale * random_weight_stack(rng, len(faults), n)
+    for m, matrix_faults in zip(stack, faults):
+        if n >= 1:
+            for fault in matrix_faults:
+                inject(m, fault, rng)
+    assert_screen_matches(_screen_weights, check_weights, stack)
+    assert_screen_matches(_screen_symmetric, check_symmetric, stack)
 
 
 def test_fiedler_vector_of_path():

@@ -21,7 +21,7 @@ from prism.duality import (
     operator_from_text,
     validate_involution,
 )
-from prism.errors import NonFinite, ValidationError
+from prism.errors import DimensionMismatch, NonFinite, ValidationError
 from prism.graphs import fiedler_vector, graph_from_edges, laplacian
 from prism.learn import (
     AlternatingConfig,
@@ -177,8 +177,14 @@ def test_optimize_p_step_never_increases_commutator():
 
 def test_optimize_p_step_shape_mismatch():
     p0 = validate_involution(np.eye(2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(DimensionMismatch, match=r"matrix shape \(3, 3\) does not match"):
         optimize_p_step(np.zeros((3, 3)), p0)
+
+
+def test_optimize_p_step_rejects_non_finite_input_before_optimizing():
+    p0 = validate_involution(np.eye(2))
+    with pytest.raises(NonFinite, match="matrix contains non-finite entries"):
+        optimize_p_step(np.array([[1.0, np.nan], [np.nan, 1.0]]), p0)
 
 
 def test_alternate_exits_immediately_on_commuting_pair():
