@@ -13,18 +13,20 @@ onto the commutant of the clean graph's mirror operator.
 All randomness flows from integer seeds through one splitting rule
 (child_seed), so results are identical across runs and chunkings.
 The noise benchmark's kernel (_noise_chunk) takes one level's trials
-NOISE_CHUNK at a time: the flips are drawn trial by trial, then the chunk
-shares one stack of Graph checks and connectivity walks (redrawing only the
-disconnected trials), one Laplacian stack, one eigh for the baseline and RMT
-labels, commutant_projection's own gather and average on the whole stack,
-and one eigh of the projections. Each step is the per-matrix API's own
-helper, so each trial gets the bits and the first error of its own
-per-matrix pipeline. The chunks run one after another, and all labels are
-scored in one pass at the end (_accuracies, which accuracy runs on one row).
-The flips (_flip_weights) read PCG64's raw words and apply Generator's own
-conversions to them (_RawDraws), so they are those of the Generator calls;
-the oracle tests call the Generator itself, so a numpy change to either
-conversion fails them instead of silently changing the output.
+NOISE_CHUNK at a time: the chunk's flips are planned in one pass, then the
+chunk shares one stack of Graph checks and connectivity walks (redrawing
+only the disconnected trials), one Laplacian stack, one eigh for the
+baseline and RMT labels, commutant_projection's own gather and average on
+the whole stack, and the projections' block form: L' = (L + PLP)/2
+commutes with P, so its spectrum is that of two half-size blocks
+(duality._commutant_blocks), and only the block holding the Fiedler value
+is decomposed with vectors. The chunks run one after another, and all
+labels are scored in one pass at the end (_accuracies, which accuracy runs
+on one row). The flips (_flip_chunk) read each trial's raw PCG64 words once
+and apply Generator's own conversions to them for all its flips at once
+(_flip_plans), so they are those of the Generator calls; the oracle tests
+call the Generator itself, so a numpy change to either conversion fails
+them instead of silently changing the output.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import numpy as np
 from .duality import (
     DualityOperator,
     _commutant_average,
+    _commutant_blocks,
     _conjugate,
     duality_defect,
     permutation_operator,
@@ -58,6 +61,7 @@ from .graphs import (
     _reach,
     _screen_symmetric,
     _screen_weights,
+    _sign_rule,
     _signed_eigh,
     fiedler_vector,
     graph_from_edges,
@@ -125,6 +129,7 @@ def generate_dual_network(
     times before failing.
     """
     m = group_size
+    _check_seed(seed)
     if m < 2:
         raise ValidationError(f"group_size must be at least 2, got {m}")
     for prob in (edge_prob_intra, edge_prob_cross):
@@ -156,6 +161,11 @@ def generate_dual_network(
     )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+
+
 def _check_fraction(fraction: float) -> None:
     if not 0.0 <= fraction <= 1.0:
         raise ValidationError(f"fraction {fraction} outside [0, 1]")
@@ -170,6 +180,7 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     deleted before the first one is reinserted.
     """
     _check_fraction(fraction)
+    _check_seed(seed)
     rows, cols = np.nonzero(np.triu(g.weights, 1))  # the order of g.edges()
     if len(rows) == 0:
         raise ValidationError("rewire requires at least one edge")
@@ -193,62 +204,8 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     return Graph(labels=g.labels, weights=w)
 
 
-_RAW_BLOCK = 64  # raw words fetched per refill; a 5% club draw uses about 42
-_UINT32_RANGE = 1 << 32
 _COIN_CUT = 1 << 63
-
-
-class _RawDraws:
-    """Generator draws rebuilt from raw PCG64 words, without a call per draw.
-
-    coin() equals `rng.random() < 0.5` and below(k) equals `rng.integers(k)`
-    for `rng = np.random.default_rng(seed)`, interleaved in any order:
-    - random() is (word >> 11) * 2**-53, so it is below 0.5 exactly when the
-      word is below 2**63; it consumes one whole word.
-    - integers(k) takes nothing for k = 1. Otherwise it takes 32-bit values
-      from PCG64's half-word buffer (the low half of a fresh word, then that
-      word's high half at the next bounded draw; whole-word draws leave the
-      buffer alone) and applies Lemire's multiply-shift with rejection.
-    Words are read in blocks of _RAW_BLOCK, so memory does not grow with the
-    number of draws.
-    """
-
-    __slots__ = ("_raw", "_words", "_high")
-
-    def __init__(self, seed: int) -> None:
-        self._raw = np.random.default_rng(seed).bit_generator.random_raw
-        self._words = iter(())  # the unread rest of the current block
-        self._high: int | None = None  # the buffered high half, if any
-
-    def _word(self) -> int:
-        word = next(self._words, None)
-        if word is None:
-            self._words = iter(self._raw(_RAW_BLOCK).tolist())
-            word = next(self._words)
-        return word
-
-    def _uint32(self) -> int:
-        high = self._high
-        if high is not None:
-            self._high = None
-            return high
-        word = self._word()
-        self._high = word >> 32
-        return word & 0xFFFFFFFF
-
-    def coin(self) -> bool:
-        return self._word() < _COIN_CUT
-
-    def below(self, k: int) -> int:
-        assert 1 <= k < _UINT32_RANGE
-        if k == 1:
-            return 0
-        m = self._uint32() * k
-        if m & 0xFFFFFFFF < k:  # k bounds the threshold; skip the modulo above it
-            threshold = (_UINT32_RANGE - k) % k
-            while m & 0xFFFFFFFF < threshold:
-                m = self._uint32() * k
-        return m >> 32
+_LOW_HALF = 0xFFFFFFFF
 
 
 def flip_edges(g: Graph, count: int, seed: int) -> Graph:
@@ -257,50 +214,165 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     Each flip removes a uniformly chosen existing edge with probability 1/2,
     otherwise adds a unit-weight edge at a uniformly chosen empty slot.
     Degenerate draws (nothing to remove / nowhere to add) fall through to the
-    other action. See _flip_weights for the draws.
+    other action. See _flip_chunk for the draws.
     """
-    return Graph(labels=g.labels, weights=_flip_weights(g.weights, count, seed))
+    _check_seed(seed)
+    return Graph(labels=g.labels, weights=_flip_chunk(g.weights, count, [seed])[0])
 
 
-def _flip_weights(weights: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """flip_edges on a weight matrix: a new matrix, unchecked.
+def _flip_chunk(weights: np.ndarray, count: int, seeds: list[int]) -> np.ndarray:
+    """flip_edges on a weight matrix once per seed: a new (len(seeds), n, n) stack, unchecked.
 
     Both slot lists hold flat indices i*n + j of upper-triangle slots in
     ascending (row-major) order, so each draw indexes the same slot as a
-    rebuild of the lists before every flip. The coin and index draws are
-    `default_rng(seed)`'s random() < 0.5 and integers(k), converted from raw
-    PCG64 words by _RawDraws the way Generator converts them. The oracle
-    tests compare with a reference that calls the Generator, so a numpy
-    change to either conversion fails them instead of changing the flips.
+    rebuild of the lists before every flip. They are built once, and each
+    trial applies its plan (_flip_plans) to copies of them; the planned
+    draws are `default_rng(seed)`'s random() < 0.5 and integers(k). The
+    oracle tests compare with a reference that calls the Generator, so a
+    numpy change to either conversion fails them instead of changing the
+    flips.
     """
     if count < 0:
         raise ValidationError(f"count must be nonnegative, got {count}")
-    w = weights.copy()
-    n = w.shape[0]
+    n = weights.shape[0]
+    stack = np.repeat(weights[None], len(seeds), axis=0)
+    if count == 0:
+        return stack
     slots = np.flatnonzero(~np.tri(n, dtype=bool))
-    present = w.ravel()[slots] > 0.0
-    edges = slots[present].tolist()
-    empty = slots[~present].tolist()
-    draws = _RawDraws(seed)
-    for _ in range(count):
-        remove = draws.coin()
-        if remove and not edges:
-            remove = False
-        if not remove and not empty:
-            remove = True
-        if remove and not edges:
-            break  # n < 2: no slots at all
-        if remove:
-            slot = edges.pop(draws.below(len(edges)))
-            bisect.insort(empty, slot)
-            weight = 0.0
-        else:
-            slot = empty.pop(draws.below(len(empty)))
-            bisect.insort(edges, slot)
-            weight = 1.0
-        i, j = divmod(slot, n)
-        w[i, j] = w[j, i] = weight
-    return w
+    present = weights.ravel()[slots] > 0.0
+    empty, edges = slots[~present].tolist(), slots[present].tolist()
+    raws = [np.random.PCG64(s).random_raw for s in seeds]
+    insort = bisect.insort
+    for w, (removes, picks) in zip(stack, _flip_plans(raws, count, len(edges), len(slots))):
+        now_empty, now_edges = empty.copy(), edges.copy()
+        pop_edge, pop_empty = now_edges.pop, now_empty.pop
+        touched = []
+        for remove, pick in zip(removes, picks):
+            if remove:
+                slot = pop_edge(pick)
+                insort(now_empty, slot)
+            else:
+                slot = pop_empty(pick)
+                insort(now_edges, slot)
+            touched.append(slot)
+        # a touched slot ends as an edge of weight 1.0 or as empty
+        touched = np.array(touched, dtype=np.intp)
+        added = np.zeros(n * n, dtype=bool)
+        added[now_edges] = True
+        flat = w.reshape(-1)
+        flat[touched] = flat[touched % n * n + touched // n] = added[touched]
+    return stack
+
+
+def _flip_plans(raws: list, count: int, edges: int, slots: int) -> list[tuple[list, list]]:
+    """Each trial's (remove flags, list positions), from its PCG64 random_raw.
+
+    A flip's coin is Generator.random() < 0.5, which is a whole raw word
+    below 2**63. Its list position is Generator.integers(size): for size 1
+    it draws nothing; otherwise it takes a 32-bit half from PCG64's buffer
+    (the low half of a fresh word, then that word's high half at the next
+    bounded draw; coins leave the buffer alone) and applies Lemire's
+    multiply-shift, redrawing while the product's low half is below
+    (2**32 - size) % size. The list sizes follow from the coins, so every
+    trial is planned for all its flips at once (_regular_flips), one
+    stack for the whole chunk. A trial's plan stops at its first irregular
+    flip: a list of size 0 (the draw falls through to the other list, or
+    there are no slots and the flips stop), a list of size 1, or a product
+    that may be redrawn. That flip, and any next one that takes the
+    buffered high half, is read word by word; then the rest is planned again.
+    """
+    need = count + (count + 1) // 2  # the words of a trial without irregular flips
+    words = np.stack([raw(need) for raw in raws])
+    first = _regular_flips(words, 0, edges, slots, count)
+    removes, picks, _, _, regular = first
+    plans = list(zip(removes.tolist(), picks.tolist()))
+    for b in np.flatnonzero(regular < count):
+        plans[b] = _finish_plan(raws[b], words[b], first, b, count, slots)
+    return plans
+
+
+def _regular_flips(words: np.ndarray, start: int, edges: int, slots: int, flips: int) -> tuple:
+    """Plan `flips` flips for each row of words (B, W) from word start, no half buffered.
+
+    Flip k's coin is word start + k + ceil(k/2). Its half is the low half of
+    the next word for even k, and for odd k the high half of the word before
+    its coin (the previous flip's fresh word). Returns the remove flags, the
+    list positions and the edge counts before each flip (B, flips), the coin
+    words (flips,) and each row's number of flips before its first
+    irregular one (B,).
+    """
+    k = np.arange(flips)
+    even = k % 2 == 0
+    coin_at = start + k + (k + 1) // 2
+    removes = words[:, coin_at] < _COIN_CUT
+    halves = words[:, coin_at + np.where(even, 1, -1)]
+    halves = np.where(even, halves & _LOW_HALF, halves >> 32)
+    steps = np.where(removes, -1, 1)
+    before = edges + np.cumsum(steps, axis=1) - steps
+    # past a row's first irregular flip the sizes are meaningless (and may wrap)
+    sizes = np.where(removes, before, slots - before).astype(np.uint64)
+    products = halves * sizes
+    irregular = (sizes <= 1) | ((products & _LOW_HALF) < sizes)
+    regular = np.where(irregular.any(axis=1), irregular.argmax(axis=1), flips)
+    return removes, products >> 32, before, coin_at, regular
+
+
+def _finish_plan(raw, words: np.ndarray, segment: tuple, row: int, count: int, slots: int):
+    """One trial's plan, from the first irregular flip of its row of segment on; see _flip_plans.
+
+    segment is _regular_flips' output for the whole chunk, raw and words are
+    the trial's random_raw and the words already read from it.
+    """
+    removes: list = []
+    picks: list = []
+
+    def word(pos: int) -> int:
+        nonlocal words
+        if pos >= len(words):  # only Lemire redraws read past the planned words
+            words = np.concatenate([words, raw(pos + 1 - len(words))])
+        return int(words[pos])
+
+    while True:
+        seg_removes, seg_picks, before, coin_at, regular = segment
+        done = int(regular[row])
+        removes += seg_removes[row, :done].tolist()
+        picks += seg_picks[row, :done].tolist()
+        if len(removes) == count:
+            return removes, picks
+        pos = int(coin_at[done])
+        high = word(pos - 1) >> 32 if done % 2 else None
+        edges = int(before[row, done])
+        while True:  # one flip, word by word
+            remove = word(pos) < _COIN_CUT
+            pos += 1
+            if remove and edges == 0:
+                remove = False
+            if not remove and edges == slots:
+                remove = True
+            if remove and edges == 0:
+                return removes, picks  # no slots at all
+            size = edges if remove else slots - edges
+            product = 0
+            while size > 1:
+                if high is None:
+                    half, high = word(pos) & _LOW_HALF, word(pos) >> 32
+                    pos += 1
+                else:
+                    half, high = high, None
+                product = half * size
+                if product & _LOW_HALF >= ((1 << 32) - size) % size:
+                    break
+            removes.append(remove)
+            picks.append(product >> 32)
+            edges += -1 if remove else 1
+            if len(removes) == count:
+                return removes, picks
+            if high is None:
+                break
+        left = count - len(removes)
+        word(pos + left + (left + 1) // 2 - 1)  # read ahead the segment's words
+        segment = _regular_flips(words[None], pos, edges, slots, left)
+        row = 0
 
 
 def index_reversal_operator(n: int) -> DualityOperator:
@@ -435,6 +507,8 @@ def _check_rewire_lists(fractions: list[float], seeds: list[int]) -> None:
         raise ValidationError("seeds must be nonempty")
     for fraction in fractions:
         _check_fraction(fraction)
+    for seed in seeds:
+        _check_seed(seed)
 
 
 def rewire_experiment(
@@ -552,12 +626,15 @@ def _noise_chunk(
     seed. The chunk's draws are stacked for the Graph checks and the walk
     from node 0, and only the disconnected ones are redrawn, with the next
     attempt's seed. The connected graphs then share one Laplacian stack,
-    one checked eigh with the sign rule on every column (baseline and RMT
-    labels), the projection (L + PLP) / 2 onto the commutant of the club's
-    operator with commutant_projection's steps, and one checked eigh of the
-    projections for their Fiedler labels. Every trial gets the bits of its
-    own per-matrix pipeline; when trials fail, the lowest one's PrismError
-    is raised, the error a trial-by-trial loop would meet first.
+    one checked eigh with the sign rule (baseline and RMT labels; only the
+    trials with two eigenvalues at the RMT cutoff take _spectral_labels),
+    the projection (L + PLP) / 2 onto the commutant of the club's operator
+    with commutant_projection's steps and its checks, and the projections'
+    Fiedler vectors from their block form (_projected_fiedler). The
+    baseline and RMT labels have the bits of each trial's per-matrix
+    pipeline, and the projected labels those of a per-trial block form;
+    when trials fail, the lowest one's PrismError is raised, the error a
+    trial-by-trial loop would meet first.
     """
     size, n = len(trials), clean.n
     errors: list = [None] * size
@@ -565,10 +642,10 @@ def _noise_chunk(
     attempts = np.zeros(size, dtype=int)
     pending = list(range(size))
     for attempt in range(MAX_NOISE_ATTEMPTS):
-        for b in pending:
-            weights[b] = _flip_weights(
-                clean.weights, count, child_seed(seed, level_index, trials[b], attempt)
-            )
+        weights[pending] = _flip_chunk(
+            clean.weights, count,
+            [child_seed(seed, level_index, trials[b], attempt) for b in pending],
+        )
         attempts[pending] = attempt
         drawn = weights[pending]
         keep = _screen_weights(drawn, pending, errors)
@@ -588,15 +665,48 @@ def _noise_chunk(
     values, vectors = _signed_eigh(lap)
     projected = _commutant_average(lap, _conjugate(lap, operator))
     keep = _screen_symmetric(projected, good, errors)
-    fiedler = _signed_eigh(projected[keep], slice(1, 2))[1][:, :, 0]
+    fiedler = _projected_fiedler(projected[keep], operator.sigma)
     failed = [error for error in errors if error is not None]
     if failed:
         raise failed[0]
     labels = np.empty((size, 3, n), dtype=np.int8)
-    for b in range(size):
+    labels[:, 0] = labels[:, 1] = vectors[:, :, 1] >= 0.0
+    # The RMT labels leave the Fiedler fallback only where two eigenvalues reach
+    # the cutoff; the screen's cutoff sits 1e-9 low, so a last-bit difference
+    # between the stacked and the per-trial mean cannot hide a trial from it.
+    cutoff = 4.0 * values.mean(axis=1, keepdims=True) * (1.0 - 1e-9)
+    for b in np.flatnonzero(np.count_nonzero(values >= cutoff, axis=1) >= 2):
         labels[b, :2] = _spectral_labels(values[b], vectors[b])
     labels[:, 2] = fiedler >= 0.0
     return labels, attempts
+
+
+def _projected_fiedler(projected: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Sign-fixed Fiedler vectors (B, n) of a stack in the commutant of P = I[sigma].
+
+    The spectrum comes from the block form (_commutant_blocks): eigvalsh of
+    every V+ block and eigh of every V- block. The Fiedler value is the
+    second-smallest of their union, and an exact tie between the sectors
+    goes to V+. Only the matrices whose Fiedler value lies in V+ take eigh of
+    their V+ block. The chosen block column is lifted back to the nodes and
+    given symmetric_eig's sign rule.
+    """
+    plus, minus, rows, scales = _commutant_blocks(projected, sigma)
+    plus_values = np.linalg.eigvalsh(plus)
+    minus_values, minus_vectors = np.linalg.eigh(minus)
+    union = np.concatenate([plus_values, minus_values], axis=-1)
+    second = np.argsort(union, axis=-1, kind="stable")[:, 1]  # V+ first on ties
+    in_minus = second >= plus.shape[-1]
+    fiedler = np.empty(projected.shape[:2])
+    chosen = np.flatnonzero(in_minus)
+    if chosen.size:
+        vectors = minus_vectors[chosen, :, second[chosen] - plus.shape[-1]]
+        fiedler[chosen] = vectors[:, rows[1]] * scales[1]
+    chosen = np.flatnonzero(~in_minus)
+    if chosen.size:
+        vectors = np.linalg.eigh(plus[chosen])[1][np.arange(chosen.size), :, second[chosen]]
+        fiedler[chosen] = vectors[:, rows[0]] * scales[0]
+    return _sign_rule(fiedler[:, :, None])[:, :, 0]
 
 
 def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchmarkReport:
@@ -616,6 +726,7 @@ def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchma
         raise ValidationError("noise levels must lie in [0, 1]")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
+    _check_seed(seed)
     clean, truth = karate_club()
     operator = fiedler_duality_operator(clean)
     pairs = clean.n * (clean.n - 1) // 2

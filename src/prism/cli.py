@@ -80,8 +80,6 @@ def _parse_seed_list(text: str) -> list[int]:
                 seeds.append(int(part))
         except ValueError:
             raise ParseError(f"bad seed {part!r} in {text!r}") from None
-    if any(seed < 0 for seed in seeds):
-        raise ValidationError(f"seeds must be nonnegative, got {text!r}")
     return seeds
 
 

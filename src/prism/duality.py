@@ -9,6 +9,7 @@ anti-commuting part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +160,50 @@ def _commutant_average(l_matrix: np.ndarray, conjugate: np.ndarray) -> np.ndarra
     projected = conjugate + np.swapaxes(conjugate, -1, -2)
     projected /= 2.0
     return projected
+
+
+def _commutant_blocks(
+    m: np.ndarray, sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The V+ and V- blocks of a (..., n, n) stack in the commutant of P = I[sigma].
+
+    P's +1 eigenspace V+ has the pair sums (e_a + e_b)/sqrt2 (a < b = sigma[a],
+    in order of a) and then the fixed points e_f; V- has the pair differences
+    (e_a - e_b)/sqrt2. A matrix with m[sigma_i, sigma_j] == m[i, j] is
+    block-diagonal in that basis, so its blocks are gathers of m: for pairs
+    (a, b) and (c, d), plus = m[a, c] + m[a, d] and minus = m[a, c] - m[a, d];
+    between pair (a, b) and fixed point f plus is sqrt2 * m[a, f], and
+    between fixed points m[f, g]. The average (L + PLP)/2 and its symmetrised
+    form have that symmetry bit for bit (the swap permutes the terms of each
+    sum), so both blocks come out exactly symmetric.
+
+    Returns plus (..., p + f, p + f), minus (..., p, p) and the lift back:
+    a block vector y of sector s (0 for V+, 1 for V-) is the node vector
+    y[..., rows[s]] * scales[s], unit norm for unit y (V- is 0 on fixed points).
+    """
+    n = sigma.shape[0]
+    nodes = np.arange(n)
+    heads = np.flatnonzero(nodes < sigma)
+    tails = sigma[heads]
+    fixed = np.flatnonzero(nodes == sigma)
+    pairs = heads.size
+    root2 = math.sqrt(2.0)
+    across = m[..., heads[:, None], tails]
+    within = m[..., heads[:, None], heads]
+    minus = within - across
+    plus = np.empty(m.shape[:-2] + (n - pairs, n - pairs))
+    plus[..., :pairs, :pairs] = within + across
+    plus[..., :pairs, pairs:] = root2 * m[..., heads[:, None], fixed]
+    plus[..., pairs:, :pairs] = root2 * m[..., fixed[:, None], heads]
+    plus[..., pairs:, pairs:] = m[..., fixed[:, None], fixed]
+    rows = np.zeros((2, n), dtype=np.intp)
+    scales = np.zeros((2, n))
+    rows[:, heads] = rows[:, tails] = np.arange(pairs)
+    rows[0, fixed] = pairs + np.arange(fixed.size)
+    scales[:, heads] = scales[0, tails] = 1.0 / root2
+    scales[1, tails] = -1.0 / root2
+    scales[0, fixed] = 1.0
+    return plus, minus, rows, scales
 
 
 def commutator_norm(l_matrix: np.ndarray, p: DualityOperator) -> float:

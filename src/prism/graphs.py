@@ -221,14 +221,20 @@ def _signed_eigh(m: np.ndarray, columns: slice = slice(None)) -> tuple[np.ndarra
     """symmetric_eig's decomposition of each matrix of a (..., n, n) stack, unchecked.
 
     Returns the ascending eigenvalues and the eigenvector columns picked by
-    columns, each flipped so its largest-magnitude entry is positive (ties
-    go to the lowest index, as np.argmax returns the first maximum).
+    columns, with the sign rule (_sign_rule) applied.
     """
     values, vectors = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
-    vectors = vectors[..., columns]
+    return values, _sign_rule(vectors[..., columns])
+
+
+def _sign_rule(vectors: np.ndarray) -> np.ndarray:
+    """The columns of a (..., n, k) array, each flipped so its largest-magnitude entry is positive.
+
+    Ties go to the lowest index, as np.argmax returns the first maximum.
+    """
     lead = np.argmax(np.abs(vectors), axis=-2)
     flip = np.take_along_axis(vectors, lead[..., None, :], axis=-2) < 0.0
-    return values, np.where(flip, -vectors, vectors)
+    return np.where(flip, -vectors, vectors)
 
 
 def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:

@@ -11,15 +11,20 @@ the defect, projection and involution check with dense products and an
 eigendecomposition instead of index gathers and a trace, rewiring from the
 list of edge tuples, the mirror network filled one node pair at a time,
 connected components by a stack walk that visits one node per step, the
-Fiedler pairing one rank at a time, the community coupling table from one
-list of node pairs per block, each finance window through its own
-kept-ticker range test, Graph, components walk, eigendecomposition and
-operator instead of the stacked per-chunk kernel, and the Graph weight and
-symmetric_eig input checks one matrix at a time instead of by stack masks.
+Fiedler pairing one rank at a time, the projection's block form from loops
+over the pairs of P and its Fiedler sector one matrix at a time, the flip
+draws one Generator conversion at a time from raw PCG64 words, the
+community coupling table from one list of node pairs per block, each
+finance window through its own kept-ticker range test, Graph, components
+walk, eigendecomposition and operator instead of the stacked per-chunk
+kernel, and the Graph weight and symmetric_eig input checks one matrix at a
+time instead of by stack masks.
 Agreement between the two routes is the test.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -171,6 +176,81 @@ def rebuild_flip_edges(weights: np.ndarray, count: int, seed: int) -> np.ndarray
     return np.array(w, dtype=float).reshape(n, n)
 
 
+RAW_BLOCK = 64  # raw words RawDraws fetches per refill
+
+
+class RawDraws:
+    """Generator draws rebuilt from raw PCG64 words, one call per draw.
+
+    coin() equals `rng.random() < 0.5` and below(k) equals `rng.integers(k)`
+    for `rng = np.random.default_rng(seed)`, interleaved in any order, when
+    raw is `rng.bit_generator.random_raw` (or a fresh PCG64(seed)'s):
+    - random() is (word >> 11) * 2**-53, so it is below 0.5 exactly when the
+      word is below 2**63; it consumes one whole word.
+    - integers(k) takes nothing for k = 1. Otherwise it takes 32-bit values
+      from PCG64's half-word buffer (the low half of a fresh word, then that
+      word's high half at the next bounded draw; whole-word draws leave the
+      buffer alone) and applies Lemire's multiply-shift with rejection.
+    Words are read from raw in blocks of RAW_BLOCK.
+    """
+
+    def __init__(self, raw) -> None:
+        self._raw = raw
+        self._words = iter(())  # the unread rest of the current block
+        self._high: int | None = None  # the buffered high half, if any
+
+    def _word(self) -> int:
+        word = next(self._words, None)
+        if word is None:
+            self._words = iter(self._raw(RAW_BLOCK).tolist())
+            word = next(self._words)
+        return word
+
+    def _uint32(self) -> int:
+        high = self._high
+        if high is not None:
+            self._high = None
+            return high
+        word = self._word()
+        self._high = word >> 32
+        return word & 0xFFFFFFFF
+
+    def coin(self) -> bool:
+        return self._word() < 1 << 63
+
+    def below(self, k: int) -> int:
+        assert 1 <= k < 1 << 32
+        if k == 1:
+            return 0
+        m = self._uint32() * k
+        threshold = ((1 << 32) - k) % k
+        while m & 0xFFFFFFFF < threshold:
+            m = self._uint32() * k
+        return m >> 32
+
+
+def raw_draw_plan(raw, count: int, edges: int, slots: int) -> tuple[list, list]:
+    """flip_edges' (remove flags, list positions), drawn flip by flip with RawDraws.
+
+    edges and slots are the starting edge count and the number of node
+    pairs; a flip that finds no slots at all ends the plan.
+    """
+    draws = RawDraws(raw)
+    removes, picks = [], []
+    for _ in range(count):
+        remove = draws.coin()
+        if remove and edges == 0:
+            remove = False
+        if not remove and edges == slots:
+            remove = True
+        if remove and edges == 0:
+            break
+        picks.append(draws.below(edges if remove else slots - edges))
+        removes.append(remove)
+        edges += -1 if remove else 1
+    return removes, picks
+
+
 def column_loop_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh with the sign rule applied one column at a time.
 
@@ -206,13 +286,73 @@ def reference_rmt_labels(lap: np.ndarray) -> np.ndarray:
     return (vectors[:, int(surviving[0])] >= 0.0).astype(int)
 
 
+def rounding_level(v: np.ndarray) -> np.ndarray:
+    """Mask of the entries with |v_i| <= n * eps * ||v||_inf, whose sign rounding may decide."""
+    v = np.asarray(v, dtype=float)
+    size = np.max(np.abs(v), axis=-1, keepdims=True)
+    return np.abs(v) <= v.shape[-1] * np.finfo(float).eps * size
+
+
+def block_form_fiedler(projected: np.ndarray, sigma) -> np.ndarray:
+    """Sign-fixed Fiedler vector of one matrix in the commutant of P = I[sigma], by blocks.
+
+    The V+ and V- blocks are filled entry by entry from loops over the
+    pairs (a, b), a < b = sigma[a] in order of a, and then the fixed points:
+    plus = m[a, c] + m[a, d], minus = m[a, c] - m[a, d], sqrt2 * m[a, f]
+    between a pair and a fixed point and m[f, g] between fixed points. The
+    Fiedler value is the second-smallest of the two blocks' eigenvalues
+    (eigvalsh of V+, eigh of V-), V+ first on an exact tie; its block
+    column (eigh of V+ when it lies there) is lifted one node at a time and
+    given the sign rule of column_loop_eig.
+    """
+    m = np.asarray(projected, dtype=float)
+    sigma = [int(s) for s in sigma]
+    pairs = [(a, b) for a, b in enumerate(sigma) if a < b]
+    fixed = [f for f, s in enumerate(sigma) if f == s]
+    root2 = math.sqrt(2.0)
+    size = len(pairs) + len(fixed)
+    plus = np.zeros((size, size))
+    minus = np.zeros((len(pairs), len(pairs)))
+    for p, (a, _) in enumerate(pairs):
+        for q, (c, d) in enumerate(pairs):
+            plus[p, q] = m[a, c] + m[a, d]
+            minus[p, q] = m[a, c] - m[a, d]
+        for g, f in enumerate(fixed):
+            plus[p, len(pairs) + g] = root2 * m[a, f]
+            plus[len(pairs) + g, p] = root2 * m[f, a]
+    for g, f in enumerate(fixed):
+        for h, e in enumerate(fixed):
+            plus[len(pairs) + g, len(pairs) + h] = m[f, e]
+    plus_values = np.linalg.eigvalsh(plus)
+    minus_values, minus_vectors = np.linalg.eigh(minus)
+    union = [(value, 0, k) for k, value in enumerate(plus_values)]
+    union += [(value, 1, k) for k, value in enumerate(minus_values)]
+    _, sector, column = sorted(union)[1]  # sorting (value, sector) puts V+ first on ties
+    v = np.zeros(len(sigma))
+    if sector == 0:
+        y = np.linalg.eigh(plus)[1][:, column]
+        for p, (a, b) in enumerate(pairs):
+            v[a] = v[b] = y[p] * (1.0 / root2)
+        for g, f in enumerate(fixed):
+            v[f] = y[len(pairs) + g]
+    else:
+        y = minus_vectors[:, column]
+        for p, (a, b) in enumerate(pairs):
+            v[a] = y[p] * (1.0 / root2)
+            v[b] = y[p] * (-1.0 / root2)
+    lead = int(np.argmax(np.abs(v)))
+    return -v if v[lead] < 0.0 else v
+
+
 def per_trial_noise_cells(levels, trials: int, seed: int) -> list[list[tuple]]:
     """noise_benchmark's cells, one after another, each method on its own.
 
     Every cell redraws until the noisy club graph is connected, then runs the
     baseline, the RMT labels and the projected baseline as three separate
-    pipelines, each with its own eigendecomposition. Returns, per level, one
-    ((baseline, rmt, prism) accuracies, resample count) pair per trial.
+    pipelines, each with its own eigendecomposition; the projected labels
+    come from the projection's block form (block_form_fiedler). Returns, per
+    level, one ((baseline, rmt, prism) accuracies, resample count) pair per
+    trial.
     """
     clean, truth = karate_club()
     operator = fiedler_duality_operator(clean)
@@ -233,7 +373,7 @@ def per_trial_noise_cells(levels, trials: int, seed: int) -> list[list[tuple]]:
             level_cells.append(((
                 mean_accuracy(reference_fiedler_labels(lap), truth),
                 mean_accuracy(reference_rmt_labels(lap), truth),
-                mean_accuracy(reference_fiedler_labels(projected), truth),
+                mean_accuracy(block_form_fiedler(projected, operator.sigma) >= 0.0, truth),
             ), attempt))
         cells.append(level_cells)
     return cells

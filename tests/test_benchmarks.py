@@ -8,24 +8,27 @@ import pytest
 
 import oracles
 from oracles import (
+    RAW_BLOCK,
+    RawDraws,
+    column_loop_eig,
     double_sum_modularity,
     loop_dual_network,
     mean_accuracy,
     noise_rows_from_cells,
     per_trial_noise_cells,
     per_trial_noise_rows,
+    raw_draw_plan,
     rebuild_flip_edges,
     reference_rewire,
     reference_rmt_labels,
+    rounding_level,
 )
 from prism import benchmarks
 from prism.benchmarks import (
-    _RAW_BLOCK,
     KARATE_FACTIONS,
     NoiseBenchmarkReport,
     RewireReport,
     _accuracies,
-    _RawDraws,
     accuracy,
     child_seed,
     fiedler_bipartition,
@@ -54,7 +57,9 @@ from prism.errors import (
     ValidationError,
     ZeroEdges,
 )
-from prism.graphs import Graph, graph_from_edges, is_connected, laplacian
+from prism.duality import commutant_projection
+from prism.graphs import Graph, fiedler_vector, graph_from_edges, is_connected, laplacian
+from prism.learn import fiedler_duality_operator
 
 
 def test_child_seed_is_deterministic_and_path_sensitive():
@@ -290,8 +295,8 @@ def test_raw_draws_match_the_generator_calls():
     for seed in range(60):
         script = np.random.default_rng(seed + 1000)
         rng = np.random.default_rng(seed)
-        draws = _RawDraws(seed)
-        steps = 8 * _RAW_BLOCK  # several block refills
+        draws = RawDraws(np.random.PCG64(seed).random_raw)
+        steps = 8 * RAW_BLOCK  # several block refills
         for _ in range(steps):
             if script.random() < 0.4:
                 assert draws.coin() == (rng.random() < 0.5)
@@ -314,9 +319,9 @@ def test_flip_edges_matches_the_reference_across_blocks_and_fall_throughs():
     empty_three = Graph(labels=("a", "b", "c"), weights=np.zeros((3, 3)))
     readded = 0
     for seed in range(20):
-        # each flip takes a whole word for its coin, so this outruns one block
-        expected = rebuild_flip_edges(twelve.weights, 3 * _RAW_BLOCK, seed)
-        assert flip_edges(twelve, 3 * _RAW_BLOCK, seed).weights.tobytes() == expected.tobytes()
+        # long runs: 192 flips, planned from 288 raw words
+        expected = rebuild_flip_edges(twelve.weights, 3 * RAW_BLOCK, seed)
+        assert flip_edges(twelve, 3 * RAW_BLOCK, seed).weights.tobytes() == expected.tobytes()
         for count in (2, 5, 9):
             produced = flip_edges(twelve, count, seed).weights
             assert produced.tobytes() == rebuild_flip_edges(twelve.weights, count, seed).tobytes()
@@ -329,15 +334,52 @@ def test_flip_edges_matches_the_reference_across_blocks_and_fall_throughs():
     assert readded > 0
 
 
+def scripted_raw(prefix: list[int], seed: int):
+    """PCG64(seed)'s random_raw with the words of prefix read first."""
+    tail = np.random.PCG64(seed).random_raw
+    pending = list(prefix)
+
+    def raw(k: int) -> np.ndarray:
+        head = pending[:k]
+        del pending[:k]
+        return np.array(head + tail(k - len(head)).tolist(), dtype=np.uint64)
+
+    return raw
+
+
+ADD, REMOVE = 1 << 63, 0  # coin words: random() < 0.5 fails and holds
+
+
+@pytest.mark.parametrize("edges, slots, prefix, count", [
+    # flip 0 adds at 483 empty slots; the low half 0 is rejected (below
+    # 2**32 % 483 = 403) and the same word's high half 7 is drawn instead
+    (78, 561, [ADD, 7 << 32], 40),
+    # flip 1's buffered high half 0 is rejected and a fresh word's low half redrawn
+    (78, 561, [REMOVE, 12345, REMOVE], 40),
+    # a list of size 1 draws no half, then removing from no edges falls through
+    (1, 10, [REMOVE, REMOVE, REMOVE], 12),
+    (0, 3, [REMOVE], 10),
+    (3, 3, [ADD, ADD], 10),
+    (0, 0, [], 5),  # no slots: the plan ends at once
+    # sizes near 2**30 reject about one Lemire product in four
+    (2**30, 2**31 + 1, [], 300),
+])
+def test_flip_plans_match_the_raw_draws_on_scripted_words(edges, slots, prefix, count):
+    seeds = range(6)
+    plans = benchmarks._flip_plans([scripted_raw(prefix, s) for s in seeds], count, edges, slots)
+    for seed, plan in zip(seeds, plans):
+        assert plan == raw_draw_plan(scripted_raw(prefix, seed), count, edges, slots)
+
+
 def test_noise_level_counts_flips_against_node_pairs(monkeypatch):
     counts = []
-    original = benchmarks._flip_weights
+    original = benchmarks._flip_chunk
 
-    def recording_flip_weights(weights, count, seed):
+    def recording_flip_chunk(weights, count, seeds):
         counts.append(count)
-        return original(weights, count, seed)
+        return original(weights, count, seeds)
 
-    monkeypatch.setattr(benchmarks, "_flip_weights", recording_flip_weights)
+    monkeypatch.setattr(benchmarks, "_flip_chunk", recording_flip_chunk)
     noise_benchmark([0.0, 0.05, 0.2], trials=1, seed=123)
     # 34 nodes give 561 pairs: 5% is 28 flips, 20% is 112
     assert sorted(set(counts)) == [0, 28, 112]
@@ -456,17 +498,16 @@ def test_noise_levels_without_flips_compute_one_cell(monkeypatch, chunk):
     levels = [0.0, 0.05, 0.001]
     expected = per_trial_noise_rows(levels, trials=5, seed=7)
     calls = []
-    original = benchmarks._flip_weights
+    original = benchmarks._flip_chunk
     # a cell's first draw has the seed child_seed(7, level, trial, 0); a resample
     # redraws the same cell with a later attempt
     first_draws = {child_seed(7, li, ti, 0): (li, ti) for li in range(3) for ti in range(5)}
 
-    def counted(weights, count, seed):
-        if seed in first_draws:
-            calls.append(first_draws[seed])
-        return original(weights, count, seed)
+    def counted(weights, count, seeds):
+        calls.extend(first_draws[seed] for seed in seeds if seed in first_draws)
+        return original(weights, count, seeds)
 
-    monkeypatch.setattr(benchmarks, "_flip_weights", counted)
+    monkeypatch.setattr(benchmarks, "_flip_chunk", counted)
     report = noise_benchmark(levels, trials=5, seed=7)
     assert report.rows == expected
     assert sorted(calls) == [(0, 0)] + [(1, t) for t in range(5)] + [(2, 0)]
@@ -503,20 +544,27 @@ def test_noise_kernel_redraws_only_the_disconnected_trial(monkeypatch):
         return flipped
 
     draws = []
-    original = benchmarks._flip_weights
+    original = benchmarks._flip_chunk
 
-    def recorded(weights, count, seed):
-        draws.append(seed)
-        return original(weights, count, seed)
+    def recorded(weights, count, seeds):
+        draws.extend(seeds)
+        return original(weights, count, seeds)
+
+    def isolated(weights, count, seeds):
+        stack = recorded(weights, count, seeds)
+        for w, seed in zip(stack, seeds):
+            if seed in forced:
+                w[0, :] = w[:, 0] = 0.0
+        return stack
 
     first = {child_seed(9, 0, t, 0) for t in range(17)}
-    monkeypatch.setattr(benchmarks, "_flip_weights", recorded)
+    monkeypatch.setattr(benchmarks, "_flip_chunk", recorded)
     unforced = noise_benchmark([0.05], 17, seed=9).rows
     natural = set(draws) - first
     monkeypatch.setattr(oracles, "rebuild_flip_edges", isolating(oracles.rebuild_flip_edges))
     expected = per_trial_noise_rows([0.05], 17, seed=9)
     assert expected[0][7] == unforced[0][7] + 2
-    monkeypatch.setattr(benchmarks, "_flip_weights", isolating(recorded))
+    monkeypatch.setattr(benchmarks, "_flip_chunk", isolated)
     draws.clear()
     assert noise_benchmark([0.05], 17, seed=9).rows == expected
     assert set(draws) - first == natural | {child_seed(9, 0, 5, 1), child_seed(9, 0, 16, 1)}
@@ -526,28 +574,29 @@ def test_noise_kernel_redraws_only_the_disconnected_trial(monkeypatch):
 def test_noise_kernel_raises_the_first_failing_trials_error(monkeypatch):
     # trial 4's degrees overflow, which only the eigendecomposition's check
     # sees; trials 7 and 17 fail Graph's checks, an earlier stage of the kernel
-    original = benchmarks._flip_weights
+    original = benchmarks._flip_chunk
 
-    def corrupted(weights, count, seed):
-        w = original(weights, count, seed)
-        if seed == child_seed(4, 0, 4, 0):
-            w[1, 2:4] = w[2:4, 1] = 1e308
-        elif seed == child_seed(4, 0, 7, 0):
-            w[1, 2] = -1.0
-        elif seed == child_seed(4, 0, 17, 0):
-            w[1, 2] = w[2, 1] = np.nan
-        return w
+    def corrupted(weights, count, seeds):
+        stack = original(weights, count, seeds)
+        for w, seed in zip(stack, seeds):
+            if seed == child_seed(4, 0, 4, 0):
+                w[1, 2:4] = w[2:4, 1] = 1e308
+            elif seed == child_seed(4, 0, 7, 0):
+                w[1, 2] = -1.0
+            elif seed == child_seed(4, 0, 17, 0):
+                w[1, 2] = w[2, 1] = np.nan
+        return stack
 
-    monkeypatch.setattr(benchmarks, "_flip_weights", corrupted)
+    monkeypatch.setattr(benchmarks, "_flip_chunk", corrupted)
     with pytest.raises(NonFinite, match="^matrix contains non-finite entries$"):
         noise_benchmark([0.05], 20, seed=4)
 
 
 def test_noise_kernel_gives_up_after_the_attempt_limit(monkeypatch):
-    def empty(weights, count, seed):
-        return np.zeros_like(weights)
+    def empty(weights, count, seeds):
+        return np.zeros((len(seeds),) + weights.shape)
 
-    monkeypatch.setattr(benchmarks, "_flip_weights", empty)
+    monkeypatch.setattr(benchmarks, "_flip_chunk", empty)
     with pytest.raises(DegenerateGraph, match="in 1000 attempts"):
         noise_benchmark([0.05], 2, seed=4)
 
@@ -614,3 +663,71 @@ def test_table_one_row_zero_defects():
     assert report.rows[0][1] <= 1e-10
     assert report.rows[0][2] >= 0.3
     assert report.sensitivity_true is None  # one row cannot support a slope
+
+
+@pytest.mark.parametrize("call", [
+    lambda club: noise_benchmark([0.05], 2, -1),
+    lambda club: flip_edges(club, 3, -1),
+    lambda club: rewire(club, 0.1, -1),
+    lambda club: generate_dual_network(4, seed=-1),
+    lambda club: rewire_experiment(4, (0.5, 0.1), [0.0], [1, -1]),
+], ids=["noise_benchmark", "flip_edges", "rewire", "generate_dual_network", "rewire_experiment"])
+def test_negative_seeds_raise_validation_error(call):
+    club, _ = karate_club()
+    with pytest.raises(ValidationError, match="^seed must be nonnegative, got -1$"):
+        call(club)
+
+
+def test_club_fiedler_pairing_is_pinned_with_its_rounding_ordered_ties():
+    # Inside each group the Fiedler entries are equal up to a few ulp, so
+    # their ranks, and the pairing built from them, are decided by rounding
+    # (node 14 is one ulp below the other four of its group). A numpy or
+    # LAPACK change that reorders them fails here instead of silently
+    # rewriting every karate-noise row.
+    club, _ = karate_club()
+    assert tuple(fiedler_duality_operator(club).sigma.tolist()) == (
+        22, 33, 9, 32, 18, 29, 14, 27, 30, 2, 15, 20, 25, 31, 6, 10, 26, 24, 4, 28, 11, 23,
+        0, 21, 17, 12, 16, 7, 19, 5, 8, 13, 3, 1,
+    )
+    v = fiedler_vector(club)
+    for group in ((14, 15, 18, 20, 22), (17, 21), (4, 10), (5, 6)):
+        entries = v[list(group)]
+        assert np.ptp(entries) <= 1e-14 and len(set(entries.tolist())) > 1, group
+
+
+def test_block_form_labels_match_full_eigh_labels_away_from_rounding_level_entries():
+    # 1000 connected noisy club graphs, the kernel's own draws at four seeds
+    # (default levels 1-5, 50 trials each). The projection's Fiedler labels
+    # from the block form and from a full eigh agree up to complement at
+    # every entry that is not at rounding level in either vector.
+    clean, _ = karate_club()
+    operator = fiedler_duality_operator(clean)
+    levels = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2)
+    graphs, near_entries, differing = 0, 0, {}
+    for seed in (123, 124, 5, 7001):
+        for li in range(1, len(levels)):
+            projected = []
+            for trial in range(50):
+                for attempt in range(1000):
+                    noisy = flip_edges(clean, math.floor(levels[li] * 561),
+                                       child_seed(seed, li, trial, attempt))
+                    if is_connected(noisy):
+                        break
+                projected.append(commutant_projection(laplacian(noisy), operator).projected)
+            block = benchmarks._projected_fiedler(np.array(projected), operator.sigma)
+            for trial, (m, v_block) in enumerate(zip(projected, block)):
+                v_full = column_loop_eig(m)[1][:, 1]
+                near = rounding_level(v_full) | rounding_level(v_block)
+                same = (v_full >= 0.0) == (v_block >= 0.0)
+                assert same[~near].all() or not same[~near].any(), (seed, li, trial)
+                graphs += 1
+                near_entries += int(near.sum())
+                if not (same.all() or not same.any()):
+                    differing[(seed, li, trial)] = int(near.sum())
+    assert graphs == 1000
+    # Two graphs have rounding-level entries, a V- pair each (the pair's
+    # entries are zero in exact arithmetic), and their labels differ beyond
+    # complement there. One is trial 20 of seed 123's 5% level: criterion 5's
+    # projected mean there moved from 0.9429... to 0.9435... with the block form.
+    assert near_entries == 4
+    assert differing == {(123, 2, 20): 2, (5, 3, 6): 2}

@@ -256,8 +256,9 @@ COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date"
     (ROLLING + ["--min-coverage", "-3"], "Invalid value for '--min-coverage'"),
     (COMMUNITIES + ["--min-coverage", "nan"], "Invalid value for '--min-coverage'"),
     ([*EVENTS, "--min-coverage", "1.01"], "Invalid value for '--min-coverage'"),
-    (["synth-rewire", "--seeds", "-3", "--fractions", "0"], "error: seeds must be nonnegative"),
-    (["synth-rewire", "--seeds", "-2-4"], "error: seeds must be nonnegative"),
+    (["synth-rewire", "--seeds", "-3", "--fractions", "0"],
+     "error: seed must be nonnegative, got -3"),
+    (["synth-rewire", "--seeds", "-2-4"], "error: seed must be nonnegative, got -2"),
     (["karate-noise", "--seed", "-1", "--levels", "0.05", "--trials", "2"],
      "Invalid value for '--seed'"),
     (["synth-rewire", "--fractions", "0,2"], "error: fraction 2.0 outside [0, 1]"),
@@ -336,14 +337,14 @@ def test_benchmark_boundary_option_values_are_accepted(runner):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_non_finite_numerics_in_the_noise_kernel_exit_1(runner, monkeypatch):
     # valid options, but a noisy graph whose degrees overflow: a compute failure
-    original = benchmarks._flip_weights
+    original = benchmarks._flip_chunk
 
-    def overflowing(weights, count, seed):
-        w = original(weights, count, seed)
-        w[1, 2:4] = w[2:4, 1] = 1e308
-        return w
+    def overflowing(weights, count, seeds):
+        stack = original(weights, count, seeds)
+        stack[:, 1, 2:4] = stack[:, 2:4, 1] = 1e308
+        return stack
 
-    monkeypatch.setattr(benchmarks, "_flip_weights", overflowing)
+    monkeypatch.setattr(benchmarks, "_flip_chunk", overflowing)
     result = runner.invoke(main, ["karate-noise", "--levels", "0.05", "--trials", "2"])
     assert result.exit_code == 1
     assert "error: matrix contains non-finite entries" in result.output

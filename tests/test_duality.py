@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     dense_defect,
@@ -14,6 +16,7 @@ from oracles import (
 )
 from prism.duality import (
     DualityOperator,
+    _commutant_blocks,
     _commutator,
     _conjugate,
     commutant_projection,
@@ -325,3 +328,35 @@ def test_non_finite_matrix_raises():
                 duality_defect(l_matrix, op)
             with pytest.raises(NonFinite):
                 commutant_projection(l_matrix, op)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), data=st.data())
+def test_commutant_blocks_split_the_projection_spectrum_and_lift_back(seed, n, data):
+    # 0, 1 or several fixed points: n - 2 * pairs of them, odd and even n
+    pairs = data.draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    sigma = np.arange(n)
+    sigma[order[:pairs]], sigma[order[pairs:2 * pairs]] = order[pairs:2 * pairs], order[:pairs]
+    a = rng.standard_normal((n, n))
+    projected = commutant_projection((a + a.T) / 2.0, permutation_operator(sigma)).projected
+    scale = np.linalg.norm(projected)
+    plus, minus, rows, scales = _commutant_blocks(projected, sigma)
+    assert plus.shape == (n - pairs, n - pairs) and minus.shape == (pairs, pairs)
+    union = np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
+    assert np.max(np.abs(union - np.linalg.eigvalsh(projected))) <= 1e-12 * scale
+    heads = np.flatnonzero(np.arange(n) < sigma)
+    fixed = np.flatnonzero(np.arange(n) == sigma)
+    for sector, block in enumerate((plus, minus)):
+        if not block.size:
+            continue  # no pairs: V- is empty, so nothing to lift
+        values, vectors = np.linalg.eigh(block)
+        lifted = vectors[rows[sector]] * scales[sector][:, None]  # every column at once
+        residual = projected @ lifted - lifted * values
+        assert np.max(np.abs(residual), initial=0.0) <= 1e-12 * scale
+        assert np.allclose(np.linalg.norm(lifted, axis=0), 1.0, rtol=0.0, atol=1e-12)
+        sign = 1.0 if sector == 0 else -1.0
+        assert np.array_equal(lifted[sigma[heads]], sign * lifted[heads])
+        if sector == 1:
+            assert np.array_equal(lifted[fixed], np.zeros((fixed.size, pairs)))
