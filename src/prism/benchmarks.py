@@ -463,8 +463,8 @@ def accuracy(predicted, truth) -> float:
 def _accuracies(labels: np.ndarray, truth) -> np.ndarray:
     """The accuracy of every label vector along the last axis, in one pass.
 
-    The agreement is an exact integer count divided by n. The shape and
-    binary checks run once for the whole stack; accuracy is this on one row.
+    Agreements c score max(c, n - c) / n, the same bits for a complement.
+    Shape and binary checks run once per stack; accuracy is this on one row.
     """
     truth = np.asarray(truth)
     if labels.shape[-1:] != truth.shape:
@@ -474,8 +474,8 @@ def _accuracies(labels: np.ndarray, truth) -> np.ndarray:
     for values in (labels, truth):
         if not np.all((values == 0) | (values == 1)):
             raise NonBinary("labels must be 0/1")
-    agree = np.count_nonzero(labels == truth, axis=-1) / truth.shape[0]
-    return np.maximum(agree, 1.0 - agree)
+    agree = np.count_nonzero(labels == truth, axis=-1)
+    return np.maximum(agree, truth.shape[0] - agree) / truth.shape[0]
 
 
 @dataclass(frozen=True)

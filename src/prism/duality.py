@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,26 +33,37 @@ ZERO_NORM_TOL = 1e-12
 class DualityOperator:
     """A validated symmetric involution with cached eigenspace dimensions.
 
-    sigma is set when the operator is a permutation, P = I[sigma] (row i holds
-    its 1 in column sigma[i]); the kernels then gather rows and columns of L
-    instead of multiplying by P.
+    A permutation stores sigma only, P = I[sigma] (row i holds its 1 in column
+    sigma[i]), and the kernels gather rows and columns of L instead of
+    multiplying by P; any other involution stores only its dense matrix.
+    .matrix is P either way, read-only; a permutation builds it on first read.
     """
 
-    matrix: np.ndarray = field(repr=False)
     dim_plus: int
     dim_minus: int
     sigma: np.ndarray | None = field(default=None, repr=False)
+    dense: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
-        if self.sigma is not None:
-            sigma = np.array(self.sigma, dtype=np.intp)
-            sigma.setflags(write=False)
-            object.__setattr__(self, "sigma", sigma)
+        if (self.sigma is None) == (self.dense is None):
+            raise TypeError("a DualityOperator stores exactly one of sigma and dense")
+        if self.sigma is None:
+            object.__setattr__(self, "dense", _as_readonly(self.dense))
+        else:
+            object.__setattr__(self, "sigma", _as_readonly(self.sigma, np.intp))
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return (self.dense if self.sigma is None else self.sigma).shape[0]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        if self.sigma is None:
+            return self.dense
+        matrix = np.zeros((self.n, self.n))
+        matrix[np.arange(self.n), self.sigma] = 1.0
+        matrix.setflags(write=False)
+        return matrix
 
     def is_permutation(self) -> bool:
         return self.sigma is not None
@@ -73,9 +85,7 @@ def permutation_operator(sigma) -> DualityOperator:
     if not np.array_equal(sigma[sigma], identity):
         raise NotInvolution("permutation is not an involution: sigma[sigma] != identity")
     pairs = int(np.count_nonzero(sigma != identity)) // 2
-    matrix = np.zeros((n, n))
-    matrix[identity, sigma] = 1.0
-    return DualityOperator(matrix=matrix, dim_plus=n - pairs, dim_minus=pairs, sigma=sigma)
+    return DualityOperator(dim_plus=n - pairs, dim_minus=pairs, sigma=sigma)
 
 
 def _as_permutation(m: np.ndarray) -> np.ndarray | None:
@@ -109,7 +119,7 @@ def validate_involution(m: np.ndarray) -> DualityOperator:
     if residual > INVOLUTION_TOL:
         raise NotInvolution(f"operator is not an involution: ||P^2 - I||_F = {residual:.3e}")
     dim_plus = round((n + float(np.trace(m))) / 2.0)
-    return DualityOperator(matrix=m, dim_plus=dim_plus, dim_minus=n - dim_plus)
+    return DualityOperator(dim_plus=dim_plus, dim_minus=n - dim_plus, dense=m)
 
 
 def identity_operator(n: int) -> DualityOperator:
@@ -118,9 +128,9 @@ def identity_operator(n: int) -> DualityOperator:
 
 def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
     l_matrix = np.asarray(l_matrix, dtype=float)
-    if l_matrix.shape != p.matrix.shape:
+    if l_matrix.shape != (p.n, p.n):
         raise DimensionMismatch(
-            f"matrix shape {l_matrix.shape} does not match operator shape {p.matrix.shape}"
+            f"matrix shape {l_matrix.shape} does not match operator shape {(p.n, p.n)}"
         )
     if not np.all(np.isfinite(l_matrix)):
         raise NonFinite("matrix contains non-finite entries")

@@ -178,7 +178,7 @@ WINDOW_CHUNK = 16  # windows per kernel chunk: peak memory stays flat as windows
 
 
 def _check_window_args(window_len: int, threshold: float) -> None:
-    if threshold < 0.0:
+    if not threshold >= 0.0:  # also rejects nan
         raise ValidationError("threshold must be nonnegative (weights must be)")
     if window_len < 2:
         raise ValidationError(f"window_len must be at least 2, got {window_len}")

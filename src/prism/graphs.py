@@ -35,8 +35,8 @@ SYMMETRY_RTOL = 1e-9
 RECONSTRUCTION_RTOL = 1e-8
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _as_readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 

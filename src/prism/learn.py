@@ -40,10 +40,7 @@ class FiedlerPairing:
     fixed_point: int | None
 
     def __post_init__(self) -> None:
-        sigma = self.permutation
-        n = len(sigma)
-        if sorted(sigma) != list(range(n)) or any(sigma[sigma[i]] != i for i in range(n)):
-            raise ValidationError("pairing is not an involutive permutation")
+        permutation_operator(self.permutation)  # raises NotInvolution
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class AlternatingConfig:
     inner_step_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if min(self.defect_tolerance, self.step_tolerance, self.penalty_weight,
-               self.inner_step_tolerance) <= 0.0:
+        if not all(v > 0.0 for v in (self.defect_tolerance, self.step_tolerance,
+                                     self.penalty_weight, self.inner_step_tolerance)):
             raise ValidationError("tolerances and penalty weight must be positive")
         if self.max_outer_iterations < 1 or self.inner_gradient_steps < 1:
             raise ValidationError("iteration counts must be at least 1")
@@ -86,24 +83,23 @@ def _rank_pairings(fiedler: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def fiedler_pairing(g: Graph) -> FiedlerPairing:
+def fiedler_duality_operator(g: Graph) -> DualityOperator:
     """Pair the node of Fiedler rank k with the node of rank n-1-k.
 
     Ranks sort the Fiedler values ascending with ties broken by node index;
     for odd n the median-ranked node is its own partner.
     """
-    sigma = _rank_pairings(fiedler_vector(g))
-    fixed = np.flatnonzero(sigma == np.arange(g.n))
-    return FiedlerPairing(permutation=tuple(sigma.tolist()),
-                          fixed_point=int(fixed[0]) if fixed.size else None)
+    return permutation_operator(_rank_pairings(fiedler_vector(g)))
+
+
+def fiedler_pairing(g: Graph) -> FiedlerPairing:
+    sigma = fiedler_duality_operator(g).sigma.tolist()
+    fixed = [i for i, j in enumerate(sigma) if i == j]
+    return FiedlerPairing(permutation=tuple(sigma), fixed_point=fixed[0] if fixed else None)
 
 
 def pairing_operator(pairing: FiedlerPairing) -> DualityOperator:
     return permutation_operator(pairing.permutation)
-
-
-def fiedler_duality_operator(g: Graph) -> DualityOperator:
-    return pairing_operator(fiedler_pairing(g))
 
 
 def snap_to_involution(m: np.ndarray) -> DualityOperator:

@@ -104,9 +104,9 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def mean_accuracy(predicted, truth) -> float:
-    """Binary label agreement as the mean of the match, under the better identification."""
-    agree = float(np.mean(np.asarray(predicted) == np.asarray(truth)))
-    return max(agree, 1.0 - agree)
+    """Binary label agreement max(c, n - c) / n for c matches: the better identification."""
+    agree = int(np.count_nonzero(np.asarray(predicted) == np.asarray(truth)))
+    return max(agree, len(truth) - agree) / len(truth)
 
 
 def best_match_count(truth_labels, predicted_labels) -> int:
@@ -575,7 +575,7 @@ def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.
     The window's kept tickers (no gap, and returns spanning a nonzero range),
     their np.corrcoef matrix and its validated Graph, a components walk, a
     Graph for the largest component, its Fiedler operator (symmetric_eig,
-    FiedlerPairing and permutation_operator) and duality_defect, each
+    the rank pairing and permutation_operator) and duality_defect, each
     computed for this window alone.
     """
     finance._check_window_args(window_len, threshold)

@@ -117,6 +117,15 @@ def test_accuracy_best_of_both_identifications():
     assert accuracy(pred, truth) == accuracy(1 - pred, truth)
 
 
+@pytest.mark.parametrize("n", [22, 24, 34])
+def test_accuracy_scores_a_labelling_and_its_complement_the_same_bits(n):
+    truth = np.arange(n) % 2
+    for count in range(n + 1):
+        labels = np.where(np.arange(n) < count, truth, 1 - truth)  # count agreements
+        scores = _accuracies(np.array([labels, 1 - labels]), truth)
+        assert scores[0] == scores[1] == max(count, n - count) / n
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # 0/0 for empty labels
 def test_accuracy_of_empty_0d_and_2d_labels():
     assert math.isnan(accuracy([], []))
@@ -133,8 +142,8 @@ def test_accuracies_match_accuracy_row_by_row():
         truth, 1 - truth,  # exact and swapped
         np.zeros(34, dtype=int), np.ones(34, dtype=int),  # all equal
         np.where(np.arange(34) % 2 == 0, truth, 1 - truth),  # a 0.5 split
-        # every agreement count: 1 - c/34 and (34 - c)/34 differ in the last
-        # bit at c = 7, 10 and 12, so only the float complement matches
+        # every agreement count, c = 7, 10 and 12 among them, where the float
+        # 1 - c/34 differs from (34 - c)/34 in the last bit
         *(np.where(np.arange(34) < c, truth, 1 - truth) for c in range(35)),
         *rng.integers(0, 2, size=(20, 34)),
     ]

@@ -220,6 +220,7 @@ EVENTS = ["finance", "events", "--prices", str(UNIVERSE_CSV), "--events", "SPIKE
 WINDOW = ["finance", "window", "--prices", str(UNIVERSE_CSV), "--date", "2021-02-25"]
 ROLLING = ["finance", "rolling", "--prices", str(UNIVERSE_CSV)]
 COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date", "2021-10-01"]
+LEARN = ["learn", "PATH3"]  # the test puts the path3 fixture's file in place of PATH3
 
 
 @pytest.mark.parametrize("args, message", [
@@ -266,9 +267,12 @@ COMMUNITIES = ["finance", "communities", "--prices", str(UNIVERSE_CSV), "--date"
     (["synth-rewire", "--fractions", "0.4,0.2"], "error: fractions must be ascending"),
     (["synth-rewire", "--fractions", ","], "error: fractions must be nonempty"),
     (["synth-rewire", "--seeds", ","], "error: seeds must be nonempty"),
+    (LEARN + ["--defect-tolerance", "nan"], "error: tolerances and penalty weight must be positive"),
+    (LEARN + ["--step-tolerance", "nan"], "error: tolerances and penalty weight must be positive"),
+    (LEARN + ["--penalty", "nan"], "error: tolerances and penalty weight must be positive"),
 ])
-def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, args, message):
-    result = runner.invoke(main, args)
+def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, path3, args, message):
+    result = runner.invoke(main, [str(path3) if arg == "PATH3" else arg for arg in args])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert message in result.output

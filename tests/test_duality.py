@@ -1,6 +1,7 @@
 """Involution validation, duality defect, and commutant projection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,8 +239,40 @@ def test_operator_matrix_is_immutable():
 
 def test_operator_dataclass_does_not_revalidate():
     # the dataclass itself only freezes; validate_involution is the gate
-    op = DualityOperator(matrix=np.eye(2), dim_plus=2, dim_minus=0)
+    op = DualityOperator(dense=np.eye(2), dim_plus=2, dim_minus=0)
     assert op.n == 2
+
+
+def test_permutation_operator_stores_sigma_and_builds_its_matrix_on_first_read():
+    n = 500
+    sigma = random_sigma(np.random.default_rng(41), n, 0)
+    tracemalloc.start()
+    try:
+        op = permutation_operator(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 // 4  # no n x n array, not even a temporary one
+    assert op.dense is None and "matrix" not in vars(op)
+    dense = np.zeros((n, n))
+    dense[np.arange(n), sigma] = 1.0
+    matrix = op.matrix
+    assert np.array_equal(matrix, dense)
+    assert not matrix.flags.writeable
+    assert op.matrix is matrix
+    assert op.n == n
+
+
+def test_validated_operators_store_exactly_one_representation():
+    permutation = validate_involution(SWAP01.matrix)
+    assert permutation.dense is None and np.array_equal(permutation.sigma, [1, 0, 2])
+    assert "matrix" not in vars(permutation)
+    reflection = validate_involution(random_involution(np.random.default_rng(7), 4, "reflection"))
+    assert reflection.sigma is None and reflection.matrix is reflection.dense
+    with pytest.raises(TypeError, match="exactly one"):
+        DualityOperator(dim_plus=2, dim_minus=0, sigma=np.arange(2), dense=np.eye(2))
+    with pytest.raises(TypeError, match="exactly one"):
+        DualityOperator(dim_plus=2, dim_minus=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 34, 501])

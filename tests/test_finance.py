@@ -205,8 +205,9 @@ def test_window_edge_weights_come_from_correlations(universe_returns):
 def test_window_validation(universe_returns):
     with pytest.raises(ValidationError):
         correlation_graph(universe_returns, GOLDEN_END, 1)
-    with pytest.raises(ValidationError):
-        correlation_graph(universe_returns, GOLDEN_END, 60, threshold=-0.1)
+    for threshold in (-0.1, float("nan")):
+        with pytest.raises(ValidationError, match="threshold"):
+            correlation_graph(universe_returns, GOLDEN_END, 60, threshold=threshold)
     with pytest.raises(InsufficientHistory):
         correlation_graph(universe_returns, "2020-01-10", 60)
     with pytest.raises(InsufficientHistory):

@@ -76,6 +76,7 @@ def test_fiedler_pairing_matches_the_rank_loop():
     for g in graphs:
         sigma = fiedler_pairing(g).permutation
         assert sigma == rank_loop_pairing(fiedler_vector(g))
+        assert sigma == tuple(fiedler_duality_operator(g).sigma)
         assert all(type(i) is int for i in sigma)
 
 
