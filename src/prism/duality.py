@@ -29,7 +29,7 @@ INVOLUTION_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DualityOperator:
     """A validated symmetric involution with cached eigenspace dimensions.
 
@@ -60,8 +60,7 @@ class DualityOperator:
     def matrix(self) -> np.ndarray:
         if self.sigma is None:
             return self.dense
-        matrix = np.zeros((self.n, self.n))
-        matrix[np.arange(self.n), self.sigma] = 1.0
+        matrix = (self.sigma[:, None] == np.arange(self.n)).astype(float)
         matrix.setflags(write=False)
         return matrix
 

@@ -83,23 +83,24 @@ def _rank_pairings(fiedler: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def fiedler_duality_operator(g: Graph) -> DualityOperator:
+def fiedler_pairing(g: Graph) -> FiedlerPairing:
     """Pair the node of Fiedler rank k with the node of rank n-1-k.
 
     Ranks sort the Fiedler values ascending with ties broken by node index;
     for odd n the median-ranked node is its own partner.
     """
-    return permutation_operator(_rank_pairings(fiedler_vector(g)))
-
-
-def fiedler_pairing(g: Graph) -> FiedlerPairing:
-    sigma = fiedler_duality_operator(g).sigma.tolist()
-    fixed = [i for i, j in enumerate(sigma) if i == j]
-    return FiedlerPairing(permutation=tuple(sigma), fixed_point=fixed[0] if fixed else None)
+    sigma = _rank_pairings(fiedler_vector(g))
+    fixed = np.flatnonzero(sigma == np.arange(g.n))
+    return FiedlerPairing(permutation=tuple(sigma.tolist()),
+                          fixed_point=int(fixed[0]) if fixed.size else None)
 
 
 def pairing_operator(pairing: FiedlerPairing) -> DualityOperator:
     return permutation_operator(pairing.permutation)
+
+
+def fiedler_duality_operator(g: Graph) -> DualityOperator:
+    return pairing_operator(fiedler_pairing(g))
 
 
 def snap_to_involution(m: np.ndarray) -> DualityOperator:

@@ -273,6 +273,10 @@ def test_validated_operators_store_exactly_one_representation():
         DualityOperator(dim_plus=2, dim_minus=0, sigma=np.arange(2), dense=np.eye(2))
     with pytest.raises(TypeError, match="exactly one"):
         DualityOperator(dim_plus=2, dim_minus=0)
+    with pytest.raises(TypeError):  # the fields are keyword-only
+        DualityOperator(np.eye(2), 2, 0)
+    with pytest.raises(TypeError):  # the former `matrix` field is gone
+        DualityOperator(matrix=np.eye(2), dim_plus=2, dim_minus=0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 34, 501])
