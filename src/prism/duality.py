@@ -29,7 +29,7 @@ INVOLUTION_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class DualityOperator:
     """A validated symmetric involution with cached eigenspace dimensions.
 
@@ -37,6 +37,8 @@ class DualityOperator:
     sigma[i]), and the kernels gather rows and columns of L instead of
     multiplying by P; any other involution stores only its dense matrix.
     .matrix is P either way, read-only; a permutation builds it on first read.
+    Two operators are equal when they are of the same kind and store the
+    same sigma, or the same dense matrix.
     """
 
     dim_plus: int
@@ -66,6 +68,19 @@ class DualityOperator:
 
     def is_permutation(self) -> bool:
         return self.sigma is not None
+
+    def _key(self) -> tuple:
+        if self.sigma is None:
+            return ("dense", self.n, (self.dense + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+        return ("sigma", self.sigma.tobytes())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DualityOperator):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def permutation_operator(sigma) -> DualityOperator:

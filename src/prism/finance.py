@@ -11,17 +11,21 @@ the other.
 
 One kernel (_window_stats_at) evaluates windows: window_stats is the kernel
 on one position, and rolling_defect and event_study (one call per window
-length) pass it all of theirs. It takes each window's correlation from
-np.corrcoef, then works through chunks of WINDOW_CHUNK windows, stacking the
-windows of one graph size for the Graph checks, the edge count and the
-connectivity walk, and the components of one size for the Laplacian, one
-batched eigh and the Fiedler rank pairing, then takes each window's
-commutator and norms on its own. Each step is the per-matrix API's own
-helper, so a window's numbers and first failing check are those of the
-window computed alone. communities and correlation_graph build the same
-window graph from the same correlation helper (_window_graph); communities
-projects its largest component onto the commutant of the Fiedler operator
-and clusters the projected Laplacian.
+length) pass it all of theirs. It works through chunks of WINDOW_CHUNK
+windows. A chunk takes one batched correlation per kept-ticker set
+(_window_corrs, np.corrcoef's own steps on the stack), stacks the windows
+of one graph size for the Graph checks, the edge count and the
+connectivity walk, and the components of one size for the Laplacian and
+the Fiedler rank pairing, then takes each window's commutator and norms on
+its own. The pairing ranks the nodes by a vector from eigvalsh and inverse
+iteration wherever its error bound proves eigh's Fiedler vector ranks them
+the same way, and by eigh's vector elsewhere (_fiedler_rankings). Each
+other step is the per-matrix API's own helper, so a window's numbers and
+first failing check are those of the window computed alone. communities
+and correlation_graph build the same window graph from the same
+correlation helper (_window_graph); communities projects its largest
+component onto the commutant of the Fiedler operator and clusters the
+projected Laplacian.
 """
 
 from __future__ import annotations
@@ -194,27 +198,53 @@ def _window_position(r: ReturnPanel, window_end: str, window_len: int) -> int:
     return pos
 
 
-def _window_corr(r: ReturnPanel, pos: int, window_len: int) -> tuple[list[int], np.ndarray, float]:
-    """(kept ticker indices, correlation matrix, mean correlation) of one window.
+def _window_corrs(
+    r: ReturnPanel, positions: list[int], window_len: int
+) -> list[tuple[list[int], np.ndarray, float] | DegenerateWindow]:
+    """(kept ticker indices, correlation matrix, mean correlation) of each window.
 
-    The window is the window_len return rows ending at row pos. Tickers with
-    a gap or no variation in it are left out; the matrix indexes the kept
-    tickers in order. The mean is over the off-diagonal entries. Variation
-    is a range test: the standard deviation of a constant nonzero column can
-    round to a tiny positive number, and its correlations would be NaN.
+    Each window is the window_len return rows ending at a position. Tickers
+    with a gap or no variation in it are left out; the matrix indexes the
+    kept tickers in order. The mean is over the off-diagonal entries. A
+    window with fewer than 2 kept tickers gets a DegenerateWindow instead.
+    Variation means some return differs from the window's first: the
+    standard deviation of a constant nonzero column can round to a tiny
+    positive number, and its correlations would be NaN.
+
+    The windows that keep the same tickers share one batched computation
+    that takes np.corrcoef's own steps on the stack, each window viewed as
+    (tickers, rows) in the memory layout of corrcoef's copy of the
+    transpose, so each matrix has the bits np.corrcoef gives for its window
+    alone. The mean is taken per window, as a stacked mean sums in another
+    order.
     """
-    rows = np.asarray(r.returns[pos - window_len + 1 : pos + 1])
-    full = ~np.isnan(rows).any(axis=0)
-    varying = rows.max(axis=0) > rows.min(axis=0)
-    kept = np.flatnonzero(full & varying).tolist()
-    if len(kept) < 2:
-        raise DegenerateWindow(
-            f"fewer than 2 usable tickers in the window ending {r.dates[pos]}"
-        )
-    corr = np.corrcoef(rows[:, kept].T)
-    corr = (corr + corr.T) / 2.0  # BLAS output is not guaranteed bitwise-symmetric
-    mean_corr = float(corr[~np.eye(len(kept), dtype=bool)].mean())
-    return kept, corr, mean_corr
+    outcomes: list = [None] * len(positions)
+    rows = r.returns[np.asarray(positions)[:, None] + np.arange(1 - window_len, 1)]
+    usable = ~np.isnan(rows).any(axis=1) & (rows != rows[:, :1]).any(axis=1)
+    groups: dict[bytes, list[int]] = {}  # kept-ticker mask -> windows
+    for b, pos in enumerate(positions):
+        if np.count_nonzero(usable[b]) < 2:
+            outcomes[b] = DegenerateWindow(
+                f"fewer than 2 usable tickers in the window ending {r.dates[pos]}"
+            )
+        else:
+            groups.setdefault(usable[b].tobytes(), []).append(b)
+    for members in groups.values():
+        kept = np.flatnonzero(usable[members[0]])
+        x = rows[members][:, :, kept].transpose(0, 2, 1)
+        x = x - x.mean(axis=2, keepdims=True)
+        corr = np.matmul(x, x.transpose(0, 2, 1))
+        corr *= 1.0 / (window_len - 1)
+        diagonal = np.arange(len(kept))
+        stddev = np.sqrt(corr[:, diagonal, diagonal])
+        corr /= stddev[:, :, None]
+        corr /= stddev[:, None, :]
+        np.clip(corr, -1.0, 1.0, out=corr)
+        corr = (corr + corr.transpose(0, 2, 1)) / 2.0  # BLAS output need not be bitwise-symmetric
+        off_diagonal = corr[:, ~np.eye(len(kept), dtype=bool)]
+        for b, matrix, off in zip(members, corr, off_diagonal):
+            outcomes[b] = (kept.tolist(), matrix, float(off.sum() / off.size))  # off.mean()'s bits
+    return outcomes
 
 
 def _edge_weights(corr: np.ndarray, threshold: float) -> np.ndarray:
@@ -238,7 +268,10 @@ def _window_graph(
     """
     _check_window_args(window_len, threshold)
     pos = _window_position(r, window_end, window_len)
-    kept, corr, mean_corr = _window_corr(r, pos, window_len)
+    (outcome,) = _window_corrs(r, [pos], window_len)
+    if isinstance(outcome, PrismError):
+        raise outcome
+    kept, corr, mean_corr = outcome
     graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=_edge_weights(corr, threshold))
     return pos, corr, graph, mean_corr
 
@@ -272,25 +305,75 @@ class WindowStats:
     dropped_nodes: int
 
 
+# Inverse iteration shifts by mu = lambda_2 - FIEDLER_SHIFT * max|lambda|,
+# and allows eigh a backward error of FIEDLER_BACKWARD_ERROR * m * eps *
+# max|lambda|. Over the fixture universe at four seeds, no computed vector
+# was farther from eigh's than 1.4% of the resulting bound.
+FIEDLER_SHIFT = 1e-12
+FIEDLER_BACKWARD_ERROR = 8.0
+
+
+def _fiedler_rankings(lap: np.ndarray) -> np.ndarray:
+    """A vector per Laplacian of a (B, m, m) stack, m >= 2, that ranks like its Fiedler vector.
+
+    The rank pairing (_rank_pairings) of each row is the one of the sign-fixed
+    Fiedler column of _signed_eigh. Two steps of inverse iteration on
+    sym - mu I, with sym = (L + L^T) / 2 and mu just below eigvalsh's
+    lambda_2, give a vector x. Its distance from eigh's vector, up to sign,
+    is at most the residual ||sym x - rho x|| plus eigh's backward error,
+    over the gap min(lambda_2 - lambda_1, lambda_3 - lambda_2). Where x's
+    sorted entries are all more than 4 times that bound apart, eigh's vector
+    orders the nodes the same way or reversed, with no ties, and the
+    pairing of rank k with rank m-1-k is the same either way. The other
+    Laplacians, and a stack whose iteration fails, take _signed_eigh itself.
+    """
+    m = lap.shape[-1]
+    sym = (lap + lap.transpose(0, 2, 1)) / 2.0
+    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), lap.shape[:2])  # fixed, generic start
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result fails the check below
+            values = np.linalg.eigvalsh(sym)
+            scale = np.abs(values).max(axis=1)
+            shifted = sym - (values[:, 1] - FIEDLER_SHIFT * scale)[:, None, None] * np.eye(m)
+            for _ in range(2):
+                x = np.linalg.solve(shifted, x[:, :, None])[:, :, 0]
+                x = x / np.linalg.norm(x, axis=1, keepdims=True)
+            image = np.matmul(sym, x[:, :, None])[:, :, 0]
+            rho = (x * image).sum(axis=1)
+            residual = np.linalg.norm(image - rho[:, None] * x, axis=1)
+    except np.linalg.LinAlgError:
+        return _signed_eigh(lap, slice(1, 2))[1][:, :, 0]
+    gap = values[:, 1] - values[:, 0]
+    if m > 2:
+        gap = np.minimum(gap, values[:, 2] - values[:, 1])
+    error = residual + FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
+    spacing = np.diff(np.sort(x, axis=1), axis=1)
+    # spacing > 4 * error / gap, kept as a product so a zero gap fails instead of dividing
+    separated = (gap > 0.0) & (spacing * gap[:, None] > 4.0 * error[:, None]).all(axis=1)
+    if not separated.all():
+        x[~separated] = _signed_eigh(lap[~separated], slice(1, 2))[1][:, :, 0]
+    return x
+
+
 def _chunk_stats(
     r: ReturnPanel, positions: list[int], window_len: int, threshold: float
 ) -> list[WindowStats | PrismError]:
     """The outcome of each window of one chunk; see _window_stats_at.
 
-    Windows are stacked by graph size for the Graph checks, the edge count
-    and the connectivity walk, then by component size for the Laplacian,
-    its eigendecomposition and the Fiedler pairing.
+    The correlations are batched by kept-ticker set (_window_corrs). Windows
+    are then stacked by graph size for the Graph checks, the edge count and
+    the connectivity walk, then by component size for the Laplacian, its
+    Fiedler ranking and the pairing.
     """
     outcomes: list = [None] * len(positions)
     means = [0.0] * len(positions)
     graph_sizes = [0] * len(positions)
     by_size: dict[int, list[tuple[int, list[int], np.ndarray]]] = {}
-    for k, pos in enumerate(positions):
-        try:
-            kept, corr, means[k] = _window_corr(r, pos, window_len)
-        except PrismError as exc:
-            outcomes[k] = exc
+    for k, outcome in enumerate(_window_corrs(r, positions, window_len)):
+        if isinstance(outcome, PrismError):
+            outcomes[k] = outcome
             continue
+        kept, corr, means[k] = outcome
         graph_sizes[k] = len(kept)
         by_size.setdefault(len(kept), []).append((k, kept, corr))
 
@@ -319,8 +402,7 @@ def _chunk_stats(
         lap = _laplacians(np.stack([w for _, w in group]))
         keep = _screen_symmetric(lap, keys, outcomes)
         keys, lap = [k for k, ok in zip(keys, keep) if ok], lap[keep]
-        fiedler = _signed_eigh(lap, slice(1, 2))[1][:, :, 0]  # symmetric_eig's Fiedler column
-        sigma = _rank_pairings(fiedler)
+        sigma = _rank_pairings(_fiedler_rankings(lap))
         for b, k in enumerate(keys):
             try:
                 norm = _defect_norm(lap[b])  # per matrix: a batched norm sums in another order

@@ -15,10 +15,10 @@ Fiedler pairing one rank at a time, the projection's block form from loops
 over the pairs of P and its Fiedler sector one matrix at a time, the flip
 draws one Generator conversion at a time from raw PCG64 words, the
 community coupling table from one list of node pairs per block, each
-finance window through its own kept-ticker range test, Graph, components
-walk, eigendecomposition and operator instead of the stacked per-chunk
-kernel, and the Graph weight and symmetric_eig input checks one matrix at a
-time instead of by stack masks.
+finance window through its own kept-ticker range test, np.corrcoef, Graph,
+components walk, full eigendecomposition and operator instead of the
+stacked per-chunk kernel, and the Graph weight and symmetric_eig input
+checks one matrix at a time instead of by stack masks.
 Agreement between the two routes is the test.
 """
 
@@ -569,17 +569,13 @@ def pair_loop_coupling(corr: np.ndarray, member_lists: list[list[int]]) -> tuple
     )
 
 
-def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.2):
-    """finance.window_stats for one window on its own, the route the batched kernel must match.
+def corrcoef_window(r, pos: int, window_len: int) -> tuple[list[int], np.ndarray, float]:
+    """(kept tickers, correlation matrix, off-diagonal mean) of one window, by np.corrcoef.
 
-    The window's kept tickers (no gap, and returns spanning a nonzero range),
-    their np.corrcoef matrix and its validated Graph, a components walk, a
-    Graph for the largest component, its Fiedler operator (symmetric_eig,
-    the rank pairing and permutation_operator) and duality_defect, each
-    computed for this window alone.
+    The reference for finance._window_corrs, which takes np.corrcoef's steps
+    on a stack of windows: kept tickers have no gap and returns spanning a
+    nonzero range, and the matrix is np.corrcoef's, symmetrised.
     """
-    finance._check_window_args(window_len, threshold)
-    pos = finance._window_position(r, window_end, window_len)
     rows = np.asarray(r.returns[pos - window_len + 1 : pos + 1])
     kept = [i for i in range(rows.shape[1])
             if not np.isnan(rows[:, i]).any() and np.ptp(rows[:, i]) > 0.0]
@@ -587,7 +583,21 @@ def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.
         raise DegenerateWindow(f"fewer than 2 usable tickers in the window ending {r.dates[pos]}")
     corr = np.corrcoef(rows[:, kept].T)
     corr = (corr + corr.T) / 2.0
-    mean_corr = float(corr[~np.eye(len(kept), dtype=bool)].mean())
+    return kept, corr, float(corr[~np.eye(len(kept), dtype=bool)].mean())
+
+
+def loop_window_stats(r, window_end: str, window_len: int, threshold: float = 0.2):
+    """finance.window_stats for one window on its own, the route the batched kernel must match.
+
+    The window's kept tickers and their np.corrcoef matrix (corrcoef_window),
+    its validated Graph, a components walk, a Graph for the largest
+    component, its Fiedler operator (symmetric_eig, the rank pairing and
+    permutation_operator) and duality_defect, each computed for this window
+    alone.
+    """
+    finance._check_window_args(window_len, threshold)
+    pos = finance._window_position(r, window_end, window_len)
+    kept, corr, mean_corr = corrcoef_window(r, pos, window_len)
     graph = Graph(labels=tuple(r.tickers[i] for i in kept),
                   weights=finance._edge_weights(corr, threshold))
     if graph.edge_count() == 0:

@@ -431,22 +431,30 @@ def test_installed_entry_point_responds():
 def test_fresh_interpreter_runs_learn_without_scipy(tmp_path):
     # A subprocess, because this test process has scipy loaded already (the
     # oracles import it). On a permutation operator the learner's P-step
-    # returns before the one place that needs scipy.optimize.
+    # returns before the one place that needs scipy.optimize, and the finance
+    # window kernel's eigen work is numpy's alone.
     graph_path = tmp_path / "mirror.txt"
     out_path = tmp_path / "learn.json"
+    rolling_path = tmp_path / "rolling.csv"
     save_graph(rewire(generate_dual_network(8, seed=2).graph, 0.1, seed=5), graph_path)
     code = (
         "import sys\n"
         "import prism\n"
         "import prism.cli\n"
-        "try:\n"
-        "    prism.cli.main(['learn', sys.argv[1], '--out', sys.argv[2]])\n"
-        "except SystemExit as stop:\n"
-        "    assert stop.code == 0, stop.code\n"
+        "for argv in (['learn', sys.argv[1], '--out', sys.argv[2]],\n"
+        "             ['finance', 'rolling', '--prices', sys.argv[3], '--window', '60',\n"
+        "              '--out', sys.argv[4]]):\n"
+        "    try:\n"
+        "        prism.cli.main(argv)\n"
+        "    except SystemExit as stop:\n"
+        "        assert stop.code == 0, stop.code\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code, str(graph_path), str(out_path)],
+    proc = subprocess.run([sys.executable, "-c", code, str(graph_path), str(out_path),
+                           str(UNIVERSE_CSV), str(rolling_path)],
                           capture_output=True, text=True, timeout=60, cwd=REPO, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     assert json.loads(out_path.read_text(encoding="utf-8"))["iterations"] == 1
+    rolling_lines = rolling_path.read_text(encoding="utf-8").splitlines()
+    assert len(rolling_lines) == 6 + 108  # config and header lines, then 540 windows at stride 5

@@ -209,6 +209,26 @@ def test_dense_operator_text_round_trip():
     assert np.array_equal(back.matrix, op.matrix)  # repr round-trips floats exactly
 
 
+def test_operators_compare_and_hash_by_kind_and_contents():
+    swap = permutation_operator([1, 0, 2])
+    same = permutation_operator(np.array([1, 0, 2]))
+    assert swap == same and hash(swap) == hash(same) and len({swap, same}) == 1
+    assert swap == SWAP01 == operator_from_text(operator_to_text(SWAP01))
+    assert swap != permutation_operator([0, 2, 1]) and swap != identity_operator(3)
+    assert swap != "swap"
+    # the same P stored densely is another kind of operator
+    assert swap != DualityOperator(dense=swap.matrix, dim_plus=2, dim_minus=1)
+    reflection = random_involution(np.random.default_rng(31), 5, "reflection")
+    dense = validate_involution(reflection)
+    assert dense == validate_involution(reflection.copy()) == operator_from_text(
+        operator_to_text(dense))
+    assert hash(dense) == hash(validate_involution(reflection.copy()))
+    assert dense != validate_involution(-reflection)
+    signed_zero = validate_involution(np.array([[1.0, -0.0], [-0.0, -1.0]]))
+    plain_zero = validate_involution(np.diag([1.0, -1.0]))
+    assert signed_zero == plain_zero and hash(signed_zero) == hash(plain_zero)
+
+
 def test_operator_text_parse_errors():
     with pytest.raises(ParseError, match="empty"):
         operator_from_text("\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import loop_window_stats, pair_loop_coupling, pearson
+from oracles import corrcoef_window, loop_window_stats, pair_loop_coupling, pearson
 from prism import finance
 from prism.duality import duality_defect
 from prism.errors import (
@@ -38,8 +38,14 @@ from prism.finance import (
     window_defect,
     window_stats,
 )
-from prism.fixtures import generate_returns, planted_sectors, trading_dates, universe_tickers
-from prism.graphs import is_connected, laplacian
+from prism.fixtures import (
+    generate_returns,
+    generate_universe_csv,
+    planted_sectors,
+    trading_dates,
+    universe_tickers,
+)
+from prism.graphs import _signed_eigh, is_connected, laplacian
 from prism.learn import fiedler_duality_operator
 
 GOLDEN_END = "2021-02-25"
@@ -635,3 +641,121 @@ def test_window_kernel_matches_the_loop_on_random_panels(
         returns = 0.01 * rng.integers(0, levels, size=(steps, tickers))
     returns[rng.random(returns.shape) < gaps] = np.nan
     assert_kernel_matches_loop(panel_from_returns(returns), window_len, threshold)
+
+
+# The batched correlations against np.corrcoef one window at a time
+# (corrcoef_window), in the kernel's chunks: the same kept tickers and the
+# same bits of the matrix and of the mean.
+
+
+def corr_key(outcome):
+    if isinstance(outcome, PrismError):
+        return (type(outcome).__name__, str(outcome))
+    kept, corr, mean_corr = outcome
+    return (kept, corr.tobytes(), repr(mean_corr))
+
+
+def assert_corrs_match_corrcoef(r, window_lens):
+    """Compare every window at each length with corrcoef_window; returns the window count."""
+    windows = 0
+    for window_len in window_lens:
+        positions = list(range(window_len - 1, len(r.dates)))
+        for i in range(0, len(positions), finance.WINDOW_CHUNK):
+            chunk = positions[i : i + finance.WINDOW_CHUNK]
+            outcomes = finance._window_corrs(r, chunk, window_len)
+            assert [corr_key(o) for o in outcomes] == [
+                corr_key(outcome_of(corrcoef_window, r, pos, window_len)) for pos in chunk
+            ]
+            windows += len(chunk)
+    return windows
+
+
+def seeded_universe(config, seed, tmp_path):
+    path = tmp_path / f"universe-{seed}.csv"
+    path.write_text(generate_universe_csv({**config, "seed": seed}), encoding="utf-8")
+    return log_returns(load_prices(path))
+
+
+@pytest.mark.parametrize("seed", [93, 2001, 4242, 7])
+def test_batched_correlations_match_corrcoef_bitwise(universe_config, seed, tmp_path):
+    r = seeded_universe(universe_config, seed, tmp_path)
+    assert assert_corrs_match_corrcoef(r, (2, 3, 10, 60, 250)) == 2675
+
+
+def test_batched_correlations_match_corrcoef_with_gaps_and_flat_columns():
+    rng = np.random.default_rng(23)
+    returns = 0.01 * (rng.standard_normal((120, 8)) + rng.standard_normal((120, 1)))
+    returns[rng.random(returns.shape) < 0.03] = np.nan
+    returns[:, 2] = 0.001  # flat and nonzero: its std is not exactly 0
+    returns[30:50, 5] = 0.0
+    returns[60:70, 1:] = np.nan  # too few usable tickers
+    panel = panel_from_returns(returns)
+    assert assert_corrs_match_corrcoef(panel, (2, 3, 10, 60)) == 119 + 118 + 111 + 61
+    kept_sets = set()
+    for pos in range(9, 120):
+        outcome = outcome_of(corrcoef_window, panel, pos, 10)
+        kept_sets.add(type(outcome).__name__ if isinstance(outcome, PrismError)
+                      else tuple(outcome[0]))
+    assert "DegenerateWindow" in kept_sets and len(kept_sets) > 5
+
+
+# The Fiedler ranking takes _signed_eigh only where inverse iteration cannot
+# prove the same rank pairing. A twin ticker (an exact copy of another
+# column) ties with its original in the Fiedler vector, where eigh's rounding
+# picks the order, so those windows must take eigh.
+
+
+@pytest.fixture
+def eigh_fallbacks(monkeypatch):
+    """The number of matrices each call of finance._signed_eigh decomposes."""
+    counted = []
+
+    def counting(m, columns=slice(None)):
+        counted.append(len(m))
+        return _signed_eigh(m, columns)
+
+    monkeypatch.setattr(finance, "_signed_eigh", counting)
+    return counted
+
+
+def test_fiedler_ranking_needs_no_eigh_on_the_fixture(universe_returns, eigh_fallbacks):
+    series = rolling_defect(universe_returns, 60)
+    assert len(series.records) == 540 and eigh_fallbacks == []
+
+
+def twin_panel(r, columns):
+    """r with an exact copy of each listed ticker appended."""
+    returns = np.asarray(r.returns)
+    return ReturnPanel(
+        dates=r.dates,
+        tickers=r.tickers + tuple(f"{r.tickers[c]}_TWIN" for c in columns),
+        returns=np.hstack([returns, returns[:, columns]]),
+        dropped=(),
+    )
+
+
+@pytest.mark.parametrize("columns", [[0], [3, 11, 20], list(range(0, 27, 3))])
+def test_window_kernel_matches_the_loop_on_twin_tickers(universe_returns, columns,
+                                                        eigh_fallbacks):
+    panel = twin_panel(universe_returns, columns)
+    for window_len in (20, 60):
+        assert_kernel_matches_loop(panel, window_len, 0.2, stride=3)
+    assert sum(eigh_fallbacks) > 0
+
+
+def raise_singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def return_nan(a, b):
+    return np.full(b.shape, np.nan)
+
+
+@pytest.mark.parametrize("failing_solve", [raise_singular, return_nan])
+def test_failed_inverse_iteration_falls_back_to_eigh(universe_returns, monkeypatch,
+                                                     eigh_fallbacks, failing_solve):
+    expected = rolling_series_to_csv(rolling_defect(universe_returns, 60, 5))
+    assert eigh_fallbacks == []
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    assert rolling_series_to_csv(rolling_defect(universe_returns, 60, 5)) == expected
+    assert sum(eigh_fallbacks) == 108
