@@ -57,6 +57,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _Adopted,
     _laplacians,
     _reach,
     _screen_symmetric,
@@ -146,7 +147,7 @@ def generate_dual_network(
         w = np.zeros((n, n))
         w[:m, :m] = w[m:, m:] = intra | intra.T
         w[:m, m:] = w[m:, :m] = cross | cross.T
-        graph = Graph(labels=labels, weights=w)
+        graph = Graph(labels=labels, weights=_Adopted(w))
         if not is_connected(graph):
             continue
         operator = permutation_operator(np.concatenate([np.arange(m, n), np.arange(m)]))
@@ -177,7 +178,9 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     Each deleted edge's weight moves to a uniformly drawn currently-empty
     slot (rejection sampling, no self-loops), so the edge count is preserved
     exactly. An empty slot always exists, because all chosen edges are
-    deleted before the first one is reinserted.
+    deleted before the first one is reinserted. The endpoints are read in
+    order from batches of rng.integers(n, size=k), the values of k scalar
+    rng.integers(n) calls.
     """
     _check_fraction(fraction)
     _check_seed(seed)
@@ -193,15 +196,24 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     w = g.weights.copy()
     moved = w[rows, cols].tolist()
     w[rows, cols] = w[cols, rows] = 0.0
-    n = g.n
+    endpoints = _endpoint_draws(rng, g.n, 2 * count)
     for weight in moved:
         while True:
-            a = int(rng.integers(n))
-            b = int(rng.integers(n))
+            a, b = next(endpoints), next(endpoints)
             if a != b and w[a, b] == 0.0:
                 w[a, b] = w[b, a] = weight
                 break
-    return Graph(labels=g.labels, weights=w)
+    return Graph(labels=g.labels, weights=_Adopted(w))
+
+
+def _endpoint_draws(rng: np.random.Generator, n: int, batch: int):
+    """rng.integers(n) values one at a time, drawn batch at a time.
+
+    For n below 2**32 a batch holds the values of as many scalar calls:
+    both draw 32-bit words and keep PCG64's spare half between calls.
+    """
+    while True:
+        yield from rng.integers(n, size=batch).tolist()
 
 
 _COIN_CUT = 1 << 63
@@ -217,7 +229,7 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     other action. See _flip_chunk for the draws.
     """
     _check_seed(seed)
-    return Graph(labels=g.labels, weights=_flip_chunk(g.weights, count, [seed])[0])
+    return Graph(labels=g.labels, weights=_Adopted(_flip_chunk(g.weights, count, [seed])[0]))
 
 
 def _flip_chunk(weights: np.ndarray, count: int, seeds: list[int]) -> np.ndarray:

@@ -23,10 +23,11 @@ from .errors import (
     ParseError,
     ZeroMatrix,
 )
-from .graphs import _as_readonly, _dense_rows
+from .graphs import _Adopted, _as_readonly, _dense_rows
 
 INVOLUTION_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
+COMMUTATOR_ROWS = 64  # rows of PL gathered at once: 256 KB at n = 500
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -159,9 +160,14 @@ def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
 # LP - PL one matrix at a time, and PLP on a whole stack sharing one operator.
 
 def _commutator(l_matrix: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """LP - PL for P = I[sigma], as a new array."""
+    """LP - PL for P = I[sigma], as a new array, the only n x n one made.
+
+    PL is gathered and subtracted COMMUTATOR_ROWS rows at a time.
+    """
     commutator = np.take(l_matrix, sigma, axis=1)
-    commutator -= l_matrix[sigma]
+    for start in range(0, len(sigma), COMMUTATOR_ROWS):
+        rows = slice(start, start + COMMUTATOR_ROWS)
+        commutator[rows] -= l_matrix[sigma[rows]]
     return commutator
 
 
@@ -288,7 +294,7 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
         defect_after = commutator_norm(projected, p) / projected_norm
     deformation = float(np.linalg.norm(projected - l_matrix))
     return ProjectionResult(
-        projected=projected,
+        projected=_Adopted(projected),
         defect_before=defect_before,
         defect_after=defect_after,
         deformation=deformation,

@@ -17,15 +17,16 @@ windows. A chunk takes one batched correlation per kept-ticker set
 of one graph size for the Graph checks, the edge count and the
 connectivity walk, and the components of one size for the Laplacian and
 the Fiedler rank pairing, then takes each window's commutator and norms on
-its own. The pairing ranks the nodes by a vector from eigvalsh and inverse
-iteration wherever its error bound proves eigh's Fiedler vector ranks them
-the same way, and by eigh's vector elsewhere (_fiedler_rankings). Each
-other step is the per-matrix API's own helper, so a window's numbers and
-first failing check are those of the window computed alone. communities
-and correlation_graph build the same window graph from the same
-correlation helper (_window_graph); communities projects its largest
-component onto the commutant of the Fiedler operator and clusters the
-projected Laplacian.
+its own. The pairing ranks the nodes by graphs._fiedler_rankings, the
+package's one Fiedler-ranking kernel, on the whole stack: a vector from
+eigvalsh and inverse iteration wherever its error bound proves eigh's
+Fiedler vector ranks them the same way, and eigh's vector elsewhere.
+fiedler_duality_operator runs the same kernel on a stack of one. Each other
+step is the per-matrix API's own helper, so a window's numbers and first
+failing check are those of the window computed alone. communities and
+correlation_graph build the same window graph from the same correlation
+helper (_window_graph); communities projects its largest component onto the
+commutant of the Fiedler operator and clusters the projected Laplacian.
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _Adopted,
     _as_readonly,
+    _fiedler_rankings,
     _laplacians,
     _reach,
     _screen_symmetric,
     _screen_weights,
-    _signed_eigh,
     connected_components,
     laplacian,
     symmetric_eig,
@@ -132,7 +134,7 @@ def load_prices(path) -> PricePanel:
     rows.sort(key=lambda item: item[0])
     dates = tuple(date for date, _ in rows)
     prices = np.array([values for _, values in rows]) if rows else np.empty((0, len(tickers)))
-    return PricePanel(dates=dates, tickers=tickers, prices=prices)
+    return PricePanel(dates=dates, tickers=tickers, prices=_Adopted(prices))
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ def log_returns(panel: PricePanel, min_coverage: float = 0.95) -> ReturnPanel:
     return ReturnPanel(
         dates=panel.dates[1:],
         tickers=tuple(panel.tickers[i] for i in keep),
-        returns=returns,
+        returns=_Adopted(returns),
         dropped=dropped,
     )
 
@@ -272,7 +274,8 @@ def _window_graph(
     if isinstance(outcome, PrismError):
         raise outcome
     kept, corr, mean_corr = outcome
-    graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=_edge_weights(corr, threshold))
+    graph = Graph(labels=tuple(r.tickers[i] for i in kept),
+                  weights=_Adopted(_edge_weights(corr, threshold)))
     return pos, corr, graph, mean_corr
 
 
@@ -303,56 +306,6 @@ class WindowStats:
     defect: float
     component_size: int
     dropped_nodes: int
-
-
-# Inverse iteration shifts by mu = lambda_2 - FIEDLER_SHIFT * max|lambda|,
-# and allows eigh a backward error of FIEDLER_BACKWARD_ERROR * m * eps *
-# max|lambda|. Over the fixture universe at four seeds, no computed vector
-# was farther from eigh's than 1.4% of the resulting bound.
-FIEDLER_SHIFT = 1e-12
-FIEDLER_BACKWARD_ERROR = 8.0
-
-
-def _fiedler_rankings(lap: np.ndarray) -> np.ndarray:
-    """A vector per Laplacian of a (B, m, m) stack, m >= 2, that ranks like its Fiedler vector.
-
-    The rank pairing (_rank_pairings) of each row is the one of the sign-fixed
-    Fiedler column of _signed_eigh. Two steps of inverse iteration on
-    sym - mu I, with sym = (L + L^T) / 2 and mu just below eigvalsh's
-    lambda_2, give a vector x. Its distance from eigh's vector, up to sign,
-    is at most the residual ||sym x - rho x|| plus eigh's backward error,
-    over the gap min(lambda_2 - lambda_1, lambda_3 - lambda_2). Where x's
-    sorted entries are all more than 4 times that bound apart, eigh's vector
-    orders the nodes the same way or reversed, with no ties, and the
-    pairing of rank k with rank m-1-k is the same either way. The other
-    Laplacians, and a stack whose iteration fails, take _signed_eigh itself.
-    """
-    m = lap.shape[-1]
-    sym = (lap + lap.transpose(0, 2, 1)) / 2.0
-    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), lap.shape[:2])  # fixed, generic start
-    try:
-        with np.errstate(all="ignore"):  # a non-finite result fails the check below
-            values = np.linalg.eigvalsh(sym)
-            scale = np.abs(values).max(axis=1)
-            shifted = sym - (values[:, 1] - FIEDLER_SHIFT * scale)[:, None, None] * np.eye(m)
-            for _ in range(2):
-                x = np.linalg.solve(shifted, x[:, :, None])[:, :, 0]
-                x = x / np.linalg.norm(x, axis=1, keepdims=True)
-            image = np.matmul(sym, x[:, :, None])[:, :, 0]
-            rho = (x * image).sum(axis=1)
-            residual = np.linalg.norm(image - rho[:, None] * x, axis=1)
-    except np.linalg.LinAlgError:
-        return _signed_eigh(lap, slice(1, 2))[1][:, :, 0]
-    gap = values[:, 1] - values[:, 0]
-    if m > 2:
-        gap = np.minimum(gap, values[:, 2] - values[:, 1])
-    error = residual + FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
-    spacing = np.diff(np.sort(x, axis=1), axis=1)
-    # spacing > 4 * error / gap, kept as a product so a zero gap fails instead of dividing
-    separated = (gap > 0.0) & (spacing * gap[:, None] > 4.0 * error[:, None]).all(axis=1)
-    if not separated.all():
-        x[~separated] = _signed_eigh(lap[~separated], slice(1, 2))[1][:, :, 0]
-    return x
 
 
 def _chunk_stats(

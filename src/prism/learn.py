@@ -29,7 +29,17 @@ from .duality import (
     validate_involution,
 )
 from .errors import NonFinite, ValidationError
-from .graphs import Graph, _as_readonly, fiedler_vector, symmetric_eig
+from .graphs import (
+    Graph,
+    _Adopted,
+    _as_readonly,
+    _fiedler_rankings,
+    _raise_first,
+    _screen_symmetric,
+    laplacian,
+    require_fiedler_graph,
+    symmetric_eig,
+)
 
 
 @dataclass(frozen=True)
@@ -87,9 +97,15 @@ def fiedler_pairing(g: Graph) -> FiedlerPairing:
     """Pair the node of Fiedler rank k with the node of rank n-1-k.
 
     Ranks sort the Fiedler values ascending with ties broken by node index;
-    for odd n the median-ranked node is its own partner.
+    for odd n the median-ranked node is its own partner. The pairing is that
+    of fiedler_vector(g), with the same errors; the ranking comes from
+    graphs._fiedler_rankings, which runs eigh only where inverse iteration
+    cannot prove the ranking (exact ties, such as twin nodes).
     """
-    sigma = _rank_pairings(fiedler_vector(g))
+    require_fiedler_graph(g)
+    lap = laplacian(g)
+    _raise_first(_screen_symmetric, lap)
+    sigma = _rank_pairings(_fiedler_rankings(lap[None])[0])
     fixed = np.flatnonzero(sigma == np.arange(g.n))
     return FiedlerPairing(permutation=tuple(sigma.tolist()),
                           fixed_point=int(fixed[0]) if fixed.size else None)
@@ -197,7 +213,8 @@ def alternate(
         projection, projected_against = commutant_projection(l_matrix, p), p
         p = optimize_p_step(projection.projected, p, cfg)
         iterations += 1
-        trajectory.append(duality_defect(l_matrix, p))
+        # an unchanged operator has the defect just recorded
+        trajectory.append(trajectory[-1] if p is projected_against else duality_defect(l_matrix, p))
         if trajectory[-1] < cfg.defect_tolerance:
             converged = True
         elif abs(trajectory[-1] - trajectory[-2]) < cfg.step_tolerance:
@@ -206,7 +223,7 @@ def alternate(
         projection = commutant_projection(l_matrix, p)
     return LearnResult(
         operator=p,
-        projected=projection.projected,
+        projected=_Adopted(projection.projected),  # read-only, and the projection is dropped
         defect_trajectory=tuple(trajectory),
         converged=converged,
         iterations=iterations,

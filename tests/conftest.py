@@ -1,4 +1,4 @@
-"""Shared paths, the session-scoped fixture panel, and the verdict summary."""
+"""Shared paths, the fixture panel, the eigh fallback counter and the verdict summary."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from prism import graphs
 from prism.finance import load_prices, log_returns
 from prism.fixtures import load_universe_config
 
@@ -31,6 +32,20 @@ def universe_returns():
 @pytest.fixture(scope="session")
 def universe_config():
     return load_universe_config(UNIVERSE_CONFIG)
+
+
+@pytest.fixture
+def eigh_fallbacks(monkeypatch):
+    """The number of matrices each call of the Fiedler-ranking kernel's eigh fallback decomposes."""
+    counted = []
+    fallback = graphs._fiedler_columns
+
+    def counting(lap):
+        counted.append(len(lap))
+        return fallback(lap)
+
+    monkeypatch.setattr(graphs, "_fiedler_columns", counting)
+    return counted
 
 
 # One verdict line per acceptance criterion, printed after the run: pytest

@@ -257,6 +257,17 @@ def test_rewire_matches_the_edge_list_reference():
                 assert produced.tobytes() == reference_rewire(g.weights, fraction, seed).tobytes()
 
 
+@pytest.mark.parametrize("group_size, fractions", [(250, (0.02, 0.05)),
+                                                   (50, (0.02, 0.05, 0.4, 0.9))])
+def test_rewire_matches_the_edge_list_reference_on_mirror_networks(group_size, fractions):
+    # rejected draws use up each batch of endpoints, so every rewire draws more batches
+    for seed in (7, 8):
+        g = generate_dual_network(group_size, 0.4, 0.1, seed).graph
+        for fraction in fractions:
+            produced = rewire(g, fraction, seed).weights
+            assert produced.tobytes() == reference_rewire(g.weights, fraction, seed).tobytes()
+
+
 def test_rewire_validation():
     g, _ = karate_club()
     with pytest.raises(ValidationError):

@@ -330,7 +330,7 @@ def test_permutation_kernels_match_the_dense_formulas_bitwise(n):
             assert result.deformation == deformation
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 34])
+@pytest.mark.parametrize("n", [1, 2, 5, 34, 130])
 def test_stacked_gathers_match_the_dense_products_bitwise(n):
     # each matrix with its own sigma, and one operator shared by the whole stack
     rng = np.random.default_rng(2000 + n)

@@ -45,7 +45,7 @@ from prism.fixtures import (
     trading_dates,
     universe_tickers,
 )
-from prism.graphs import _signed_eigh, is_connected, laplacian
+from prism.graphs import is_connected, laplacian
 from prism.learn import fiedler_duality_operator
 
 GOLDEN_END = "2021-02-25"
@@ -699,23 +699,11 @@ def test_batched_correlations_match_corrcoef_with_gaps_and_flat_columns():
     assert "DegenerateWindow" in kept_sets and len(kept_sets) > 5
 
 
-# The Fiedler ranking takes _signed_eigh only where inverse iteration cannot
-# prove the same rank pairing. A twin ticker (an exact copy of another
-# column) ties with its original in the Fiedler vector, where eigh's rounding
-# picks the order, so those windows must take eigh.
-
-
-@pytest.fixture
-def eigh_fallbacks(monkeypatch):
-    """The number of matrices each call of finance._signed_eigh decomposes."""
-    counted = []
-
-    def counting(m, columns=slice(None)):
-        counted.append(len(m))
-        return _signed_eigh(m, columns)
-
-    monkeypatch.setattr(finance, "_signed_eigh", counting)
-    return counted
+# The Fiedler ranking takes eigh only where inverse iteration cannot prove
+# the same rank pairing (eigh_fallbacks counts those matrices). A twin ticker
+# (an exact copy of another column) ties with its original in the Fiedler
+# vector, where eigh's rounding picks the order, so those windows must take
+# eigh.
 
 
 def test_fiedler_ranking_needs_no_eigh_on_the_fixture(universe_returns, eigh_fallbacks):

@@ -8,8 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import check_symmetric, check_weights, column_loop_eig, stack_walk_components
-from prism.benchmarks import generate_dual_network, karate_club, rewire
-from prism.duality import operator_from_text
+from prism import duality, graphs, learn
+from prism.benchmarks import flip_edges, generate_dual_network, karate_club, rewire
+from prism.duality import (
+    ProjectionResult,
+    commutant_projection,
+    operator_from_text,
+    permutation_operator,
+)
 from prism.errors import (
     DisconnectedGraph,
     NonFinite,
@@ -21,6 +27,7 @@ from prism.errors import (
 from prism.graphs import (
     SYMMETRY_RTOL,
     Graph,
+    SpectralDecomposition,
     _reach,
     _screen_symmetric,
     _screen_weights,
@@ -38,6 +45,7 @@ from prism.graphs import (
     save_graph,
     symmetric_eig,
 )
+from prism.learn import LearnResult, alternate, fiedler_duality_operator
 
 
 def path_graph(n):
@@ -373,6 +381,66 @@ def test_screens_give_every_matrix_the_first_error_of_the_reference_checks(
                 inject(m, fault, rng)
     assert_screen_matches(_screen_weights, check_weights, stack)
     assert_screen_matches(_screen_symmetric, check_symmetric, stack)
+
+
+def test_a_callers_array_never_changes_a_graph_or_a_result():
+    w = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    g = Graph(labels=("a", "b", "c"), weights=w)
+    lap = laplacian(g)
+    op = permutation_operator([1, 0, 2])
+    projection = commutant_projection(lap, op)
+    direct = ProjectionResult(projected=lap, defect_before=0.0, defect_after=0.0,
+                              deformation=0.0)
+    learned = LearnResult(operator=op, projected=lap, defect_trajectory=(0.0,), converged=True,
+                          iterations=0)
+    values, vectors = np.array([0.0, 1.0, 3.0]), np.eye(3)
+    decomp = SpectralDecomposition(eigenvalues=values, eigenvectors=vectors)
+    before = [a.tobytes() for a in (g.weights, projection.projected, direct.projected,
+                                    learned.projected, decomp.eigenvalues, decomp.eigenvectors)]
+    for a in (w, lap, values, vectors):
+        a += 7.0
+    after = [a.tobytes() for a in (g.weights, projection.projected, direct.projected,
+                                   learned.projected, decomp.eigenvalues, decomp.eigenvectors)]
+    assert after == before
+
+
+@pytest.fixture
+def float_copies(monkeypatch):
+    """The float arrays that Graph, SpectralDecomposition, ProjectionResult and LearnResult copy."""
+    copied = []
+
+    def spying(a, dtype=float):
+        if dtype is float and not isinstance(a, graphs._Adopted):
+            copied.append(a)
+        return as_readonly(a, dtype)
+
+    as_readonly = graphs._as_readonly
+    for module in (graphs, duality, learn):
+        monkeypatch.setattr(module, "_as_readonly", spying)
+    return copied
+
+
+def test_package_built_arrays_are_read_only_and_not_copied(float_copies, tmp_path):
+    club = karate_club()[0]
+    save_graph(club, tmp_path / "club.txt")
+    net = generate_dual_network(6, seed=1)
+    lap = laplacian(club)
+    op = fiedler_duality_operator(club)
+    arrays = [
+        club.weights,
+        load_graph(tmp_path / "club.txt").weights,
+        club.subgraph(range(10)).weights,
+        net.graph.weights,
+        rewire(net.graph, 0.5, seed=2).weights,
+        flip_edges(club, 5, seed=3).weights,
+        *vars(symmetric_eig(lap)).values(),
+        commutant_projection(lap, op).projected,
+        alternate(lap, op).projected,
+    ]
+    assert float_copies == []
+    assert not any(a.flags.writeable for a in arrays)
+    w = np.zeros((2, 2))
+    assert graphs._as_readonly(graphs._Adopted(w)) is w and not w.flags.writeable
 
 
 def test_fiedler_vector_of_path():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,16 +13,23 @@ from oracles import (
     random_involution,
     rank_loop_pairing,
 )
-from prism import learn
+from prism import finance, learn
 from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.duality import (
     commutant_projection,
     commutator_norm,
+    duality_defect,
     identity_operator,
     operator_from_text,
     validate_involution,
 )
-from prism.errors import DimensionMismatch, NonFinite, ValidationError
+from prism.errors import (
+    DimensionMismatch,
+    DisconnectedGraph,
+    NonFinite,
+    TooSmall,
+    ValidationError,
+)
 from prism.graphs import fiedler_vector, graph_from_edges, laplacian
 from prism.learn import (
     AlternatingConfig,
@@ -78,6 +86,84 @@ def test_fiedler_pairing_matches_the_rank_loop():
         assert sigma == rank_loop_pairing(fiedler_vector(g))
         assert sigma == tuple(fiedler_duality_operator(g).sigma)
         assert all(type(i) is int for i in sigma)
+
+
+def eigh_pairing(g):
+    """The oracle: the rank pairing of fiedler_vector, which always runs the full eigh."""
+    return tuple(learn._rank_pairings(fiedler_vector(g)).tolist())
+
+
+def test_fiedler_pairing_matches_eigh_on_finance_components(universe_returns):
+    # the finance kernel's windows, one component at a time through the per-matrix path
+    checked = 0
+    for window_len in (20, 60, 250):
+        for pos in range(window_len - 1, len(universe_returns.dates), 97):
+            end = universe_returns.dates[pos]
+            graph = finance._window_graph(universe_returns, end, window_len, 0.2)[2]
+            if graph.edge_count() == 0:
+                continue
+            component = finance._largest_component(graph)[1]
+            if component.n < 2:
+                continue
+            assert fiedler_pairing(component).permutation == eigh_pairing(component)
+            checked += 1
+    assert checked > 10
+
+
+@pytest.mark.parametrize("seed", [7, 88, 206])
+def test_fiedler_pairing_matches_eigh_on_large_mirror_networks(seed, eigh_fallbacks):
+    # the benchmark's n = 500 items: a mirror network with 2% of its edges rewired
+    g = rewire(generate_dual_network(250, 0.4, 0.1, seed).graph, 0.02, seed)
+    assert fiedler_pairing(g).permutation == eigh_pairing(g)
+    assert eigh_fallbacks == []
+
+
+def test_the_club_pairing_takes_the_eigh_fallback(eigh_fallbacks):
+    # the club has twin nodes, whose Fiedler entries tie: only eigh's rounding orders them
+    club = karate_club()[0]
+    assert fiedler_pairing(club).permutation == eigh_pairing(club)
+    assert eigh_fallbacks == [1]
+    assert tuple(fiedler_duality_operator(club).sigma.tolist()) == eigh_pairing(club)
+    assert eigh_fallbacks == [1, 1]
+
+
+def test_fiedler_pairing_keeps_fiedler_vector_errors():
+    with pytest.raises(TooSmall):
+        fiedler_pairing(path_graph(1))
+    with pytest.raises(DisconnectedGraph):
+        fiedler_pairing(graph_from_edges(list("abcd"), [(0, 1), (2, 3)]))
+    huge = graph_from_edges(list("abc"), [(0, 1, 1e308), (1, 2, 1e308)])  # degree overflows
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFinite):
+            fiedler_vector(huge)
+        with pytest.raises(NonFinite):
+            fiedler_pairing(huge)
+
+
+def raise_singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def return_nan(a, b):
+    return np.full(b.shape, np.nan)
+
+
+@pytest.mark.parametrize("failing_solve", [raise_singular, return_nan])
+def test_a_failed_iteration_frees_its_arrays_before_eigh(monkeypatch, eigh_fallbacks,
+                                                         failing_solve):
+    # while the fallback's eigh runs, the n x n arrays alive are the Laplacian, eigh's
+    # symmetrised input and its vectors; one more held from the iteration fails the bound
+    g = rewire(generate_dual_network(250, 0.4, 0.1, 7).graph, 0.02, 7)
+    expected = eigh_pairing(g)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    tracemalloc.start()
+    try:
+        assert fiedler_pairing(g).permutation == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eigh_fallbacks == [1]
+    assert peak < 3.5 * g.weights.nbytes
 
 
 def test_rank_pairings_match_the_rank_loop_row_by_row():
@@ -267,6 +353,31 @@ def test_alternate_projects_again_when_the_step_changes_p(monkeypatch):
     result = alternate(lap, fiedler_duality_operator(g), AlternatingConfig(max_outer_iterations=1))
     assert result.iterations == 1 and result.operator is identity
     assert result.projected.tobytes() == lap.tobytes()
+
+
+def test_alternate_reuses_the_defect_when_the_step_keeps_p(monkeypatch):
+    # an unchanged operator has the defect already recorded, bit for bit
+    calls = []
+
+    def counting_defect(l_matrix, p):
+        calls.append(p)
+        return duality_defect(l_matrix, p)
+
+    monkeypatch.setattr(learn, "duality_defect", counting_defect)
+    g = rewire(generate_dual_network(8, seed=2).graph, 0.1, seed=5)
+    lap = laplacian(g)
+    op = fiedler_duality_operator(g)
+    result = alternate(lap, op)
+    assert result.iterations == 1 and result.operator is op
+    assert len(calls) == 1
+    assert result.defect_trajectory == (duality_defect(lap, op),) * 2
+
+    calls.clear()
+    identity = identity_operator(g.n)
+    monkeypatch.setattr(learn, "optimize_p_step", lambda lp, p0, cfg: identity)
+    result = alternate(lap, op, AlternatingConfig(max_outer_iterations=1))
+    assert calls == [op, identity]
+    assert result.defect_trajectory == (duality_defect(lap, op), 0.0)
 
 
 def test_alternating_config_validation():
