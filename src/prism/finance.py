@@ -19,8 +19,10 @@ connectivity walk, and the components of one size for the Laplacian and
 the Fiedler rank pairing, then takes each window's commutator and norms on
 its own. The pairing ranks the nodes by graphs._fiedler_rankings, the
 package's one Fiedler-ranking kernel, on the whole stack: a vector from
-eigvalsh and inverse iteration wherever its error bound proves eigh's
-Fiedler vector ranks them the same way, and eigh's vector elsewhere.
+eigvalsh and inverse iteration (below graphs.LANCZOS_CUTOFF nodes) or from a
+Lanczos run and a Cholesky test (at or above it, one matrix at a time)
+wherever its error bound proves eigh's Fiedler vector ranks them the same
+way, and eigh's vector elsewhere.
 fiedler_duality_operator runs the same kernel on a stack of one. Each other
 step is the per-matrix API's own helper, so a window's numbers and first
 failing check are those of the window computed alone. communities and

@@ -15,10 +15,12 @@ connected_components and symmetric_eig run them on a stack of one, so every
 matrix of a stack gets the bits, and the first error, it would get alone.
 
 Every Fiedler rank pairing (learn.fiedler_pairing and finance's window
-kernel) ranks nodes by _fiedler_rankings: eigvalsh, two inverse-iteration
-solves and an error bound that proves the ranking is that of eigh's Fiedler
-vector, with eigh itself where it cannot (_fiedler_columns). fiedler_vector,
-symmetric_eig and the sign-based labels keep the full eigh.
+kernel) ranks nodes by _fiedler_rankings: a vector with an error bound that
+proves the ranking is that of eigh's Fiedler vector, from eigvalsh and two
+inverse-iteration solves below LANCZOS_CUTOFF nodes and from a short Lanczos
+run and one Cholesky inertia test at or above it, with eigh itself where no
+bound holds (_fiedler_columns). fiedler_vector, symmetric_eig and the
+sign-based labels keep the full eigh.
 
 Frozen results copy the arrays they are handed, except an array the package
 has just built and wrapped in _Adopted, which they take over read-only.
@@ -162,11 +164,14 @@ def graph_from_edges(
 
 
 def _laplacians(weights: np.ndarray) -> np.ndarray:
-    """D - A for each matrix of a (B, n, n) weight stack."""
+    """D - A for each matrix of a (B, n, n) weight stack, built in one pass.
+
+    0 - w, then the degrees added to the diagonal: the bits of filling D
+    and subtracting A, off-diagonal +0.0 included.
+    """
     diagonal = np.arange(weights.shape[-1])
-    lap = np.zeros_like(weights)
-    lap[:, diagonal, diagonal] = weights.sum(axis=2)
-    lap -= weights
+    lap = np.subtract(0.0, weights)
+    lap[:, diagonal, diagonal] += weights.sum(axis=2)
     return lap
 
 
@@ -300,35 +305,74 @@ def fiedler_vector(g: Graph) -> np.ndarray:
 FIEDLER_SHIFT = 1e-12
 FIEDLER_BACKWARD_ERROR = 8.0
 
+# Stacks of LANCZOS_CUTOFF or more nodes are ranked by _lanczos_ranking, in
+# at most LANCZOS_STEPS Lanczos steps; smaller ones by _inverse_iteration,
+# which is faster there (see _fiedler_rankings). CHOLESKY_ROUNDING * (m + 1)
+# * eps is the Cholesky test's relative rounding margin: it bounds Higham's
+# gamma_{m+1}, and the gamma_5 of forming the Cholesky input, with room.
+LANCZOS_CUTOFF = 128
+LANCZOS_STEPS = 40
+CHOLESKY_ROUNDING = 2.0
 
-def _fiedler_rankings(lap: np.ndarray) -> np.ndarray:
+
+def _fiedler_rankings(lap: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """A vector per Laplacian of a (B, m, m) stack, m >= 2, that ranks like its Fiedler vector.
 
     The rank pairing (learn._rank_pairings) of each row is the one of the
-    sign-fixed Fiedler column of _signed_eigh. Two steps of inverse
-    iteration on sym - mu I, with sym = (L + L^T) / 2 and mu just below
-    eigvalsh's lambda_2, give a vector x. Its distance from eigh's vector,
-    up to sign, is at most the residual ||sym x - rho x|| plus eigh's
-    backward error, over the gap min(lambda_2 - lambda_1, lambda_3 -
-    lambda_2) (Davis-Kahan). Where x's sorted entries are all more than 4
-    times that bound apart, eigh's vector orders the nodes the same way or
-    reversed, with no ties, and the pairing of rank k with rank m-1-k is the
-    same either way. The other Laplacians, and a stack whose iteration
-    fails, take eigh itself (_fiedler_columns).
+    sign-fixed Fiedler column of _signed_eigh, and a matrix without a proof
+    of this takes eigh itself (_fiedler_columns). Every proof has one form.
+    Let sym = (L + L^T) / 2, and let x be a unit vector with rho = x^T sym
+    x. eigh's vector v is an exact eigenvector, for the second eigenvalue,
+    of sym + E with ||E|| <= eta = FIEDLER_BACKWARD_ERROR * m * eps * scale,
+    scale >= ||sym||. Put error = ||sym x - rho x|| + eta, a bound on x's
+    residual for sym + E, and let gap > 0 bound the distance from rho to
+    every other eigenvalue of sym + E. Writing x over sym + E's
+    eigenvectors, error^2 >= gap^2 sin^2 theta, theta the angle between x
+    and v, so with the sign of v that makes x^T v >= 0, ||x - v|| <= sqrt(2)
+    sin theta <= 1.5 error / gap. Where x's sorted entries are all more than
+    4 * error / gap apart, no entry moves past a neighbour: v orders the
+    nodes as x does or reversed (the sign rule may flip v), with no ties,
+    and the pairing of rank k with rank m-1-k is the same either way. The
+    test also rules out a repeated second eigenvalue: then every
+    eigenvalue would be at least gap from rho, so error >= gap, while no
+    spacing of a unit vector exceeds sqrt(2) / (m - 1) < 4.
+
+    Below LANCZOS_CUTOFF nodes, x comes from eigvalsh and inverse iteration
+    (_inverse_iteration), gap from eigvalsh's values as min(lambda_2 -
+    lambda_1, lambda_3 - lambda_2), which stands in for the distance from
+    rho up to a second-order term, and scale is max|lambda|. At or above
+    it, x comes from a short Lanczos run and gap from a Cholesky inertia
+    test (_lanczos_ranking), one matrix at a time, so a stack never holds
+    more than one Cholesky input. Given weights, the stack lap was built
+    from by _laplacians, lap is the kernel's to overwrite: the Lanczos run
+    and the Cholesky input use each matrix's own buffer instead of a
+    symmetrised copy (a Laplacian of exactly symmetric weights is exactly
+    symmetric), and a matrix that eigh must take is rebuilt first.
+
+    The cutoff is where the two paths cross. Milliseconds per call on
+    mirror networks (benchmarks.generate_dual_network(m / 2) with 2% of
+    the edges rewired, learn's in-place call), minimum over 3 seeds and 7
+    repeats, BLAS on one thread, 2-CPU x86-64:
+
+        m                      60   100   120   128   160   200   300   500
+        eigvalsh + inv. iter. 0.62  1.29  1.83  1.99  3.14  4.77  11.6  36.7
+        Lanczos + Cholesky    1.68  1.85  1.68  1.79  2.00  2.79  3.93  11.2
     """
-    iteration = _inverse_iteration(lap)  # its n x n temporaries are gone before any eigh
-    if iteration is None:
-        return _fiedler_columns(lap)
-    x, values, residual = iteration
-    m = lap.shape[-1]
-    scale = np.abs(values).max(axis=1)
-    gap = values[:, 1] - values[:, 0]
-    if m > 2:
-        gap = np.minimum(gap, values[:, 2] - values[:, 1])
-    error = residual + FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
-    spacing = np.diff(np.sort(x, axis=1), axis=1)
-    # spacing > 4 * error / gap, kept as a product so a zero gap fails instead of dividing
-    separated = (gap > 0.0) & (spacing * gap[:, None] > 4.0 * error[:, None]).all(axis=1)
+    if lap.shape[-1] >= LANCZOS_CUTOFF:
+        x = np.zeros(lap.shape[:2])
+        separated = np.zeros(len(lap), dtype=bool)
+        for b in range(len(lap)):
+            ranking = _lanczos_ranking(lap[b], in_place=weights is not None)  # frees its arrays
+            if ranking is not None:
+                x[b], separated[b] = ranking, True
+            elif weights is not None:
+                lap[b] = _laplacians(weights[b:b + 1])[0]
+    else:
+        iteration = _inverse_iteration(lap)  # its n x n temporaries are gone before any eigh
+        if iteration is None:
+            return _fiedler_columns(lap)
+        x, error, gap = iteration
+        separated = _separated(x, error, gap)
     if not separated.any():
         return _fiedler_columns(lap)  # no boolean-index copy of the stack
     if not separated.all():
@@ -336,14 +380,24 @@ def _fiedler_rankings(lap: np.ndarray) -> np.ndarray:
     return x
 
 
+def _separated(x: np.ndarray, error, gap) -> np.ndarray:
+    """_fiedler_rankings' test on the rows of x: gap > 0 and every spacing > 4 * error / gap."""
+    spacing = np.diff(np.sort(x, axis=-1), axis=-1)
+    error, gap = np.asarray(error)[..., None], np.asarray(gap)[..., None]
+    # kept as a product so a zero gap fails instead of dividing
+    return ((gap > 0.0) & (spacing * gap > 4.0 * error)).all(axis=-1)
+
+
 def _inverse_iteration(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """_fiedler_rankings' iteration: x, eigvalsh's values and the residuals, or None.
+    """_fiedler_rankings' iteration below LANCZOS_CUTOFF: x, error and gap per matrix, or None.
 
     None when eigvalsh or solve raises LinAlgError; a non-finite result is
-    returned as it is and fails the caller's check. sym is the only n x n
-    array it makes: the solves see sym with mu subtracted from its diagonal
-    in place, the bits of sym - mu I (a Laplacian's off-diagonal zeros are
-    +0.0), and the saved diagonal is put back before the residual.
+    returned as it is and fails the caller's test. Two steps of inverse
+    iteration on sym - mu I, mu just below eigvalsh's lambda_2, give x.
+    sym is the only n x n array it makes: the solves see sym with mu
+    subtracted from its diagonal in place, the bits of sym - mu I (a
+    Laplacian's off-diagonal zeros are +0.0), and the saved diagonal is put
+    back before the residual.
     """
     m = lap.shape[-1]
     d = np.arange(m)
@@ -365,7 +419,126 @@ def _inverse_iteration(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
             residual = np.linalg.norm(image - rho[:, None] * x, axis=1)
     except np.linalg.LinAlgError:
         return None
-    return x, values, residual
+    gap = values[:, 1] - values[:, 0]
+    if m > 2:
+        gap = np.minimum(gap, values[:, 2] - values[:, 1])
+    error = residual + FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * np.abs(values).max(axis=1)
+    return x, error, gap
+
+
+def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | None:
+    """_fiedler_rankings' x for one m x m Laplacian at or above LANCZOS_CUTOFF, or None.
+
+    None when the test fails, _lanczos gives no vector or cholesky raises
+    LinAlgError. in_place takes lap, exactly symmetric, as sym and
+    overwrites it. x is the bottom Ritz vector of a Lanczos run (_lanczos),
+    u = 1/sqrt(m), and scale = ||sym||_inf, the Gershgorin bound on every
+    |lambda|. gap is min(rho - a, t - delta - rho) - 2 eta, where:
+
+    - a = u^T sym u >= lambda_1 (Courant-Fischer).
+    - t lies between the two lowest Ritz values (_lanczos), and delta is
+      a rounding margin. Cholesky runs on A = sym - t I + c (u u^T +
+      x x^T), c = scale, built in sym's own buffer once x's residual is
+      taken. If it succeeds, R^T R = A + F + dA, with F the rounding of
+      forming A, ||F|| <= ||F||_F <= gamma_5 (sqrt(m) (scale + |t|) +
+      2 c), and ||dA|| <= gamma_{m+1} ||R||_F^2 (Higham, Accuracy and
+      Stability of Numerical Algorithms, Theorem 10.3). R^T R is positive
+      semidefinite, so lambda_1(A) >= -delta, delta = CHOLESKY_ROUNDING *
+      (m + 1) * eps * (||R||_F^2 + sqrt(m) (scale + |t|) + 2 c). A is
+      sym - t I plus a positive semidefinite matrix of rank 2, which moves
+      each eigenvalue up by at most two places, so lambda_3(sym) - t >=
+      lambda_1(A) >= -delta.
+    - One eta moves the eigenvalues of sym to those of sym + E (Weyl); the
+      other covers the rounding of a and rho, each within m eps scale.
+
+    A vector that fails the test with delta = 0 fails it for every delta,
+    so it returns None before the Cholesky. A t above lambda_3 leaves A a
+    negative eigenvalue, so the Cholesky fails or delta covers it.
+    """
+    m = len(lap)
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        if in_place:
+            sym = lap
+        else:
+            sym = lap + lap.T
+            sym /= 2.0
+        scale = float(np.linalg.norm(sym, np.inf))
+        eta = FIEDLER_BACKWARD_ERROR * m * eps * scale
+        u = np.full(m, 1.0 / np.sqrt(m))
+        a = u @ (sym @ u)
+        lanczos = _lanczos(sym, u, a, eta)
+        if lanczos is None:
+            return None
+        x, t = lanczos
+        x = x / np.linalg.norm(x)
+        image = sym @ x
+        rho = x @ image
+        error = np.linalg.norm(image - rho * x) + eta
+        if not _separated(x, error, np.minimum(rho - a, t - rho) - 2.0 * eta):
+            return None
+        d = np.arange(m)
+        sym[d, d] -= t
+        sym += scale / m
+        sym += np.multiply.outer(scale * x, x)
+        try:
+            factor = np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:  # A has a pivot <= 0: t may be above lambda_3
+            return None
+        delta = CHOLESKY_ROUNDING * (m + 1) * eps * (
+            np.vdot(factor, factor) + np.sqrt(m) * (scale + abs(t)) + 2.0 * scale)
+    return x if _separated(x, error, np.minimum(rho - a, t - delta - rho) - 2.0 * eta) else None
+
+
+def _lanczos(
+    sym: np.ndarray, u: np.ndarray, a: float, eta: float
+) -> tuple[np.ndarray, float] | None:
+    """The bottom Ritz vector of sym on the complement of u, and a shift t below lambda_3.
+
+    Lanczos with full reorthogonalisation (twice per step, against u too)
+    from the fixed, generic start sin(1..m). t is the midpoint of the two
+    lowest Ritz values theta_1 < theta_2; theta_2 is at least the second
+    eigenvalue of sym on the complement of u (Cauchy), which is lambda_3
+    for an exact Laplacian. Every second step it checks whether to stop,
+    with residual estimates r_i = beta_k |y_ki|: once r_2 is under a
+    quarter of theta_2 - theta_1, and the bottom pair passes _separated
+    with twice the error r_1 + eta, taking gap as _lanczos_ranking does
+    with delta = 0. It also stops when the Krylov space stops growing, or
+    after LANCZOS_STEPS steps. None when fewer than two Ritz values exist
+    or eigh raises LinAlgError on a non-finite run.
+    """
+    m = len(u)
+    basis = np.empty((LANCZOS_STEPS + 2, m))  # row 0 is u, row k the k-th Lanczos vector
+    basis[0] = u
+    start = np.sin(np.arange(1.0, m + 1.0))
+    start -= (u @ start) * u
+    basis[1] = start / np.linalg.norm(start)
+    tridiagonal = np.zeros((LANCZOS_STEPS + 1, LANCZOS_STEPS + 1))
+    result = None
+    for k in range(1, LANCZOS_STEPS + 1):
+        w = sym @ basis[k]
+        tridiagonal[k - 1, k - 1] = basis[k] @ w
+        for _ in range(2):
+            w -= basis[:k + 1].T @ (basis[:k + 1] @ w)
+        beta = np.linalg.norm(w)
+        last = k == LANCZOS_STEPS or not beta > 0.0
+        if k >= 2 and (k % 2 == 0 or last):
+            try:
+                theta, y = np.linalg.eigh(tridiagonal[:k, :k])
+            except np.linalg.LinAlgError:  # a non-finite run
+                return None
+            residual = beta * np.abs(y[-1, :2])
+            t = (theta[0] + theta[1]) / 2.0
+            result = basis[1:k + 1].T @ y[:, 0], t
+            if residual[1] <= (theta[1] - theta[0]) / 4.0 and _separated(
+                    result[0], 2.0 * (residual[0] + eta),
+                    np.minimum(theta[0] - a, t - theta[0]) - 2.0 * eta):
+                break
+        if last:
+            break
+        basis[k + 1] = w / beta
+        tridiagonal[k - 1, k] = tridiagonal[k, k - 1] = beta
+    return result
 
 
 def _fiedler_columns(lap: np.ndarray) -> np.ndarray:

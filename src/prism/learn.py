@@ -99,13 +99,14 @@ def fiedler_pairing(g: Graph) -> FiedlerPairing:
     Ranks sort the Fiedler values ascending with ties broken by node index;
     for odd n the median-ranked node is its own partner. The pairing is that
     of fiedler_vector(g), with the same errors; the ranking comes from
-    graphs._fiedler_rankings, which runs eigh only where inverse iteration
-    cannot prove the ranking (exact ties, such as twin nodes).
+    graphs._fiedler_rankings, which runs eigh only where its inverse
+    iteration or Lanczos vector cannot prove the ranking (exact ties, such
+    as twin nodes). The kernel may build its Cholesky input in lap's buffer.
     """
     require_fiedler_graph(g)
     lap = laplacian(g)
     _raise_first(_screen_symmetric, lap)
-    sigma = _rank_pairings(_fiedler_rankings(lap[None])[0])
+    sigma = _rank_pairings(_fiedler_rankings(lap[None], g.weights[None])[0])
     fixed = np.flatnonzero(sigma == np.arange(g.n))
     return FiedlerPairing(permutation=tuple(sigma.tolist()),
                           fixed_point=int(fixed[0]) if fixed.size else None)

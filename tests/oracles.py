@@ -509,6 +509,15 @@ def check_symmetric(m: np.ndarray) -> None:
         raise NotSymmetric("matrix is not symmetric within tolerance")
 
 
+def two_pass_laplacians(weights: np.ndarray) -> np.ndarray:
+    """D - A for a (B, n, n) weight stack: zeros, the degree diagonal, then A subtracted."""
+    diagonal = np.arange(weights.shape[-1])
+    lap = np.zeros_like(weights)
+    lap[:, diagonal, diagonal] = weights.sum(axis=2)
+    lap -= weights
+    return lap
+
+
 def stack_walk_components(weights: np.ndarray) -> list[list[int]]:
     """Connected components by a depth-first stack walk, one node per step.
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_symmetric, check_weights, column_loop_eig, stack_walk_components
+from oracles import (
+    check_symmetric,
+    check_weights,
+    column_loop_eig,
+    stack_walk_components,
+    two_pass_laplacians,
+)
 from prism import duality, graphs, learn
 from prism.benchmarks import flip_edges, generate_dual_network, karate_club, rewire
 from prism.duality import (
@@ -28,6 +34,7 @@ from prism.graphs import (
     SYMMETRY_RTOL,
     Graph,
     SpectralDecomposition,
+    _laplacians,
     _reach,
     _screen_symmetric,
     _screen_weights,
@@ -125,6 +132,28 @@ def test_laplacian_rows_sum_to_zero():
     assert np.all(np.diag(lap) == g.weights.sum(axis=1))
     unit = graph_from_edges(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert np.all(laplacian(unit).sum(axis=1) == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 5, 34, 500])
+def test_laplacians_match_the_two_pass_build_bitwise(n):
+    # signed zeros off and on the diagonal, an empty row of -0.0 and a nonzero diagonal
+    # entry: 0 - w keeps the off-diagonal +0.0 of the two-pass build, and adding the
+    # degree to -w_ii gives the bits of subtracting w_ii from it
+    rng = np.random.default_rng(n)
+    w = np.triu(rng.random((3, n, n)) * (rng.random((3, n, n)) < 0.3), 1)
+    w = w + w.transpose(0, 2, 1)
+    w[(w == 0.0) & (rng.random(w.shape) < 0.5)] = -0.0
+    w[1, 1, 1] = 0.5
+    w[2, 0, :] = w[2, :, 0] = -0.0
+    produced, expected = _laplacians(w), two_pass_laplacians(w)
+    assert produced.tobytes() == expected.tobytes()
+    off_diagonal_zeros = (w == 0.0) & ~np.eye(n, dtype=bool)
+    assert not np.signbit(produced[off_diagonal_zeros]).any()
+
+
+def test_laplacian_of_the_mirror_graph_matches_the_two_pass_build_bitwise():
+    mirror = rewire(generate_dual_network(250, 0.4, 0.1, 7).graph, 0.02, 7).weights[None]
+    assert _laplacians(mirror).tobytes() == two_pass_laplacians(mirror).tobytes()
 
 
 def test_connected_components_two_triangles():

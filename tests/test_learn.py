@@ -13,7 +13,7 @@ from oracles import (
     random_involution,
     rank_loop_pairing,
 )
-from prism import finance, learn
+from prism import finance, graphs, learn
 from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.duality import (
     commutant_projection,
@@ -30,7 +30,7 @@ from prism.errors import (
     TooSmall,
     ValidationError,
 )
-from prism.graphs import fiedler_vector, graph_from_edges, laplacian
+from prism.graphs import Graph, fiedler_vector, graph_from_edges, laplacian
 from prism.learn import (
     AlternatingConfig,
     FiedlerPairing,
@@ -110,12 +110,66 @@ def test_fiedler_pairing_matches_eigh_on_finance_components(universe_returns):
     assert checked > 10
 
 
-@pytest.mark.parametrize("seed", [7, 88, 206])
+def mirror_graph(group_size, seed, fraction=0.02):
+    """The benchmark's mirror network on 2 * group_size nodes, a fraction of its edges rewired."""
+    return rewire(generate_dual_network(group_size, 0.4, 0.1, seed).graph, fraction, seed)
+
+
+def twin_graph(group_size, seed):
+    """mirror_graph with node 1 made a twin of node 0: the same neighbours, not adjacent."""
+    w = np.array(mirror_graph(group_size, seed).weights)
+    w[1, :] = w[0, :]
+    w[:, 1] = w[:, 0]
+    return Graph(labels=tuple(f"n{i}" for i in range(len(w))), weights=w)
+
+
+@pytest.mark.parametrize("seed", [7, 30, 88, 121, 206])
 def test_fiedler_pairing_matches_eigh_on_large_mirror_networks(seed, eigh_fallbacks):
     # the benchmark's n = 500 items: a mirror network with 2% of its edges rewired
-    g = rewire(generate_dual_network(250, 0.4, 0.1, seed).graph, 0.02, seed)
+    g = mirror_graph(250, seed)
     assert fiedler_pairing(g).permutation == eigh_pairing(g)
     assert eigh_fallbacks == []
+
+
+@pytest.mark.parametrize("group_size", [64, 100, 180])
+def test_lanczos_rankings_match_eigh_from_the_cutoff_up(group_size, eigh_fallbacks):
+    assert 2 * 64 == graphs.LANCZOS_CUTOFF  # the smallest size here is the cutoff itself
+    for seed in range(6):
+        for fraction in (0.02, 0.05):
+            g = mirror_graph(group_size, seed, fraction)
+            assert fiedler_pairing(g).permutation == eigh_pairing(g)
+    assert eigh_fallbacks == []
+
+
+def test_a_twin_pair_above_the_cutoff_takes_eigh(eigh_fallbacks):
+    # twin nodes have equal Fiedler entries, so no Lanczos vector can prove their order
+    g = twin_graph(250, 7)
+    assert graphs._lanczos_ranking(laplacian(g)) is None
+    assert fiedler_pairing(g).permutation == eigh_pairing(g)
+    assert eigh_fallbacks == [1]
+
+
+def test_a_lanczos_run_cut_short_is_rejected(monkeypatch, eigh_fallbacks):
+    g = mirror_graph(250, 7)
+    monkeypatch.setattr(graphs, "LANCZOS_STEPS", 4)
+    assert graphs._lanczos_ranking(laplacian(g)) is None
+    assert fiedler_pairing(g).permutation == eigh_pairing(g)
+    assert eigh_fallbacks == [1]
+
+
+def test_a_stack_of_large_laplacians_ranks_each_matrix_as_alone(eigh_fallbacks):
+    stack = [mirror_graph(100, 3), twin_graph(100, 4), mirror_graph(100, 5)]
+    weights = np.stack([g.weights for g in stack])
+    lap = graphs._laplacians(weights)
+    rankings = graphs._fiedler_rankings(lap)
+    assert eigh_fallbacks == [1]  # the twin graph alone
+    # the same bits when the kernel may overwrite lap and rebuild it from the weights
+    assert graphs._fiedler_rankings(lap.copy(), weights).tobytes() == rankings.tobytes()
+    assert eigh_fallbacks == [1, 1]
+    for b, g in enumerate(stack):
+        assert rankings[b].tobytes() == graphs._fiedler_rankings(lap[b:b + 1])[0].tobytes()
+        assert tuple(learn._rank_pairings(rankings[b]).tolist()) == eigh_pairing(g)
+    assert eigh_fallbacks == [1, 1, 1]
 
 
 def test_the_club_pairing_takes_the_eigh_fallback(eigh_fallbacks):
@@ -140,6 +194,20 @@ def test_fiedler_pairing_keeps_fiedler_vector_errors():
             fiedler_pairing(huge)
 
 
+def assert_eigh_takes_over_within_memory(g, eigh_fallbacks):
+    # while the fallback's eigh runs, the n x n arrays alive are the Laplacian, eigh's
+    # symmetrised input and its vectors; one more held from the kernel fails the bound
+    expected = eigh_pairing(g)
+    tracemalloc.start()
+    try:
+        assert fiedler_pairing(g).permutation == expected
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eigh_fallbacks == [1]
+    assert peak < 3.5 * g.weights.nbytes
+
+
 def raise_singular(a, b):
     raise np.linalg.LinAlgError("Singular matrix")
 
@@ -151,19 +219,29 @@ def return_nan(a, b):
 @pytest.mark.parametrize("failing_solve", [raise_singular, return_nan])
 def test_a_failed_iteration_frees_its_arrays_before_eigh(monkeypatch, eigh_fallbacks,
                                                          failing_solve):
-    # while the fallback's eigh runs, the n x n arrays alive are the Laplacian, eigh's
-    # symmetrised input and its vectors; one more held from the iteration fails the bound
-    g = rewire(generate_dual_network(250, 0.4, 0.1, 7).graph, 0.02, 7)
-    expected = eigh_pairing(g)
+    # below the Lanczos cutoff, where the kernel runs inverse iteration
+    g = mirror_graph(60, 7)
+    assert g.n < graphs.LANCZOS_CUTOFF
     monkeypatch.setattr(np.linalg, "solve", failing_solve)
-    tracemalloc.start()
-    try:
-        assert fiedler_pairing(g).permutation == expected
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert eigh_fallbacks == [1]
-    assert peak < 3.5 * g.weights.nbytes
+    assert_eigh_takes_over_within_memory(g, eigh_fallbacks)
+
+
+def raise_not_definite(a):
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def factor_nan(a):
+    return np.full(a.shape, np.nan)
+
+
+@pytest.mark.parametrize("failing_cholesky", [raise_not_definite, factor_nan])
+def test_a_failed_cholesky_frees_its_arrays_before_eigh(monkeypatch, eigh_fallbacks,
+                                                        failing_cholesky):
+    # at the benchmark's n = 500: the Lanczos basis, the Cholesky input and its factor
+    # are gone before eigh runs
+    g = mirror_graph(250, 7)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    assert_eigh_takes_over_within_memory(g, eigh_fallbacks)
 
 
 def test_rank_pairings_match_the_rank_loop_row_by_row():
