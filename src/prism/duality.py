@@ -279,20 +279,28 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
 
     defect_after is 0.0 when the projection itself is numerically zero; a
     zero matrix commutes with everything, but the defect ratio is undefined.
+    For a permutation it is also exactly 0.0 whenever ||L'||_F is finite,
+    without building the commutator: L' has L'[sigma_i, sigma_j] ==
+    L'[i, j] bit for bit (_commutant_blocks), so every entry L'[i, sigma_j]
+    - L'[sigma_i, j] of L'P - PL' is x - x = 0.0. An overflowed norm keeps
+    the computed ratio, which is NaN where L' holds an infinity.
     """
     l_matrix = _check_dims(l_matrix, p)
-    projected = _commutant_average(l_matrix, _conjugate(l_matrix, p))
+    conjugate = _conjugate(l_matrix, p)
+    projected = _commutant_average(l_matrix, conjugate)
+    # L' - L in the conjugate's buffer, freed before the commutator of L is built
+    deformation = float(np.linalg.norm(np.subtract(projected, l_matrix, out=conjugate)))
+    del conjugate
     norm = float(np.linalg.norm(l_matrix))
     if norm <= ZERO_NORM_TOL:
         defect_before = 0.0
     else:
         defect_before = commutator_norm(l_matrix, p) / norm
     projected_norm = float(np.linalg.norm(projected))
-    if projected_norm <= ZERO_NORM_TOL:
+    if projected_norm <= ZERO_NORM_TOL or (p.sigma is not None and math.isfinite(projected_norm)):
         defect_after = 0.0
     else:
         defect_after = commutator_norm(projected, p) / projected_norm
-    deformation = float(np.linalg.norm(projected - l_matrix))
     return ProjectionResult(
         projected=_Adopted(projected),
         defect_before=defect_before,

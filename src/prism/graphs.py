@@ -313,6 +313,7 @@ FIEDLER_BACKWARD_ERROR = 8.0
 LANCZOS_CUTOFF = 128
 LANCZOS_STEPS = 40
 CHOLESKY_ROUNDING = 2.0
+LANCZOS_ROWS = 64  # rows of the Cholesky input reduced or updated at once: 256 KB at m = 500
 
 
 def _fiedler_rankings(lap: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -431,7 +432,11 @@ def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | No
 
     None when the test fails, _lanczos gives no vector or cholesky raises
     LinAlgError. in_place takes lap, exactly symmetric, as sym and
-    overwrites it. x is the bottom Ritz vector of a Lanczos run (_lanczos),
+    overwrites it; otherwise sym is a plain copy of a bitwise symmetric lap
+    whose entries cannot overflow when doubled (the bits of (L + L^T) / 2),
+    or that average. scale and the rank-2 term are taken LANCZOS_ROWS rows
+    at a time, so sym and the Cholesky's own arrays are the only n x n ones
+    made. x is the bottom Ritz vector of a Lanczos run (_lanczos),
     u = 1/sqrt(m), and scale = ||sym||_inf, the Gershgorin bound on every
     |lambda|. gap is min(rho - a, t - delta - rho) - 2 eta, where:
 
@@ -457,13 +462,17 @@ def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | No
     """
     m = len(lap)
     eps = np.finfo(float).eps
+    rows = np.empty((min(LANCZOS_ROWS, m), m))  # scratch for the row-block steps
     with np.errstate(all="ignore"):
+        scale = _inf_norm(lap, rows)
         if in_place:
             sym = lap
+        elif scale <= np.finfo(float).max / 2.0 and _bitwise_symmetric(lap):
+            sym = lap.copy()  # no entry doubles past the largest float, so (L + L^T) / 2 == L
         else:
             sym = lap + lap.T
             sym /= 2.0
-        scale = float(np.linalg.norm(sym, np.inf))
+            scale = _inf_norm(sym, rows)
         eta = FIEDLER_BACKWARD_ERROR * m * eps * scale
         u = np.full(m, 1.0 / np.sqrt(m))
         a = u @ (sym @ u)
@@ -480,7 +489,11 @@ def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | No
         d = np.arange(m)
         sym[d, d] -= t
         sym += scale / m
-        sym += np.multiply.outer(scale * x, x)
+        scaled = scale * x
+        for start in range(0, m, len(rows)):
+            stop = start + len(rows)
+            sym[start:stop] += np.multiply.outer(scaled[start:stop], x, out=rows[:m - start])
+        del rows
         try:
             factor = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:  # A has a pivot <= 0: t may be above lambda_3
@@ -488,6 +501,25 @@ def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | No
         delta = CHOLESKY_ROUNDING * (m + 1) * eps * (
             np.vdot(factor, factor) + np.sqrt(m) * (scale + abs(t)) + 2.0 * scale)
     return x if _separated(x, error, np.minimum(rho - a, t - delta - rho) - 2.0 * eta) else None
+
+
+def _inf_norm(m: np.ndarray, rows: np.ndarray) -> float:
+    """np.linalg.norm(m, np.inf) bit for bit, through the row-block scratch rows.
+
+    Each row sum is the same reduction of the same row, and max is exact.
+    """
+    sums = np.empty(len(m))
+    for start in range(0, len(m), len(rows)):
+        block = m[start:start + len(rows)]
+        sums[start:start + len(rows)] = np.abs(block, out=rows[:len(block)]).sum(axis=1)
+    return float(sums.max())
+
+
+def _bitwise_symmetric(m: np.ndarray) -> bool:
+    """m == m^T bit for bit (so -0.0 against 0.0, or any NaN, fails), in row blocks."""
+    bits = m.view(np.uint64)
+    blocks = (slice(start, start + LANCZOS_ROWS) for start in range(0, len(m), LANCZOS_ROWS))
+    return all(np.array_equal(bits[rows], bits[:, rows].T) for rows in blocks)
 
 
 def _lanczos(

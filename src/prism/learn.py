@@ -6,14 +6,16 @@ alternates closed-form commutant projection with a penalized quasi-Newton
 step over P, snapping back to the involution manifold after each step.
 
 scipy.optimize is imported inside optimize_p_step, after its early return
-for a pair that already commutes. alternate hands that step the projected L,
-which commutes exactly with a permutation operator, so only a dense operator
-(or a direct call on a pair that does not commute) loads scipy.
+for a pair that already commutes. alternate runs that step only for a dense
+operator: a permutation's finite projection commutes with it exactly, so
+the step could not move it and is skipped. Only a dense operator (or a
+direct call on a pair that does not commute) loads scipy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from .duality import (
     DualityOperator,
     _check_dims,
+    _defect_norm,
     commutant_projection,
     commutator_norm,
     duality_defect,
@@ -202,17 +205,32 @@ def alternate(
     Records delta(L, P_t) per outer iteration against the original L and
     stops when the defect drops below defect_tolerance, the defect change
     drops below step_tolerance, or max_outer_iterations is exhausted.
+
+    A permutation start operator is projected once, up front, after
+    duality_defect's checks in its order: the projection's defect_before
+    is delta(L, P_0) bit for bit. Its L' commutes exactly with P wherever
+    it is finite (defect_after is then finite), so the P-step, which would
+    hand P back unchanged, is not run; every iteration keeps P and its
+    defect. A projection that overflowed still goes through the step,
+    which raises NonFinite. A dense operator takes the step every iteration.
     """
     cfg = cfg or AlternatingConfig()
     l_matrix = np.asarray(l_matrix, dtype=float)
     p = p0
-    trajectory = [duality_defect(l_matrix, p)]
+    projection, projected_against = None, None
+    if p.is_permutation():
+        _defect_norm(_check_dims(l_matrix, p))
+        projection, projected_against = commutant_projection(l_matrix, p), p
+        trajectory = [projection.defect_before]
+    else:
+        trajectory = [duality_defect(l_matrix, p)]
     converged = trajectory[0] < cfg.defect_tolerance
     iterations = 0
-    projection, projected_against = None, None
     while not converged and iterations < cfg.max_outer_iterations:
-        projection, projected_against = commutant_projection(l_matrix, p), p
-        p = optimize_p_step(projection.projected, p, cfg)
+        if projected_against is not p:
+            projection, projected_against = commutant_projection(l_matrix, p), p
+        if not (p.is_permutation() and math.isfinite(projection.defect_after)):
+            p = optimize_p_step(projection.projected, p, cfg)
         iterations += 1
         # an unchanged operator has the defect just recorded
         trajectory.append(trajectory[-1] if p is projected_against else duality_defect(l_matrix, p))

@@ -17,8 +17,10 @@ draws one Generator conversion at a time from raw PCG64 words, the
 community coupling table from one list of node pairs per block, each
 finance window through its own kept-ticker range test, np.corrcoef, Graph,
 components walk, full eigendecomposition and operator instead of the
-stacked per-chunk kernel, and the Graph weight and symmetric_eig input
-checks one matrix at a time instead of by stack masks.
+stacked per-chunk kernel, the Graph weight and symmetric_eig input
+checks one matrix at a time instead of by stack masks, and the projection
+and alternating learner as they were before they stopped building the
+commutator of a permutation's projection and running its P-step.
 Agreement between the two routes is the test.
 """
 
@@ -31,7 +33,17 @@ from scipy.optimize import linear_sum_assignment
 
 from prism import finance
 from prism.benchmarks import child_seed, karate_club
-from prism.duality import commutant_projection, duality_defect
+from prism.duality import (
+    ZERO_NORM_TOL,
+    DualityOperator,
+    ProjectionResult,
+    _check_dims,
+    _commutant_average,
+    _conjugate,
+    commutant_projection,
+    commutator_norm,
+    duality_defect,
+)
 from prism.errors import (
     DegenerateWindow,
     NonFinite,
@@ -41,7 +53,7 @@ from prism.errors import (
     ZeroMatrix,
 )
 from prism.graphs import SYMMETRY_RTOL, Graph, connected_components, is_connected, laplacian
-from prism.learn import fiedler_duality_operator
+from prism.learn import AlternatingConfig, LearnResult, fiedler_duality_operator, optimize_p_step
 
 
 def eigenbasis_projection(l_matrix: np.ndarray, p_matrix: np.ndarray) -> np.ndarray:
@@ -645,3 +657,54 @@ def loop_rolling_series(r, window_len: int, stride: int = 1, threshold: float = 
         skipped=tuple(skipped),
         config={"window_len": window_len, "stride": stride, "threshold": threshold},
     )
+
+
+def built_commutator_projection(l_matrix: np.ndarray, p: DualityOperator) -> ProjectionResult:
+    """commutant_projection that builds the commutator of L' for every operator.
+
+    defect_after is always the computed ||L'P - PL'||_F / ||L'||_F, and the
+    deformation is taken last, from a fresh L' - L.
+    """
+    l_matrix = _check_dims(l_matrix, p)
+    projected = _commutant_average(l_matrix, _conjugate(l_matrix, p))
+    norm = float(np.linalg.norm(l_matrix))
+    defect_before = 0.0 if norm <= ZERO_NORM_TOL else commutator_norm(l_matrix, p) / norm
+    projected_norm = float(np.linalg.norm(projected))
+    if projected_norm <= ZERO_NORM_TOL:
+        defect_after = 0.0
+    else:
+        defect_after = commutator_norm(projected, p) / projected_norm
+    deformation = float(np.linalg.norm(projected - l_matrix))
+    return ProjectionResult(projected=projected, defect_before=defect_before,
+                            defect_after=defect_after, deformation=deformation)
+
+
+def stepping_alternate(
+    l_matrix: np.ndarray, p0: DualityOperator, cfg: AlternatingConfig | None = None
+) -> LearnResult:
+    """alternate that takes the P-step every iteration, for every operator.
+
+    delta(L, P_0) comes from duality_defect, each iteration projects again
+    (built_commutator_projection) and hands L' to optimize_p_step.
+    """
+    cfg = cfg or AlternatingConfig()
+    l_matrix = np.asarray(l_matrix, dtype=float)
+    p = p0
+    trajectory = [duality_defect(l_matrix, p)]
+    converged = trajectory[0] < cfg.defect_tolerance
+    iterations = 0
+    projection, projected_against = None, None
+    while not converged and iterations < cfg.max_outer_iterations:
+        projection, projected_against = built_commutator_projection(l_matrix, p), p
+        p = optimize_p_step(projection.projected, p, cfg)
+        iterations += 1
+        trajectory.append(trajectory[-1] if p is projected_against else duality_defect(l_matrix, p))
+        if trajectory[-1] < cfg.defect_tolerance:
+            converged = True
+        elif abs(trajectory[-1] - trajectory[-2]) < cfg.step_tolerance:
+            converged = True
+    if projected_against is not p:
+        projection = built_commutator_projection(l_matrix, p)
+    return LearnResult(operator=p, projected=projection.projected,
+                       defect_trajectory=tuple(trajectory), converged=converged,
+                       iterations=iterations)

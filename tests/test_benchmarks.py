@@ -23,7 +23,7 @@ from oracles import (
     reference_rmt_labels,
     rounding_level,
 )
-from prism import benchmarks
+from prism import benchmarks, graphs
 from prism.benchmarks import (
     KARATE_FACTIONS,
     NoiseBenchmarkReport,
@@ -188,6 +188,36 @@ def test_generate_dual_network_validation():
     # intra 1, cross 0 always yields two disconnected mirror halves
     with pytest.raises(DegenerateGraph):
         generate_dual_network(2, edge_prob_intra=1.0, edge_prob_cross=0.0, seed=0)
+
+
+def test_generate_dual_network_builds_no_laplacian(monkeypatch):
+    # swap invariance is checked on the weights' quarter blocks
+    built = []
+    laplacians = graphs._laplacians
+
+    def counting_laplacians(weights):
+        built.append(len(weights))
+        return laplacians(weights)
+
+    monkeypatch.setattr(graphs, "_laplacians", counting_laplacians)
+    monkeypatch.setattr(benchmarks, "_laplacians", counting_laplacians)
+    for m, seed in ((3, 0), (8, 2), (250, 7)):
+        generate_dual_network(m, seed=seed)
+    assert built == []
+
+
+def test_a_broken_mirror_raises_degenerate_graph():
+    net = generate_dual_network(8, seed=2)
+    benchmarks._check_swap_invariance(net.graph, net.true_operator)
+    w = np.array(net.graph.weights)
+    for i, j in ((0, 1), (0, 9), (9, 10)):  # inside A, across, inside B
+        broken = w.copy()
+        broken[i, j] = broken[j, i] = 1.0 + (w[i, j] != 0.0)  # a new weight or a new edge
+        g = Graph(labels=net.graph.labels, weights=broken)
+        defect = duality_defect(laplacian(g), net.true_operator)
+        assert defect > 0.0
+        with pytest.raises(DegenerateGraph, match=f"defect {defect:.3e}"):
+            benchmarks._check_swap_invariance(g, net.true_operator)
 
 
 def test_generate_dual_network_matches_the_pair_loop(monkeypatch):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    built_commutator_projection,
     dense_defect,
     dense_involution_dims,
     dense_projection,
@@ -38,8 +40,10 @@ from prism.errors import (
     ParseError,
     ZeroMatrix,
 )
-from prism.benchmarks import index_reversal_operator
+from prism import duality
+from prism.benchmarks import generate_dual_network, index_reversal_operator, karate_club, rewire
 from prism.graphs import Graph, graph_from_edges, laplacian
+from prism.learn import fiedler_duality_operator
 
 PATH3 = laplacian(graph_from_edges(["a", "b", "c"], [(0, 1), (1, 2)]))
 SWAP01 = validate_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
@@ -417,3 +421,78 @@ def test_commutant_blocks_split_the_projection_spectrum_and_lift_back(seed, n, d
         assert np.array_equal(lifted[sigma[heads]], sign * lifted[heads])
         if sector == 1:
             assert np.array_equal(lifted[fixed], np.zeros((fixed.size, pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 24), data=st.data())
+def test_a_permutations_projection_commutes_with_it_exactly(n, data):
+    # any finite entries whose sums cannot overflow, asymmetric matrices too, and
+    # 0, 1 or several fixed points: every entry of L'P - PL' is exactly 0.0
+    pairs = data.draw(st.integers(0, n // 2))
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.intp)
+    sigma = np.arange(n)
+    sigma[order[:pairs]], sigma[order[pairs:2 * pairs]] = order[pairs:2 * pairs], order[:pairs]
+    l_matrix = data.draw(arrays(np.float64, (n, n), elements=st.floats(-1e307, 1e307)))
+    with np.errstate(over="ignore"):  # ||L||_F may overflow
+        result = commutant_projection(l_matrix, permutation_operator(sigma))
+    assert np.all(_commutator(np.asarray(result.projected), sigma) == 0.0)
+    assert result.defect_after == 0.0
+
+
+def projection_bits(result):
+    return (result.projected.tobytes(),
+            np.array([result.defect_before, result.defect_after, result.deformation]).tobytes())
+
+
+def oracle_projection_cases():
+    """(L, P): rewired mirror networks of 20 to 500 nodes against their true, Fiedler and
+    index-reversal operators, the club, dense operators, a zero matrix and near-overflow L."""
+    for group_size in (10, 60, 150, 250):
+        net = generate_dual_network(group_size, seed=group_size)
+        g = rewire(net.graph, 0.02, seed=group_size)
+        for op in (net.true_operator, fiedler_duality_operator(g), index_reversal_operator(g.n)):
+            yield laplacian(g), op
+    club = laplacian(karate_club()[0])
+    rng = np.random.default_rng(11)
+    dense = [validate_involution(random_involution(rng, 34, kind)) for kind in ("reflection", "dense")]
+    for op in [fiedler_duality_operator(karate_club()[0]), index_reversal_operator(34), *dense]:
+        yield club, op
+        yield np.zeros((34, 34)), op
+        yield club * 1e306, op  # finite L', but ||L||_F and ||L'||_F overflow
+        yield 1.5e308 * np.sign(rng.standard_normal((34, 34))), op  # L + PLP overflows
+
+
+def test_the_projection_keeps_the_bits_of_the_built_commutator_route():
+    with np.errstate(all="ignore"):
+        for l_matrix, op in oracle_projection_cases():
+            expected = projection_bits(built_commutator_projection(l_matrix, op))
+            assert projection_bits(commutant_projection(l_matrix, op)) == expected
+        zero = commutant_projection(np.zeros((34, 34)), index_reversal_operator(34))
+        assert (zero.defect_before, zero.defect_after, zero.deformation) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("l_matrix, error", [
+    (np.full((3, 3), np.nan), NonFinite),
+    (np.eye(4), DimensionMismatch),
+])
+def test_the_projection_raises_as_the_built_commutator_route(l_matrix, error):
+    for op in (SWAP01, validate_involution(random_involution(np.random.default_rng(3), 3, "dense"))):
+        for route in (commutant_projection, built_commutator_projection):
+            with pytest.raises(error):
+                route(l_matrix, op)
+
+
+def test_a_permutations_projection_builds_one_commutator(monkeypatch):
+    calls = []
+
+    def counting_commutator(l_matrix, sigma):
+        calls.append(sigma)
+        return _commutator(l_matrix, sigma)
+
+    monkeypatch.setattr(duality, "_commutator", counting_commutator)
+    net = generate_dual_network(60, seed=4)
+    lap = laplacian(rewire(net.graph, 0.05, seed=4))
+    for op in (net.true_operator, index_reversal_operator(120), identity_operator(120)):
+        calls.clear()
+        commutant_projection(lap, op)
+        assert len(calls) == 1  # the one of L, for defect_before

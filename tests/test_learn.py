@@ -12,8 +12,9 @@ from oracles import (
     penalized_objective,
     random_involution,
     rank_loop_pairing,
+    stepping_alternate,
 )
-from prism import finance, graphs, learn
+from prism import duality, finance, graphs, learn
 from prism.benchmarks import generate_dual_network, karate_club, rewire
 from prism.duality import (
     commutant_projection,
@@ -27,8 +28,10 @@ from prism.errors import (
     DimensionMismatch,
     DisconnectedGraph,
     NonFinite,
+    PrismError,
     TooSmall,
     ValidationError,
+    ZeroMatrix,
 )
 from prism.graphs import Graph, fiedler_vector, graph_from_edges, laplacian
 from prism.learn import (
@@ -170,6 +173,63 @@ def test_a_stack_of_large_laplacians_ranks_each_matrix_as_alone(eigh_fallbacks):
         assert rankings[b].tobytes() == graphs._fiedler_rankings(lap[b:b + 1])[0].tobytes()
         assert tuple(learn._rank_pairings(rankings[b]).tolist()) == eigh_pairing(g)
     assert eigh_fallbacks == [1, 1, 1]
+
+
+def test_the_lanczos_test_builds_no_n_by_n_temporary(monkeypatch):
+    # at the benchmark's n = 500, in place: before the factorisation only the Lanczos
+    # basis and the row-block scratch are live, and cholesky may add its copy and factor
+    lap = laplacian(mirror_graph(250, 7))
+    before = []
+    cholesky = np.linalg.cholesky
+
+    def measured_cholesky(a):
+        before.append(tracemalloc.get_traced_memory()[1])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", measured_cholesky)
+    tracemalloc.start()
+    try:
+        assert graphs._lanczos_ranking(lap, in_place=True) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(before) == 1 and before[0] < lap.nbytes / 2
+    assert peak < 2.5 * lap.nbytes
+
+
+def ranking_bits(lap, in_place=False):
+    x = graphs._lanczos_ranking(lap, in_place=in_place)
+    return None if x is None else x.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 30])
+def test_an_out_of_place_ranking_has_the_bits_of_the_symmetrised_matrix(seed):
+    lap = laplacian(mirror_graph(250, seed))
+    kept = lap.copy()
+    assert ranking_bits(lap) is not None
+    assert lap.tobytes() == kept.tobytes()
+    assert ranking_bits(lap) == ranking_bits(lap.copy(), in_place=True)
+    # not bitwise symmetric: an entry an ulp off its mirror, or a -0.0 facing a +0.0
+    edge = np.flatnonzero(lap[0, 1:])[0] + 1
+    gap = np.flatnonzero(lap[0, 1:] == 0.0)[0] + 1
+    for column, value in ((edge, np.nextafter(lap[0, edge], 0.0)), (gap, -0.0)):
+        skewed = lap.copy()
+        skewed[0, column] = value
+        average = (skewed + skewed.T) / 2.0
+        assert ranking_bits(skewed) == ranking_bits(average, in_place=True)
+
+
+def test_the_row_block_infinity_norm_has_numpys_bits():
+    rng = np.random.default_rng(5)
+    for m in (1, 2, 63, 64, 65, 200):
+        rows = np.empty((min(graphs.LANCZOS_ROWS, m), m))
+        a = rng.standard_normal((m, m)) * 10.0 ** rng.integers(-300, 300, (m, 1))
+        assert graphs._inf_norm(a, rows) == np.linalg.norm(a, np.inf)
+        for value in (np.inf, np.nan, -0.0):
+            b = a.copy()
+            b[m // 2, 0] = value
+            assert np.array_equal(graphs._inf_norm(b, rows), np.linalg.norm(b, np.inf),
+                                  equal_nan=True)
 
 
 def test_the_club_pairing_takes_the_eigh_fallback(eigh_fallbacks):
@@ -423,12 +483,17 @@ def test_alternate_returns_the_plain_projection_for_permutation_operators():
         assert result.projected.tobytes() == commutant_projection(l_matrix, p).projected.tobytes()
 
 
+def reflection_operator(n, seed):
+    """A dense start operator: alternate runs its P-step, as for no permutation."""
+    return validate_involution(random_involution(np.random.default_rng(seed), n, "reflection"))
+
+
 def test_alternate_projects_again_when_the_step_changes_p(monkeypatch):
     g = lollipop_graph()
     lap = laplacian(g)
     identity = identity_operator(6)
     monkeypatch.setattr(learn, "optimize_p_step", lambda lp, p0, cfg: identity)
-    result = alternate(lap, fiedler_duality_operator(g), AlternatingConfig(max_outer_iterations=1))
+    result = alternate(lap, reflection_operator(6, 3), AlternatingConfig(max_outer_iterations=1))
     assert result.iterations == 1 and result.operator is identity
     assert result.projected.tobytes() == lap.tobytes()
 
@@ -447,15 +512,69 @@ def test_alternate_reuses_the_defect_when_the_step_keeps_p(monkeypatch):
     op = fiedler_duality_operator(g)
     result = alternate(lap, op)
     assert result.iterations == 1 and result.operator is op
-    assert len(calls) == 1
+    assert len(calls) == 0  # a permutation's defect is the projection's defect_before
     assert result.defect_trajectory == (duality_defect(lap, op),) * 2
 
     calls.clear()
+    dense = reflection_operator(g.n, 3)
     identity = identity_operator(g.n)
     monkeypatch.setattr(learn, "optimize_p_step", lambda lp, p0, cfg: identity)
-    result = alternate(lap, op, AlternatingConfig(max_outer_iterations=1))
-    assert calls == [op, identity]
-    assert result.defect_trajectory == (duality_defect(lap, op), 0.0)
+    result = alternate(lap, dense, AlternatingConfig(max_outer_iterations=1))
+    assert calls == [dense, identity]
+    assert result.defect_trajectory == (duality_defect(lap, dense), 0.0)
+
+
+def learn_outcome(route, l_matrix, p0):
+    """A LearnResult as comparable bits, or the type of the PrismError raised."""
+    try:
+        result = route(l_matrix, p0)
+    except PrismError as error:
+        return type(error)
+    return (result.operator, result.projected.tobytes(),
+            np.array(result.defect_trajectory).tobytes(), result.converged, result.iterations)
+
+
+def test_alternate_keeps_the_bits_of_the_stepping_route():
+    cases = []
+    for group_size in (10, 60, 150, 250):
+        net = generate_dual_network(group_size, seed=group_size)
+        g = rewire(net.graph, 0.02, seed=group_size)
+        cases += [(laplacian(g), op) for op in (fiedler_duality_operator(g), net.true_operator)]
+    club_graph = karate_club()[0]
+    club, club_op = laplacian(club_graph), fiedler_duality_operator(club_graph)
+    cases += [
+        (club, club_op),
+        (np.zeros((34, 34)), club_op),  # ZeroMatrix
+        (np.full((34, 34), np.nan), club_op),  # NonFinite
+        (np.eye(5), club_op),  # DimensionMismatch
+        (club * 1e306, club_op),  # ||L||_F overflows: a NaN trajectory to the iteration cap
+        (1.5e308 * np.sign(np.random.default_rng(2).standard_normal((34, 34))), club_op),
+    ]
+    for g, seed in ((lollipop_graph(), 3), (path_graph(8), 4)):  # dense operators take the step
+        cases.append((laplacian(g), reflection_operator(g.n, seed)))
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for l_matrix, p0 in cases:
+            expected = learn_outcome(stepping_alternate, l_matrix, p0)
+            assert learn_outcome(alternate, l_matrix, p0) == expected
+            outcomes.add(expected if isinstance(expected, type) else expected[3:])
+    assert {ZeroMatrix, NonFinite, DimensionMismatch, (False, 50)} <= outcomes
+
+
+def test_alternate_builds_one_commutator_for_a_permutation(monkeypatch):
+    calls = []
+    commutator = duality._commutator
+
+    def counting_commutator(l_matrix, sigma):
+        calls.append(sigma)
+        return commutator(l_matrix, sigma)
+
+    monkeypatch.setattr(duality, "_commutator", counting_commutator)
+    g = mirror_graph(60, 4, 0.05)
+    for op in (fiedler_duality_operator(g), identity_operator(g.n)):  # one iteration, then none
+        calls.clear()
+        alternate(laplacian(g), op)
+        assert len(calls) == 1
 
 
 def test_alternating_config_validation():
