@@ -18,11 +18,12 @@ of one graph size for the Graph checks, the edge count and the
 connectivity walk, and the components of one size for the Laplacian and
 the Fiedler rank pairing, then takes each window's commutator and norms on
 its own. The pairing ranks the nodes by graphs._fiedler_rankings, the
-package's one Fiedler-ranking kernel, on the whole stack: a vector from
-eigvalsh and inverse iteration (below graphs.LANCZOS_CUTOFF nodes) or from a
-Lanczos run and a Cholesky test (at or above it, one matrix at a time)
-wherever its error bound proves eigh's Fiedler vector ranks them the same
-way, and eigh's vector elsewhere.
+package's one Fiedler-ranking kernel, handed the stack's weights, from
+which it builds Laplacians of its own: a vector from eigvalsh and inverse
+iteration (below graphs.LANCZOS_CUTOFF nodes) or from a Lanczos run and a
+Cholesky test (at or above it, one matrix at a time) wherever its error
+bound proves eigh's Fiedler vector ranks them the same way, and eigh's
+vector elsewhere.
 fiedler_duality_operator runs the same kernel on a stack of one. Each other
 step is the per-matrix API's own helper, so a window's numbers and first
 failing check are those of the window computed alone. communities and
@@ -354,10 +355,12 @@ def _chunk_stats(
 
     for m, group in components.items():
         keys = [k for k, _ in group]
-        lap = _laplacians(np.stack([w for _, w in group]))
+        weights = np.stack([w for _, w in group])
+        lap = _laplacians(weights)
         keep = _screen_symmetric(lap, keys, outcomes)
-        keys, lap = [k for k, ok in zip(keys, keep) if ok], lap[keep]
-        sigma = _rank_pairings(_fiedler_rankings(lap))
+        if not keep.all():  # copies only then: copying every chunk raises peak memory
+            keys, lap, weights = [k for k, ok in zip(keys, keep) if ok], lap[keep], weights[keep]
+        sigma = _rank_pairings(_fiedler_rankings(weights))
         for b, k in enumerate(keys):
             try:
                 norm = _defect_norm(lap[b])  # per matrix: a batched norm sums in another order

@@ -15,12 +15,13 @@ connected_components and symmetric_eig run them on a stack of one, so every
 matrix of a stack gets the bits, and the first error, it would get alone.
 
 Every Fiedler rank pairing (learn.fiedler_pairing and finance's window
-kernel) ranks nodes by _fiedler_rankings: a vector with an error bound that
-proves the ranking is that of eigh's Fiedler vector, from eigvalsh and two
-inverse-iteration solves below LANCZOS_CUTOFF nodes and from a short Lanczos
-run and one Cholesky inertia test at or above it, with eigh itself where no
-bound holds (_fiedler_columns). fiedler_vector, symmetric_eig and the
-sign-based labels keep the full eigh.
+kernel) ranks nodes by _fiedler_rankings, handed the graphs' weight stack:
+a vector with an error bound that proves the ranking is that of eigh's
+Fiedler vector, from eigvalsh and two inverse-iteration solves below
+LANCZOS_CUTOFF nodes and from a short Lanczos run and one Cholesky inertia
+test at or above it, with eigh itself where no bound holds
+(_fiedler_columns). The kernel builds every Laplacian it works on itself.
+fiedler_vector, symmetric_eig and the sign-based labels keep the full eigh.
 
 Frozen results copy the arrays they are handed, except an array the package
 has just built and wrapped in _Adopted, which they take over read-only.
@@ -248,10 +249,11 @@ def _screen_symmetric(m: np.ndarray, keys: list, outcomes: list) -> np.ndarray:
 def _signed_eigh(m: np.ndarray, columns: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """symmetric_eig's decomposition of each matrix of a (..., n, n) stack, unchecked.
 
-    Returns the ascending eigenvalues and the eigenvector columns picked by
-    columns, with the sign rule (_sign_rule) applied.
+    Each matrix must be exactly symmetric, as a Laplacian that _laplacians
+    builds is. Returns the ascending eigenvalues and the eigenvector columns
+    picked by columns, with the sign rule (_sign_rule) applied.
     """
-    values, vectors = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
+    values, vectors = np.linalg.eigh(m)
     return values, _sign_rule(vectors[..., columns])
 
 
@@ -270,11 +272,17 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
 
     Each eigenvector is flipped so its largest-magnitude entry is positive;
     ties go to the lowest index. Rejects asymmetric or non-finite input.
+    A matrix symmetric only within tolerance is decomposed as (m + m^T) / 2.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")
     _raise_first(_screen_symmetric, m)
+    bits = m.view(np.uint64)
+    # the average of a bitwise symmetric m is m itself, unless 2m overflows; -0.0
+    # against 0.0 still averages
+    if not np.array_equal(bits, bits.T):
+        m = (m + m.T) / 2.0
     values, vectors = _signed_eigh(m)
     return SpectralDecomposition(eigenvalues=_Adopted(values), eigenvectors=_Adopted(vectors))
 
@@ -316,14 +324,19 @@ CHOLESKY_ROUNDING = 2.0
 LANCZOS_ROWS = 64  # rows of the Cholesky input reduced or updated at once: 256 KB at m = 500
 
 
-def _fiedler_rankings(lap: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """A vector per Laplacian of a (B, m, m) stack, m >= 2, that ranks like its Fiedler vector.
+def _fiedler_rankings(weights: np.ndarray) -> np.ndarray:
+    """A vector per graph of a (B, m, m) weight stack, m >= 2, that ranks like its Fiedler vector.
+
+    weights are Graph weights with finite degrees, and are never written.
+    Each Laplacian the kernel works on, sym below, is its own build by
+    _laplacians, so it is exactly symmetric.
 
     The rank pairing (learn._rank_pairings) of each row is the one of the
     sign-fixed Fiedler column of _signed_eigh, and a matrix without a proof
-    of this takes eigh itself (_fiedler_columns). Every proof has one form.
-    Let sym = (L + L^T) / 2, and let x be a unit vector with rho = x^T sym
-    x. eigh's vector v is an exact eigenvector, for the second eigenvalue,
+    of this takes eigh itself (_fiedler_columns, on a fresh build of the
+    rejected matrices). Every proof has one form.
+    Let x be a unit vector with rho = x^T sym x.
+    eigh's vector v is an exact eigenvector, for the second eigenvalue,
     of sym + E with ||E|| <= eta = FIEDLER_BACKWARD_ERROR * m * eps * scale,
     scale >= ||sym||. Put error = ||sym x - rho x|| + eta, a bound on x's
     residual for sym + E, and let gap > 0 bound the distance from rho to
@@ -339,45 +352,43 @@ def _fiedler_rankings(lap: np.ndarray, weights: np.ndarray | None = None) -> np.
     spacing of a unit vector exceeds sqrt(2) / (m - 1) < 4.
 
     Below LANCZOS_CUTOFF nodes, x comes from eigvalsh and inverse iteration
-    (_inverse_iteration), gap from eigvalsh's values as min(lambda_2 -
-    lambda_1, lambda_3 - lambda_2), which stands in for the distance from
-    rho up to a second-order term, and scale is max|lambda|. At or above
-    it, x comes from a short Lanczos run and gap from a Cholesky inertia
-    test (_lanczos_ranking), one matrix at a time, so a stack never holds
-    more than one Cholesky input. Given weights, the stack lap was built
-    from by _laplacians, lap is the kernel's to overwrite: the Lanczos run
-    and the Cholesky input use each matrix's own buffer instead of a
-    symmetrised copy (a Laplacian of exactly symmetric weights is exactly
-    symmetric), and a matrix that eigh must take is rebuilt first.
+    (_inverse_iteration) on one stack of Laplacians, gap from eigvalsh's
+    values as min(lambda_2 - lambda_1, lambda_3 - lambda_2), which stands in
+    for the distance from rho up to a second-order term, and scale is
+    max|lambda|. At or above it, x comes from a short Lanczos run and gap
+    from a Cholesky inertia test (_lanczos_ranking), which builds its
+    Cholesky input in the Laplacian's buffer; the Laplacians are built one
+    at a time, so a stack never holds more than one Cholesky input.
 
     The cutoff is where the two paths cross. Milliseconds per call on
     mirror networks (benchmarks.generate_dual_network(m / 2) with 2% of
-    the edges rewired, learn's in-place call), minimum over 3 seeds and 7
+    the edges rewired, one graph per call), minimum over 3 seeds and 7
     repeats, BLAS on one thread, 2-CPU x86-64:
 
         m                      60   100   120   128   160   200   300   500
         eigvalsh + inv. iter. 0.62  1.29  1.83  1.99  3.14  4.77  11.6  36.7
         Lanczos + Cholesky    1.68  1.85  1.68  1.79  2.00  2.79  3.93  11.2
     """
-    if lap.shape[-1] >= LANCZOS_CUTOFF:
-        x = np.zeros(lap.shape[:2])
-        separated = np.zeros(len(lap), dtype=bool)
-        for b in range(len(lap)):
-            ranking = _lanczos_ranking(lap[b], in_place=weights is not None)  # frees its arrays
+    if weights.shape[-1] >= LANCZOS_CUTOFF:
+        x = np.zeros(weights.shape[:2])
+        separated = np.zeros(len(weights), dtype=bool)
+        for b in range(len(weights)):
+            # held to the next build or the return: on mirror-large this measured fewer page
+            # faults and a lower peak RSS than freeing it at once, though both move with
+            # glibc's heap layout
+            sym = _laplacians(weights[b:b + 1])[0]
+            ranking = _lanczos_ranking(sym)
             if ranking is not None:
                 x[b], separated[b] = ranking, True
-            elif weights is not None:
-                lap[b] = _laplacians(weights[b:b + 1])[0]
     else:
-        iteration = _inverse_iteration(lap)  # its n x n temporaries are gone before any eigh
+        iteration = _inverse_iteration(_laplacians(weights))  # the stack is freed before any eigh
         if iteration is None:
-            return _fiedler_columns(lap)
+            return _fiedler_columns(_laplacians(weights))
         x, error, gap = iteration
         separated = _separated(x, error, gap)
-    if not separated.any():
-        return _fiedler_columns(lap)  # no boolean-index copy of the stack
     if not separated.all():
-        x[~separated] = _fiedler_columns(lap[~separated])
+        rejected = weights[~separated] if separated.any() else weights  # no copy of the whole stack
+        x[~separated] = _fiedler_columns(_laplacians(rejected))
     return x
 
 
@@ -389,24 +400,23 @@ def _separated(x: np.ndarray, error, gap) -> np.ndarray:
     return ((gap > 0.0) & (spacing * gap > 4.0 * error)).all(axis=-1)
 
 
-def _inverse_iteration(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _inverse_iteration(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """_fiedler_rankings' iteration below LANCZOS_CUTOFF: x, error and gap per matrix, or None.
 
+    sym is the kernel's own (B, m, m) stack of exactly symmetric Laplacians.
     None when eigvalsh or solve raises LinAlgError; a non-finite result is
     returned as it is and fails the caller's test. Two steps of inverse
-    iteration on sym - mu I, mu just below eigvalsh's lambda_2, give x.
-    sym is the only n x n array it makes: the solves see sym with mu
-    subtracted from its diagonal in place, the bits of sym - mu I (a
-    Laplacian's off-diagonal zeros are +0.0), and the saved diagonal is put
-    back before the residual.
+    iteration on sym - mu I, mu just below eigvalsh's lambda_2, give x. The
+    solves see sym with mu subtracted from its diagonal in place, the bits
+    of sym - mu I (a Laplacian's off-diagonal zeros are +0.0), and the saved
+    diagonal is put back before the residual, so no other n x n array is
+    made.
     """
-    m = lap.shape[-1]
+    m = sym.shape[-1]
     d = np.arange(m)
-    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), lap.shape[:2])  # fixed, generic start
+    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), sym.shape[:2])  # fixed, generic start
     try:
         with np.errstate(all="ignore"):
-            sym = lap + lap.transpose(0, 2, 1)
-            sym /= 2.0
             values = np.linalg.eigvalsh(sym)
             diagonal = sym[:, d, d]
             sym[:, d, d] = diagonal - (
@@ -427,18 +437,16 @@ def _inverse_iteration(lap: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return x, error, gap
 
 
-def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | None:
+def _lanczos_ranking(sym: np.ndarray) -> np.ndarray | None:
     """_fiedler_rankings' x for one m x m Laplacian at or above LANCZOS_CUTOFF, or None.
 
-    None when the test fails, _lanczos gives no vector or cholesky raises
-    LinAlgError. in_place takes lap, exactly symmetric, as sym and
-    overwrites it; otherwise sym is a plain copy of a bitwise symmetric lap
-    whose entries cannot overflow when doubled (the bits of (L + L^T) / 2),
-    or that average. scale and the rank-2 term are taken LANCZOS_ROWS rows
-    at a time, so sym and the Cholesky's own arrays are the only n x n ones
-    made. x is the bottom Ritz vector of a Lanczos run (_lanczos),
-    u = 1/sqrt(m), and scale = ||sym||_inf, the Gershgorin bound on every
-    |lambda|. gap is min(rho - a, t - delta - rho) - 2 eta, where:
+    sym, exactly symmetric, is the kernel's own and is overwritten. None
+    when the test fails, _lanczos gives no vector or cholesky raises
+    LinAlgError. scale and the rank-2 term are taken LANCZOS_ROWS rows at a
+    time, so the Cholesky's own arrays are the only n x n ones made. x is
+    the bottom Ritz vector of a Lanczos run (_lanczos), u = 1/sqrt(m), and
+    scale = ||sym||_inf, the Gershgorin bound on every |lambda|. gap is
+    min(rho - a, t - delta - rho) - 2 eta, where:
 
     - a = u^T sym u >= lambda_1 (Courant-Fischer).
     - t lies between the two lowest Ritz values (_lanczos), and delta is
@@ -460,19 +468,11 @@ def _lanczos_ranking(lap: np.ndarray, in_place: bool = False) -> np.ndarray | No
     so it returns None before the Cholesky. A t above lambda_3 leaves A a
     negative eigenvalue, so the Cholesky fails or delta covers it.
     """
-    m = len(lap)
+    m = len(sym)
     eps = np.finfo(float).eps
     rows = np.empty((min(LANCZOS_ROWS, m), m))  # scratch for the row-block steps
     with np.errstate(all="ignore"):
-        scale = _inf_norm(lap, rows)
-        if in_place:
-            sym = lap
-        elif scale <= np.finfo(float).max / 2.0 and _bitwise_symmetric(lap):
-            sym = lap.copy()  # no entry doubles past the largest float, so (L + L^T) / 2 == L
-        else:
-            sym = lap + lap.T
-            sym /= 2.0
-            scale = _inf_norm(sym, rows)
+        scale = _inf_norm(sym, rows)
         eta = FIEDLER_BACKWARD_ERROR * m * eps * scale
         u = np.full(m, 1.0 / np.sqrt(m))
         a = u @ (sym @ u)
@@ -513,13 +513,6 @@ def _inf_norm(m: np.ndarray, rows: np.ndarray) -> float:
         block = m[start:start + len(rows)]
         sums[start:start + len(rows)] = np.abs(block, out=rows[:len(block)]).sum(axis=1)
     return float(sums.max())
-
-
-def _bitwise_symmetric(m: np.ndarray) -> bool:
-    """m == m^T bit for bit (so -0.0 against 0.0, or any NaN, fails), in row blocks."""
-    bits = m.view(np.uint64)
-    blocks = (slice(start, start + LANCZOS_ROWS) for start in range(0, len(m), LANCZOS_ROWS))
-    return all(np.array_equal(bits[rows], bits[:, rows].T) for rows in blocks)
 
 
 def _lanczos(

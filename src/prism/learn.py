@@ -37,9 +37,6 @@ from .graphs import (
     _Adopted,
     _as_readonly,
     _fiedler_rankings,
-    _raise_first,
-    _screen_symmetric,
-    laplacian,
     require_fiedler_graph,
     symmetric_eig,
 )
@@ -102,14 +99,16 @@ def fiedler_pairing(g: Graph) -> FiedlerPairing:
     Ranks sort the Fiedler values ascending with ties broken by node index;
     for odd n the median-ranked node is its own partner. The pairing is that
     of fiedler_vector(g), with the same errors; the ranking comes from
-    graphs._fiedler_rankings, which runs eigh only where its inverse
-    iteration or Lanczos vector cannot prove the ranking (exact ties, such
-    as twin nodes). The kernel may build its Cholesky input in lap's buffer.
+    graphs._fiedler_rankings, which builds the Laplacian itself and runs
+    eigh only where its inverse iteration or Lanczos vector cannot prove
+    the ranking (exact ties, such as twin nodes). Of symmetric_eig's checks
+    on the Laplacian only finiteness can fail for a connected Graph of 2+
+    nodes: its entries are finite wherever the degrees are.
     """
     require_fiedler_graph(g)
-    lap = laplacian(g)
-    _raise_first(_screen_symmetric, lap)
-    sigma = _rank_pairings(_fiedler_rankings(lap[None], g.weights[None])[0])
+    if not np.isfinite(g.weights.sum(axis=1)).all():
+        raise NonFinite("matrix contains non-finite entries")
+    sigma = _rank_pairings(_fiedler_rankings(g.weights[None])[0])
     fixed = np.flatnonzero(sigma == np.arange(g.n))
     return FiedlerPairing(permutation=tuple(sigma.tolist()),
                           fixed_point=int(fixed[0]) if fixed.size else None)
@@ -206,21 +205,23 @@ def alternate(
     stops when the defect drops below defect_tolerance, the defect change
     drops below step_tolerance, or max_outer_iterations is exhausted.
 
-    A permutation start operator is projected once, up front, after
-    duality_defect's checks in its order: the projection's defect_before
-    is delta(L, P_0) bit for bit. Its L' commutes exactly with P wherever
-    it is finite (defect_after is then finite), so the P-step, which would
-    hand P back unchanged, is not run; every iteration keeps P and its
-    defect. A projection that overflowed still goes through the step,
-    which raises NonFinite. A dense operator takes the step every iteration.
+    A permutation start operator is projected once, up front; the
+    projection runs duality_defect's shape and finiteness checks and a zero
+    L then raises ZeroMatrix, so the errors come in duality_defect's order.
+    The projection's defect_before is delta(L, P_0) bit for bit. Its L'
+    commutes exactly with P wherever it is finite (defect_after is then
+    finite), so the P-step, which would hand P back unchanged, is not run;
+    every iteration keeps P and its defect. A projection that overflowed
+    still goes through the step, which raises NonFinite. A dense operator
+    takes the step every iteration.
     """
     cfg = cfg or AlternatingConfig()
     l_matrix = np.asarray(l_matrix, dtype=float)
     p = p0
     projection, projected_against = None, None
     if p.is_permutation():
-        _defect_norm(_check_dims(l_matrix, p))
         projection, projected_against = commutant_projection(l_matrix, p), p
+        _defect_norm(l_matrix)
         trajectory = [projection.defect_before]
     else:
         trajectory = [duality_defect(l_matrix, p)]

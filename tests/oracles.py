@@ -20,8 +20,9 @@ components walk, full eigendecomposition and operator instead of the
 stacked per-chunk kernel, the Graph weight and symmetric_eig input
 checks one matrix at a time instead of by stack masks, and the projection
 and alternating learner as they were before they stopped building the
-commutator of a permutation's projection and running its P-step.
-Agreement between the two routes is the test.
+commutator of a permutation's projection and running its P-step, and the
+Fiedler-ranking kernel as it was when it took its callers' Laplacians and
+symmetrised them. Agreement between the two routes is the test.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from prism import finance
+from prism import finance, graphs
 from prism.benchmarks import child_seed, karate_club
 from prism.duality import (
     ZERO_NORM_TOL,
@@ -708,3 +709,103 @@ def stepping_alternate(
     return LearnResult(operator=p, projected=projection.projected,
                        defect_trajectory=tuple(trajectory), converged=converged,
                        iterations=iterations)
+
+
+def averaging_fiedler_rankings(lap: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The Fiedler-ranking kernel as it was when callers handed it their Laplacians.
+
+    lap is _laplacians(weights), and this overwrites it. Below
+    graphs.LANCZOS_CUTOFF nodes the inverse iteration runs on a fresh (L +
+    L^T) / 2; at or above it each matrix is ranked in lap's own buffer and
+    rebuilt from weights when it is rejected; eigh takes the rejected
+    matrices' (L + L^T) / 2. The Lanczos run, the test and the row-block
+    norm are the kernel's own helpers.
+    """
+    if lap.shape[-1] >= graphs.LANCZOS_CUTOFF:
+        x = np.zeros(lap.shape[:2])
+        separated = np.zeros(len(lap), dtype=bool)
+        for b in range(len(lap)):
+            ranking = _in_place_lanczos_ranking(lap[b])
+            if ranking is not None:
+                x[b], separated[b] = ranking, True
+            else:
+                lap[b] = graphs._laplacians(weights[b:b + 1])[0]
+    else:
+        iteration = _averaging_inverse_iteration(lap)
+        if iteration is None:
+            return _averaged_fiedler_columns(lap)
+        x, error, gap = iteration
+        separated = graphs._separated(x, error, gap)
+    if not separated.all():
+        x[~separated] = _averaged_fiedler_columns(lap[~separated])
+    return x
+
+
+def _averaged_fiedler_columns(lap: np.ndarray) -> np.ndarray:
+    vectors = np.linalg.eigh((lap + lap.transpose(0, 2, 1)) / 2.0)[1][:, :, 1:2]
+    return graphs._sign_rule(vectors)[:, :, 0]
+
+
+def _averaging_inverse_iteration(lap: np.ndarray):
+    m = lap.shape[-1]
+    d = np.arange(m)
+    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), lap.shape[:2])
+    try:
+        with np.errstate(all="ignore"):
+            sym = lap + lap.transpose(0, 2, 1)
+            sym /= 2.0
+            values = np.linalg.eigvalsh(sym)
+            diagonal = sym[:, d, d]
+            sym[:, d, d] = diagonal - (
+                values[:, 1] - graphs.FIEDLER_SHIFT * np.abs(values).max(axis=1))[:, None]
+            for _ in range(2):
+                x = np.linalg.solve(sym, x[:, :, None])[:, :, 0]
+                x = x / np.linalg.norm(x, axis=1, keepdims=True)
+            sym[:, d, d] = diagonal
+            image = np.matmul(sym, x[:, :, None])[:, :, 0]
+            rho = (x * image).sum(axis=1)
+            residual = np.linalg.norm(image - rho[:, None] * x, axis=1)
+    except np.linalg.LinAlgError:
+        return None
+    gap = values[:, 1] - values[:, 0]
+    if m > 2:
+        gap = np.minimum(gap, values[:, 2] - values[:, 1])
+    scale = np.abs(values).max(axis=1)
+    error = residual + graphs.FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
+    return x, error, gap
+
+
+def _in_place_lanczos_ranking(sym: np.ndarray):
+    m = len(sym)
+    eps = np.finfo(float).eps
+    rows = np.empty((min(graphs.LANCZOS_ROWS, m), m))
+    with np.errstate(all="ignore"):
+        scale = graphs._inf_norm(sym, rows)
+        eta = graphs.FIEDLER_BACKWARD_ERROR * m * eps * scale
+        u = np.full(m, 1.0 / np.sqrt(m))
+        a = u @ (sym @ u)
+        lanczos = graphs._lanczos(sym, u, a, eta)
+        if lanczos is None:
+            return None
+        x, t = lanczos
+        x = x / np.linalg.norm(x)
+        image = sym @ x
+        rho = x @ image
+        error = np.linalg.norm(image - rho * x) + eta
+        if not graphs._separated(x, error, np.minimum(rho - a, t - rho) - 2.0 * eta):
+            return None
+        d = np.arange(m)
+        sym[d, d] -= t
+        sym += scale / m
+        scaled = scale * x
+        for start in range(0, m, len(rows)):
+            stop = start + len(rows)
+            sym[start:stop] += np.multiply.outer(scaled[start:stop], x, out=rows[:m - start])
+        try:
+            factor = np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:
+            return None
+        delta = graphs.CHOLESKY_ROUNDING * (m + 1) * eps * (
+            np.vdot(factor, factor) + np.sqrt(m) * (scale + abs(t)) + 2.0 * scale)
+    gap = np.minimum(rho - a, t - delta - rho) - 2.0 * eta
+    return x if graphs._separated(x, error, gap) else None

@@ -15,7 +15,14 @@ from oracles import (
     two_pass_laplacians,
 )
 from prism import duality, graphs, learn
-from prism.benchmarks import flip_edges, generate_dual_network, karate_club, rewire
+from prism.benchmarks import (
+    fiedler_bipartition,
+    flip_edges,
+    generate_dual_network,
+    karate_club,
+    rewire,
+    rmt_labels,
+)
 from prism.duality import (
     ProjectionResult,
     commutant_projection,
@@ -156,6 +163,24 @@ def test_laplacian_of_the_mirror_graph_matches_the_two_pass_build_bitwise():
     assert _laplacians(mirror).tobytes() == two_pass_laplacians(mirror).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3), n=st.integers(1, 12),
+       exponent=st.integers(-300, 307), signed_zeros=st.booleans())
+def test_a_laplacian_of_graph_weights_is_its_own_symmetrised_average(
+        seed, count, n, exponent, signed_zeros):
+    # why the Fiedler kernel and eigh may skip (L + L^T) / 2: it has L's bits
+    rng = np.random.default_rng(seed)
+    w = random_weight_stack(rng, count, n) * 10.0 ** exponent
+    if signed_zeros:
+        w[(w == 0.0) & (rng.random(w.shape) < 0.5)] = -0.0  # still exactly symmetric
+    lap = _laplacians(w)
+    with np.errstate(over="ignore"):
+        average = (lap + lap.transpose(0, 2, 1)) / 2.0
+        doubled_finite = np.isfinite(2.0 * lap).all()
+    if doubled_finite:
+        assert average.tobytes() == lap.tobytes()
+
+
 def test_connected_components_two_triangles():
     g = graph_from_edges(
         [str(i) for i in range(6)], [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
@@ -254,6 +279,38 @@ def test_symmetric_eig_sign_rule_on_exactly_tied_columns(monkeypatch):
     assert same_bits(vectors, column_loop_eig(np.eye(4))[1])
     assert np.all(vectors[0, :3] > 0.0)
     assert vectors[1, 3] == 0.5 and np.signbit(vectors[3, 3])  # 0.0 negates to -0.0
+
+
+def test_symmetric_eig_decomposes_the_average_of_a_matrix_not_bitwise_symmetric():
+    lap = laplacian(rewire(generate_dual_network(20, 0.4, 0.1, 7).graph, 0.1, 7))
+    edge = np.flatnonzero(lap[0, 1:])[0] + 1
+    gap = np.flatnonzero(lap[0, 1:] == 0.0)[0] + 1
+    # an entry an ulp or 1e-12 off its mirror, or a -0.0 facing a +0.0, in either
+    # triangle (eigh reads only the lower one)
+    skews = ((edge, np.nextafter(lap[0, edge], 0.0)), (edge, lap[0, edge] * (1.0 + 1e-12)),
+             (gap, -0.0))
+    for column, value in skews:
+        for entry in ((0, column), (column, 0)):
+            skewed = lap.copy()
+            skewed[entry] = value
+            decomp = symmetric_eig(skewed)
+            values, vectors = column_loop_eig(skewed)  # eigh of (m + m^T) / 2
+            assert same_bits(decomp.eigenvalues, values)
+            assert same_bits(decomp.eigenvectors, vectors)
+
+
+def test_a_laplacian_whose_double_overflows_keeps_its_fiedler_vector():
+    # degrees 6e307, 1.2e308 and 6e307 are finite, but (L + L^T) / 2 overflows
+    g = graph_from_edges(list("abc"), [(0, 1, 6e307), (1, 2, 6e307)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = fiedler_vector(g)
+        pairing = learn.fiedler_pairing(g)
+        labels = fiedler_bipartition(g), rmt_labels(g)
+    assert np.allclose(v, [math.sqrt(0.5), 0.0, -math.sqrt(0.5)], rtol=0.0, atol=1e-12)
+    assert pairing.permutation == (2, 1, 0) and pairing.fixed_point == 1
+    for label in labels:
+        assert label[0] != label[2]
+        assert label.tolist() == (v >= 0.0).astype(int).tolist()
 
 
 def test_symmetric_eig_input_validation():

@@ -7,7 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (
+    averaging_fiedler_rankings,
     central_fd_gradient,
     penalized_objective,
     random_involution,
@@ -163,20 +167,94 @@ def test_a_lanczos_run_cut_short_is_rejected(monkeypatch, eigh_fallbacks):
 def test_a_stack_of_large_laplacians_ranks_each_matrix_as_alone(eigh_fallbacks):
     stack = [mirror_graph(100, 3), twin_graph(100, 4), mirror_graph(100, 5)]
     weights = np.stack([g.weights for g in stack])
-    lap = graphs._laplacians(weights)
-    rankings = graphs._fiedler_rankings(lap)
+    kept = weights.copy()
+    rankings = graphs._fiedler_rankings(weights)
+    assert weights.tobytes() == kept.tobytes()  # the caller's array is never written
     assert eigh_fallbacks == [1]  # the twin graph alone
-    # the same bits when the kernel may overwrite lap and rebuild it from the weights
-    assert graphs._fiedler_rankings(lap.copy(), weights).tobytes() == rankings.tobytes()
-    assert eigh_fallbacks == [1, 1]
     for b, g in enumerate(stack):
-        assert rankings[b].tobytes() == graphs._fiedler_rankings(lap[b:b + 1])[0].tobytes()
+        assert rankings[b].tobytes() == graphs._fiedler_rankings(weights[b:b + 1])[0].tobytes()
         assert tuple(learn._rank_pairings(rankings[b]).tolist()) == eigh_pairing(g)
-    assert eigh_fallbacks == [1, 1, 1]
+    assert eigh_fallbacks == [1, 1]
+
+
+def assert_averaging_kernel_bits(weights):
+    expected = averaging_fiedler_rankings(graphs._laplacians(weights), weights)
+    assert graphs._fiedler_rankings(weights).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("group_size", [64, 100, 180, 250])
+def test_rankings_have_the_bits_of_the_averaging_kernel_on_mirror_networks(group_size):
+    for seed in (7, 30):
+        assert_averaging_kernel_bits(mirror_graph(group_size, seed).weights[None])
+        assert_averaging_kernel_bits(twin_graph(group_size, seed).weights[None])
+    assert_averaging_kernel_bits(np.stack([mirror_graph(group_size, 3).weights,
+                                           twin_graph(group_size, 4).weights]))
+
+
+def test_rankings_have_the_bits_of_the_averaging_kernel_on_the_club_and_finance_windows(
+        universe_returns):
+    assert_averaging_kernel_bits(karate_club()[0].weights[None])
+    by_size = {}
+    for window_len in (20, 60, 250):
+        for pos in range(window_len - 1, len(universe_returns.dates), 23):
+            graph = finance._window_graph(universe_returns, universe_returns.dates[pos],
+                                          window_len, 0.2)[2]
+            if graph.edge_count() > 0:
+                component = finance._largest_component(graph)[1]
+                by_size.setdefault(component.n, []).append(component.weights)
+    for stack in by_size.values():
+        if len(stack[0]) >= 2:
+            assert_averaging_kernel_bits(np.stack(stack))
+    assert sum(len(stack) for stack in by_size.values()) > 50
+
+
+def connected_weights(rng, count, m, twins):
+    """count random weighted graphs on m nodes, each with a path through every node.
+
+    twins makes node 1 a copy of node 0, which is also joined to node 2, where m >= 3.
+    """
+    w = np.triu(rng.random((count, m, m)) * (rng.random((count, m, m)) < 0.3), 1)
+    w[:, np.arange(m - 1), np.arange(1, m)] += 1.0 + rng.random((count, m - 1))
+    w = w + w.transpose(0, 2, 1)
+    if twins and m >= 3:
+        w[:, 0, 2] = w[:, 2, 0] = 1.0
+        w[:, 1, :] = w[:, 0, :]
+        w[:, :, 1] = w[:, :, 0]
+        w[:, 0, 1] = w[:, 1, 0] = 0.0
+    return w
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4),
+       m=st.sampled_from([2, 3, 5, 12, 40, 128, 131]), twins=st.booleans())
+def test_rankings_never_write_the_weights_and_rank_each_graph_as_alone(seed, count, m, twins):
+    weights = connected_weights(np.random.default_rng(seed), count, m, twins)
+    kept = weights.copy()
+    rankings = graphs._fiedler_rankings(weights)
+    assert weights.tobytes() == kept.tobytes()
+    for b in range(count):
+        assert rankings[b].tobytes() == graphs._fiedler_rankings(weights[b:b + 1])[0].tobytes()
+        g = Graph(labels=tuple(map(str, range(m))), weights=weights[b])
+        assert tuple(learn._rank_pairings(rankings[b]).tolist()) == eigh_pairing(g)
+
+
+@pytest.mark.parametrize("g", [mirror_graph(30, 7), mirror_graph(250, 7)], ids=["60", "500"])
+def test_fiedler_pairing_builds_its_laplacian_only_inside_the_kernel(g, monkeypatch,
+                                                                     eigh_fallbacks):
+    built = []
+    laplacians = graphs._laplacians
+
+    def counting_laplacians(weights):
+        built.append(len(weights))
+        return laplacians(weights)
+
+    monkeypatch.setattr(graphs, "_laplacians", counting_laplacians)
+    fiedler_pairing(g)
+    assert built == [1] and eigh_fallbacks == []
 
 
 def test_the_lanczos_test_builds_no_n_by_n_temporary(monkeypatch):
-    # at the benchmark's n = 500, in place: before the factorisation only the Lanczos
+    # at the benchmark's n = 500: before the factorisation only the Lanczos
     # basis and the row-block scratch are live, and cholesky may add its copy and factor
     lap = laplacian(mirror_graph(250, 7))
     before = []
@@ -189,34 +267,12 @@ def test_the_lanczos_test_builds_no_n_by_n_temporary(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", measured_cholesky)
     tracemalloc.start()
     try:
-        assert graphs._lanczos_ranking(lap, in_place=True) is not None
+        assert graphs._lanczos_ranking(lap) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(before) == 1 and before[0] < lap.nbytes / 2
     assert peak < 2.5 * lap.nbytes
-
-
-def ranking_bits(lap, in_place=False):
-    x = graphs._lanczos_ranking(lap, in_place=in_place)
-    return None if x is None else x.tobytes()
-
-
-@pytest.mark.parametrize("seed", [7, 30])
-def test_an_out_of_place_ranking_has_the_bits_of_the_symmetrised_matrix(seed):
-    lap = laplacian(mirror_graph(250, seed))
-    kept = lap.copy()
-    assert ranking_bits(lap) is not None
-    assert lap.tobytes() == kept.tobytes()
-    assert ranking_bits(lap) == ranking_bits(lap.copy(), in_place=True)
-    # not bitwise symmetric: an entry an ulp off its mirror, or a -0.0 facing a +0.0
-    edge = np.flatnonzero(lap[0, 1:])[0] + 1
-    gap = np.flatnonzero(lap[0, 1:] == 0.0)[0] + 1
-    for column, value in ((edge, np.nextafter(lap[0, edge], 0.0)), (gap, -0.0)):
-        skewed = lap.copy()
-        skewed[0, column] = value
-        average = (skewed + skewed.T) / 2.0
-        assert ranking_bits(skewed) == ranking_bits(average, in_place=True)
 
 
 def test_the_row_block_infinity_norm_has_numpys_bits():
@@ -525,11 +581,11 @@ def test_alternate_reuses_the_defect_when_the_step_keeps_p(monkeypatch):
 
 
 def learn_outcome(route, l_matrix, p0):
-    """A LearnResult as comparable bits, or the type of the PrismError raised."""
+    """A LearnResult as comparable bits, or the type and message of the PrismError raised."""
     try:
         result = route(l_matrix, p0)
     except PrismError as error:
-        return type(error)
+        return type(error), str(error)
     return (result.operator, result.projected.tobytes(),
             np.array(result.defect_trajectory).tobytes(), result.converged, result.iterations)
 
@@ -557,8 +613,23 @@ def test_alternate_keeps_the_bits_of_the_stepping_route():
         for l_matrix, p0 in cases:
             expected = learn_outcome(stepping_alternate, l_matrix, p0)
             assert learn_outcome(alternate, l_matrix, p0) == expected
-            outcomes.add(expected if isinstance(expected, type) else expected[3:])
+            outcomes.add(expected[0] if isinstance(expected[0], type) else expected[3:])
     assert {ZeroMatrix, NonFinite, DimensionMismatch, (False, 50)} <= outcomes
+
+
+def test_alternate_checks_l_once_for_a_permutation(monkeypatch):
+    checked = []
+    check_dims = duality._check_dims
+
+    def counting_check_dims(l_matrix, p):
+        checked.append(p)
+        return check_dims(l_matrix, p)
+
+    monkeypatch.setattr(duality, "_check_dims", counting_check_dims)
+    monkeypatch.setattr(learn, "_check_dims", counting_check_dims)
+    g = mirror_graph(60, 4, 0.05)
+    alternate(laplacian(g), fiedler_duality_operator(g))
+    assert len(checked) == 1
 
 
 def test_alternate_builds_one_commutator_for_a_permutation(monkeypatch):
