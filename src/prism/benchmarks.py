@@ -63,7 +63,7 @@ from .graphs import (
     _screen_symmetric,
     _screen_weights,
     _sign_rule,
-    _signed_eigh,
+    _upper_edges,
     fiedler_vector,
     graph_from_edges,
     is_connected,
@@ -126,8 +126,10 @@ def generate_dual_network(
     Intra-group edges are drawn once on group A and mirrored into group B.
     Cross edges are drawn once per mirror orbit {(i, j+m), (j, i+m)} and both
     members inserted, so the swap invariance is exact by construction (integer
-    mirroring, no floating error). Disconnected samples are redrawn up to 100
-    times before failing.
+    mirroring, no floating error). Each attempt draws two m x m uniform
+    blocks and keeps, by fixed triangle masks, the pairs i < j of the intra
+    block and i <= j of the cross block. Disconnected samples are redrawn up
+    to 100 times before failing.
     """
     m = group_size
     _check_seed(seed)
@@ -138,12 +140,15 @@ def generate_dual_network(
             raise ValidationError(f"edge probability {prob} outside [0, 1]")
     n = 2 * m
     labels = tuple(f"A{i}" for i in range(m)) + tuple(f"B{i}" for i in range(m))
+    # the masks of np.triu(x, 1) and np.triu(x), built once
+    above = ~np.tri(m, dtype=bool)
+    on_or_above = ~np.tri(m, k=-1, dtype=bool)
     for attempt in range(MAX_GENERATION_ATTEMPTS):
         rng = np.random.default_rng((seed, attempt))
         intra_draws = rng.random((m, m))
         cross_draws = rng.random((m, m))
-        intra = np.triu(intra_draws < edge_prob_intra, 1)
-        cross = np.triu(cross_draws < edge_prob_cross)
+        intra = (intra_draws < edge_prob_intra) & above
+        cross = (cross_draws < edge_prob_cross) & on_or_above
         w = np.zeros((n, n))
         w[:m, :m] = w[m:, m:] = intra | intra.T
         w[:m, m:] = w[m:, :m] = cross | cross.T
@@ -193,10 +198,17 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     deleted before the first one is reinserted. The endpoints are read in
     order from batches of rng.integers(n, size=k), the values of k scalar
     rng.integers(n) calls.
+
+    Each batch is placed at once, with the rule of a one-draw-at-a-time
+    loop: a candidate (a, b) is taken iff a != b, its slot is empty after
+    the deletions and no earlier taken candidate holds the same unordered
+    slot (moved weights are nonzero, so that slot is no longer empty). The
+    weights go, in order, to the first taken candidates, and a further batch
+    is drawn only while some are left.
     """
     _check_fraction(fraction)
     _check_seed(seed)
-    rows, cols = np.nonzero(np.triu(g.weights != 0.0, 1))  # the order of g.edges()
+    rows, cols = _upper_edges(g.weights)  # the order of g.edges()
     if len(rows) == 0:
         raise ValidationError("rewire requires at least one edge")
     count = math.floor(fraction * len(rows))
@@ -206,26 +218,32 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     chosen = rng.choice(len(rows), size=count, replace=False)
     rows, cols = rows[chosen], cols[chosen]
     w = g.weights.copy()
-    moved = w[rows, cols].tolist()
+    moved = w[rows, cols]
     w[rows, cols] = w[cols, rows] = 0.0
-    endpoints = _endpoint_draws(rng, g.n, 2 * count)
-    for weight in moved:
-        while True:
-            a, b = next(endpoints), next(endpoints)
-            if a != b and w[a, b] == 0.0:
-                w[a, b] = w[b, a] = weight
-                break
+    placed = 0
+    for draws in _endpoint_draws(rng, g.n, 2 * count):
+        a, b = draws[0::2], draws[1::2]
+        open_slots = np.flatnonzero((a != b) & (w[a, b] == 0.0))
+        slots = np.minimum(a, b)[open_slots] * g.n + np.maximum(a, b)[open_slots]
+        first = np.unique(slots, return_index=True)[1]
+        taken = open_slots[np.sort(first)][:count - placed]
+        a, b = a[taken], b[taken]
+        w[a, b] = w[b, a] = moved[placed:placed + len(taken)]
+        placed += len(taken)
+        if placed == count:
+            break
     return Graph(labels=g.labels, weights=_Adopted(w))
 
 
 def _endpoint_draws(rng: np.random.Generator, n: int, batch: int):
-    """rng.integers(n) values one at a time, drawn batch at a time.
+    """Batches of rng.integers(n, size=batch), for as long as they are asked for.
 
-    For n below 2**32 a batch holds the values of as many scalar calls:
-    both draw 32-bit words and keep PCG64's spare half between calls.
+    For n below 2**32 a batch holds the values of as many scalar
+    rng.integers(n) calls: both draw 32-bit words and keep PCG64's spare
+    half between calls.
     """
     while True:
-        yield from rng.integers(n, size=batch).tolist()
+        yield rng.integers(n, size=batch)
 
 
 _COIN_CUT = 1 << 63
@@ -447,19 +465,21 @@ def fiedler_bipartition(l_or_g) -> np.ndarray:
 def _spectral_labels(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign-of-Fiedler labels and RMT labels from one connected Laplacian's spectrum.
 
-    values and vectors are symmetric_eig's. The RMT labels come from the
+    values and vectors are eigh's; the sign rule is applied here, to the
+    two columns read (symmetric_eig's vectors have it already, and a second
+    application leaves them as they are). The RMT labels come from the
     eigenvector of the smallest eigenvalue at or above the Marchenko-Pastur
     edge lambda_plus = sigma^2 (1 + sqrt(q))^2, with q = 1 and sigma^2 the
     mean eigenvalue. They fall back to the Fiedler labels when fewer than
     two eigenvalues reach it (the usual case for small graphs, where the
     mean-based edge sits above the whole spectrum).
     """
-    fiedler = (vectors[:, 1] >= 0.0).astype(int)
+    fiedler = (_sign_rule(vectors[:, 1:2])[:, 0] >= 0.0).astype(int)
     surviving = np.nonzero(values >= 4.0 * float(np.mean(values)))[0]
     if len(surviving) < 2:
         return fiedler, fiedler
-    v = vectors[:, int(surviving[0])]
-    return fiedler, (v >= 0.0).astype(int)
+    k = int(surviving[0])
+    return fiedler, (_sign_rule(vectors[:, k:k + 1])[:, 0] >= 0.0).astype(int)
 
 
 def rmt_labels(g: Graph) -> np.ndarray:
@@ -650,9 +670,10 @@ def _noise_chunk(
     seed. The chunk's draws are stacked for the Graph checks and the walk
     from node 0, and only the disconnected ones are redrawn, with the next
     attempt's seed. The connected graphs then share one Laplacian stack,
-    one checked eigh with the sign rule (baseline and RMT labels; only the
-    trials with two eigenvalues at the RMT cutoff take _spectral_labels),
-    the projection (L + PLP) / 2 onto the commutant of the club's operator
+    one checked eigh (baseline and RMT labels; the sign rule is applied to
+    the Fiedler column, and only the trials with two eigenvalues at the RMT
+    cutoff take _spectral_labels, which sign-fixes the RMT column), the
+    projection (L + PLP) / 2 onto the commutant of the club's operator
     with commutant_projection's steps and its checks, and the projections'
     Fiedler vectors from their block form (_projected_fiedler). The
     baseline and RMT labels have the bits of each trial's per-matrix
@@ -686,7 +707,7 @@ def _noise_chunk(
     lap = _laplacians(weights[good])
     keep = _screen_symmetric(lap, good, errors)
     good, lap = [b for b, ok in zip(good, keep) if ok], lap[keep]
-    values, vectors = _signed_eigh(lap)
+    values, vectors = np.linalg.eigh(lap)  # signs fixed only on the columns read
     projected = _commutant_average(lap, _conjugate(lap, operator))
     keep = _screen_symmetric(projected, good, errors)
     fiedler = _projected_fiedler(projected[keep], operator.sigma)
@@ -694,7 +715,7 @@ def _noise_chunk(
     if failed:
         raise failed[0]
     labels = np.empty((size, 3, n), dtype=np.int8)
-    labels[:, 0] = labels[:, 1] = vectors[:, :, 1] >= 0.0
+    labels[:, 0] = labels[:, 1] = _sign_rule(vectors[:, :, 1:2])[:, :, 0] >= 0.0
     # The RMT labels leave the Fiedler fallback only where two eigenvalues reach
     # the cutoff; the screen's cutoff sits 1e-9 low, so a last-bit difference
     # between the stacked and the per-trial mean cannot hide a trial from it.

@@ -27,7 +27,7 @@ from .graphs import _Adopted, _as_readonly, _dense_rows
 
 INVOLUTION_TOL = 1e-9
 ZERO_NORM_TOL = 1e-12
-COMMUTATOR_ROWS = 64  # rows of PL gathered at once: 256 KB at n = 500
+COMMUTATOR_ROWS = 64  # rows per gather block (_commutator, _gather_columns): 256 KB at n = 500
 
 
 @dataclass(frozen=True, kw_only=True, eq=False)
@@ -141,15 +141,21 @@ def identity_operator(n: int) -> DualityOperator:
     return permutation_operator(np.arange(n))
 
 
-def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
+def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> tuple[np.ndarray, float]:
+    """L as a float array and ||L||_F, after the shape and finiteness checks.
+
+    A finite norm proves every entry finite, so the isfinite scan runs only
+    when the norm is not finite (an infinite or NaN entry, or an overflow).
+    """
     l_matrix = np.asarray(l_matrix, dtype=float)
     if l_matrix.shape != (p.n, p.n):
         raise DimensionMismatch(
             f"matrix shape {l_matrix.shape} does not match operator shape {(p.n, p.n)}"
         )
-    if not np.all(np.isfinite(l_matrix)):
+    norm = float(np.linalg.norm(l_matrix))
+    if not math.isfinite(norm) and not np.all(np.isfinite(l_matrix)):
         raise NonFinite("matrix contains non-finite entries")
-    return l_matrix
+    return l_matrix, norm
 
 
 # For a permutation, (LP)_ij = L[i, sigma_j], (PL)_ij = L[sigma_i, j] and
@@ -159,37 +165,87 @@ def _check_dims(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
 # The per-matrix API and the batched kernels share them: the kernels gather
 # LP - PL one matrix at a time, and PLP on a whole stack sharing one operator.
 
-def _commutator(l_matrix: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _commutator(
+    l_matrix: np.ndarray, sigma: np.ndarray, pl: np.ndarray | None = None
+) -> np.ndarray:
     """LP - PL for P = I[sigma], as a new array, the only n x n one made.
 
-    PL is gathered and subtracted COMMUTATOR_ROWS rows at a time.
+    PL is read from pl when the caller has gathered it already; otherwise it
+    is gathered and subtracted COMMUTATOR_ROWS rows at a time.
     """
     commutator = np.take(l_matrix, sigma, axis=1)
+    if pl is not None:
+        commutator -= pl
+        return commutator
     for start in range(0, len(sigma), COMMUTATOR_ROWS):
         rows = slice(start, start + COMMUTATOR_ROWS)
         commutator[rows] -= l_matrix[sigma[rows]]
     return commutator
 
 
+def _gather_columns(m: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """m[..., sigma] in m's own buffer, COMMUTATOR_ROWS rows (of a stack, matrices) at a time.
+
+    Returns m.
+    """
+    for start in range(0, m.shape[0], COMMUTATOR_ROWS):
+        block = m[start:start + COMMUTATOR_ROWS]
+        block[...] = np.take(block, sigma, axis=-1)
+    return m
+
+
 def _conjugate(l_matrix: np.ndarray, p: DualityOperator) -> np.ndarray:
-    """PLP as a new array, for one matrix or a (..., n, n) stack sharing p."""
+    """PLP as a new array, for one matrix or a (..., n, n) stack sharing p.
+
+    A permutation gathers the rows (PL), then the columns in that buffer
+    (_gather_columns), so the only n x n array made is the result.
+    """
     if p.sigma is None:
         return p.matrix @ l_matrix @ p.matrix
-    # a stack's gather comes out stack axis innermost, which slows every later step
-    return np.ascontiguousarray(l_matrix[..., p.sigma[:, None], p.sigma])
+    return _gather_columns(np.take(l_matrix, p.sigma, axis=-2), p.sigma)
 
 
-def _commutant_average(l_matrix: np.ndarray, conjugate: np.ndarray) -> np.ndarray:
-    """(L + PLP) / 2, symmetrised, from PLP; works on stacks too.
+def _commutant_average(
+    l_matrix: np.ndarray, conjugate: np.ndarray, near_overflow: bool = False
+) -> np.ndarray:
+    """(L + PLP) / 2 from PLP, symmetrised unless it is bitwise symmetric; works on stacks too.
 
-    Updated in place on conjugate: every extra n x n temporary adds to peak
-    memory at large n.
+    The average is taken in place on conjugate, and returned as it is when
+    it equals its transpose bit for bit, as it does for every exactly
+    symmetric L: symmetrising it would give the same bits, or an infinity
+    where twice an entry overflows. The check reads uint64 views, so -0.0
+    against 0.0 still counts as asymmetric and averages to 0.0. Anything
+    else, a non-symmetric L or one asymmetric matrix of a stack, is
+    symmetrised as a whole into a new array.
+
+    near_overflow is for an L whose ||L||_F is not finite (_mean): a finite
+    norm bounds every entry by sqrt(DBL_MAX), so no sum can overflow.
     """
-    conjugate += l_matrix
-    conjugate /= 2.0
-    projected = conjugate + np.swapaxes(conjugate, -1, -2)
-    projected /= 2.0
-    return projected
+    average = _mean(conjugate, l_matrix, conjugate, near_overflow)
+    bits = average.view(np.uint64)
+    if np.array_equal(bits, np.swapaxes(bits, -1, -2)):
+        return average
+    return _mean(average, np.swapaxes(average, -1, -2), None, near_overflow)
+
+
+def _mean(a: np.ndarray, b: np.ndarray, out: np.ndarray | None, near_overflow: bool) -> np.ndarray:
+    """(a + b) / 2, into out if given; with near_overflow, a / 2 + b / 2 wherever a + b overflows.
+
+    Terms whose sum overflows are too large for halving to round, so a / 2
+    + b / 2 is then the rounded mean; elsewhere it could lose the last bit
+    of a subnormal term, so the plain form stays.
+    """
+    if not near_overflow:
+        mean = np.add(a, b, out=out)
+        mean /= 2.0
+        return mean
+    halves = a / 2.0
+    halves += b / 2.0
+    with np.errstate(over="ignore"):
+        mean = np.add(a, b, out=out)
+    mean /= 2.0
+    np.copyto(mean, halves, where=np.isinf(mean))
+    return mean
 
 
 def _commutant_blocks(
@@ -248,14 +304,16 @@ def duality_defect(l_matrix: np.ndarray, p: DualityOperator) -> float:
 
     Non-finite L raises NonFinite.
     """
-    l_matrix = _check_dims(l_matrix, p)
-    norm = _defect_norm(l_matrix)
-    return commutator_norm(l_matrix, p) / norm
+    l_matrix, norm = _check_dims(l_matrix, p)
+    return commutator_norm(l_matrix, p) / _nonzero_norm(norm)
 
 
 def _defect_norm(l_matrix: np.ndarray) -> float:
     """||L||_F, raising ZeroMatrix where the defect ratio is undefined."""
-    norm = float(np.linalg.norm(l_matrix))
+    return _nonzero_norm(float(np.linalg.norm(l_matrix)))
+
+
+def _nonzero_norm(norm: float) -> float:
     if norm <= ZERO_NORM_TOL:
         raise ZeroMatrix("duality defect is undefined for a zero matrix")
     return norm
@@ -284,18 +342,25 @@ def commutant_projection(l_matrix: np.ndarray, p: DualityOperator) -> Projection
     L'[i, j] bit for bit (_commutant_blocks), so every entry L'[i, sigma_j]
     - L'[sigma_i, j] of L'P - PL' is x - x = 0.0. An overflowed norm keeps
     the computed ratio, which is NaN where L' holds an infinity.
+
+    A permutation's projection makes two n x n arrays: the first holds PL,
+    then PLP, then L' (_commutant_average keeps a bitwise symmetric average
+    in place); the second holds LP - PL for defect_before, then L' - L for
+    the deformation. Each value keeps the arithmetic of its own definition.
     """
-    l_matrix = _check_dims(l_matrix, p)
-    conjugate = _conjugate(l_matrix, p)
-    projected = _commutant_average(l_matrix, conjugate)
-    # L' - L in the conjugate's buffer, freed before the commutator of L is built
-    deformation = float(np.linalg.norm(np.subtract(projected, l_matrix, out=conjugate)))
-    del conjugate
-    norm = float(np.linalg.norm(l_matrix))
-    if norm <= ZERO_NORM_TOL:
-        defect_before = 0.0
+    l_matrix, norm = _check_dims(l_matrix, p)
+    if p.sigma is None:
+        conjugate = _conjugate(l_matrix, p)
+        commutator = l_matrix @ p.matrix - p.matrix @ l_matrix
     else:
-        defect_before = commutator_norm(l_matrix, p) / norm
+        conjugate = np.take(l_matrix, p.sigma, axis=0)  # PL, read by the commutator, then PLP
+        commutator = _commutator(l_matrix, p.sigma, conjugate)
+        _gather_columns(conjugate, p.sigma)
+    defect_before = 0.0 if norm <= ZERO_NORM_TOL else float(np.linalg.norm(commutator)) / norm
+    projected = _commutant_average(l_matrix, conjugate, not math.isfinite(norm))
+    # L' - L in the commutator's buffer, the only other n x n array made
+    deformation = float(np.linalg.norm(np.subtract(projected, l_matrix, out=commutator)))
+    del commutator, conjugate
     projected_norm = float(np.linalg.norm(projected))
     if projected_norm <= ZERO_NORM_TOL or (p.sigma is not None and math.isfinite(projected_norm)):
         defect_after = 0.0

@@ -92,12 +92,13 @@ class Graph:
         return len(self.labels)
 
     def edge_count(self) -> int:
-        return int(np.count_nonzero(np.triu(self.weights, 1)))
+        # the diagonal is zero and the weights exactly symmetric
+        return int(np.count_nonzero(self.weights)) // 2
 
     def edges(self) -> list[tuple[int, int, float]]:
-        """Each undirected edge once, (i, j, weight) with i < j."""
-        i_idx, j_idx = np.nonzero(np.triu(self.weights, 1))
-        return [(int(i), int(j), float(self.weights[i, j])) for i, j in zip(i_idx, j_idx)]
+        """Each undirected edge once, (i, j, weight) with i < j, in row-major order."""
+        rows, cols = _upper_edges(self.weights)
+        return list(zip(rows.tolist(), cols.tolist(), self.weights[rows, cols].tolist()))
 
     def subgraph(self, nodes: Sequence[int]) -> "Graph":
         idx = list(nodes)
@@ -105,6 +106,17 @@ class Graph:
             labels=tuple(self.labels[i] for i in idx),
             weights=_Adopted(self.weights[np.ix_(idx, idx)]),
         )
+
+
+def _upper_edges(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the nonzero entries of w above the diagonal, in row-major order.
+
+    One flat scan of the masked upper triangle, then the flat indices split
+    into rows and columns: the indices of np.nonzero(np.triu(w != 0.0, 1))
+    at a fraction of its cost.
+    """
+    n = w.shape[0]
+    return np.divmod(np.flatnonzero((w != 0.0) & ~np.tri(n, dtype=bool)), n)
 
 
 def _first_failures(checks, keys: list, outcomes: list) -> np.ndarray:

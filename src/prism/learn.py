@@ -164,7 +164,7 @@ def optimize_p_step(
     1e-9 slack; otherwise p0 is returned unchanged (monotone safeguard).
     """
     cfg = cfg or AlternatingConfig()
-    lp = _check_dims(lp, p0)
+    lp, _ = _check_dims(lp, p0)
     n = lp.shape[0]
     baseline = commutator_norm(lp, p0)
     if baseline == 0.0:

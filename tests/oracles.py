@@ -18,9 +18,10 @@ community coupling table from one list of node pairs per block, each
 finance window through its own kept-ticker range test, np.corrcoef, Graph,
 components walk, full eigendecomposition and operator instead of the
 stacked per-chunk kernel, the Graph weight and symmetric_eig input
-checks one matrix at a time instead of by stack masks, and the projection
-and alternating learner as they were before they stopped building the
-commutator of a permutation's projection and running its P-step, and the
+checks one matrix at a time instead of by stack masks, the projection
+from dense products with written-out checks, building the commutator of
+every projection, the alternating learner as it was before it stopped
+running a permutation's P-step, and the
 Fiedler-ranking kernel as it was when it took its callers' Laplacians and
 symmetrised them. Agreement between the two routes is the test.
 """
@@ -38,15 +39,12 @@ from prism.duality import (
     ZERO_NORM_TOL,
     DualityOperator,
     ProjectionResult,
-    _check_dims,
-    _commutant_average,
-    _conjugate,
     commutant_projection,
-    commutator_norm,
     duality_defect,
 )
 from prism.errors import (
     DegenerateWindow,
+    DimensionMismatch,
     NonFinite,
     NotSymmetric,
     PrismError,
@@ -661,23 +659,40 @@ def loop_rolling_series(r, window_len: int, stride: int = 1, threshold: float = 
 
 
 def built_commutator_projection(l_matrix: np.ndarray, p: DualityOperator) -> ProjectionResult:
-    """commutant_projection that builds the commutator of L' for every operator.
+    """commutant_projection from dense products, building the commutator of L' for every operator.
 
-    defect_after is always the computed ||L'P - PL'||_F / ||L'||_F, and the
-    deformation is taken last, from a fresh L' - L.
+    PLP, LP - PL and L'P - PL' are matmuls with p.matrix, and the checks are
+    written out. The average (L + PLP)/2 is symmetrised only when it is not
+    bitwise symmetric. Each mean is (a + b)/2, or a/2 + b/2 where a + b
+    overflows, for every L. defect_after is always the computed ||L'P -
+    PL'||_F / ||L'||_F, and the deformation is taken last, from a fresh L' - L.
     """
-    l_matrix = _check_dims(l_matrix, p)
-    projected = _commutant_average(l_matrix, _conjugate(l_matrix, p))
-    norm = float(np.linalg.norm(l_matrix))
-    defect_before = 0.0 if norm <= ZERO_NORM_TOL else commutator_norm(l_matrix, p) / norm
-    projected_norm = float(np.linalg.norm(projected))
-    if projected_norm <= ZERO_NORM_TOL:
-        defect_after = 0.0
-    else:
-        defect_after = commutator_norm(projected, p) / projected_norm
+    l_matrix = np.asarray(l_matrix, dtype=float)
+    if l_matrix.shape != (p.n, p.n):
+        raise DimensionMismatch(
+            f"matrix shape {l_matrix.shape} does not match operator shape {(p.n, p.n)}"
+        )
+    if not np.all(np.isfinite(l_matrix)):
+        raise NonFinite("matrix contains non-finite entries")
+    p_matrix = p.matrix
+
+    def mean(a, b):
+        total = a + b
+        return np.where(np.isinf(total) & np.isfinite(a) & np.isfinite(b), a / 2.0 + b / 2.0,
+                        total / 2.0)
+
+    def defect(m):
+        norm = float(np.linalg.norm(m))
+        if norm <= ZERO_NORM_TOL:
+            return 0.0
+        return float(np.linalg.norm(m @ p_matrix - p_matrix @ m)) / norm
+
+    projected = mean(l_matrix, p_matrix @ l_matrix @ p_matrix)
+    if projected.tobytes() != projected.T.tobytes():
+        projected = mean(projected, projected.T)
     deformation = float(np.linalg.norm(projected - l_matrix))
-    return ProjectionResult(projected=projected, defect_before=defect_before,
-                            defect_after=defect_after, deformation=deformation)
+    return ProjectionResult(projected=projected, defect_before=defect(l_matrix),
+                            defect_after=defect(projected), deformation=deformation)
 
 
 def stepping_alternate(

@@ -46,6 +46,8 @@ from prism.graphs import Graph, graph_from_edges, laplacian
 from prism.learn import fiedler_duality_operator
 
 PATH3 = laplacian(graph_from_edges(["a", "b", "c"], [(0, 1), (1, 2)]))
+# a-b-c with both weights 6e307: L[1, 1] = 1.2e308, above DBL_MAX / 2
+OVERFLOW_PATH = laplacian(graph_from_edges(["a", "b", "c"], [(0, 1, 6e307), (1, 2, 6e307)]))
 SWAP01 = validate_involution(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
@@ -446,7 +448,8 @@ def projection_bits(result):
 
 def oracle_projection_cases():
     """(L, P): rewired mirror networks of 20 to 500 nodes against their true, Fiedler and
-    index-reversal operators, the club, dense operators, a zero matrix and near-overflow L."""
+    index-reversal operators, the club, dense operators, a zero matrix, near-overflow L and a
+    path whose doubled Laplacian overflows."""
     for group_size in (10, 60, 150, 250):
         net = generate_dual_network(group_size, seed=group_size)
         g = rewire(net.graph, 0.02, seed=group_size)
@@ -460,6 +463,7 @@ def oracle_projection_cases():
         yield np.zeros((34, 34)), op
         yield club * 1e306, op  # finite L', but ||L||_F and ||L'||_F overflow
         yield 1.5e308 * np.sign(rng.standard_normal((34, 34))), op  # L + PLP overflows
+    yield OVERFLOW_PATH, index_reversal_operator(3)  # symmetric, and 2 L[1, 1] overflows
 
 
 def test_the_projection_keeps_the_bits_of_the_built_commutator_route():
@@ -482,12 +486,51 @@ def test_the_projection_raises_as_the_built_commutator_route(l_matrix, error):
                 route(l_matrix, op)
 
 
+def test_a_projection_whose_doubled_entries_overflow_keeps_l():
+    # L commutes exactly with index reversal, so L' = (L + PLP) / 2 = L; the
+    # sum L + PLP and the symmetrising pass would both overflow at L[1, 1]
+    with np.errstate(over="ignore"):  # ||L||_F overflows
+        result = commutant_projection(OVERFLOW_PATH, index_reversal_operator(3))
+    assert result.projected.tobytes() == OVERFLOW_PATH.tobytes()
+    assert (result.defect_before, result.defect_after, result.deformation) == (0.0, 0.0, 0.0)
+
+
+def test_an_average_that_is_not_bitwise_symmetric_is_still_symmetrised():
+    signed_zero = np.array([[1.0, -0.0], [0.0, 1.0]])  # -0.0 against 0.0, the only asymmetry
+    asymmetric = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for l_matrix, expected in ((signed_zero, np.eye(2)),  # +0.0 on both sides
+                               (asymmetric, np.array([[1.0, 2.5], [2.5, 4.0]]))):
+        result = commutant_projection(l_matrix, identity_operator(2))
+        assert result.projected.tobytes() == expected.tobytes()
+        oracle = built_commutator_projection(l_matrix, identity_operator(2))
+        assert projection_bits(result) == projection_bits(oracle)
+
+
+def test_the_n_by_n_kernels_make_no_extra_n_by_n_temporary():
+    # peaks in n x n arrays: the projection's two buffers, the defect's
+    # commutator and the conjugate itself, each with its row-block scratch
+    net = generate_dual_network(250, seed=7)
+    lap = laplacian(rewire(net.graph, 0.02, seed=7))
+    op = net.true_operator
+    for kernel, bound in ((lambda: commutant_projection(lap, op), 2.25),
+                          (lambda: duality_defect(lap, op), 1.25),
+                          (lambda: _conjugate(lap, op), 1.25)):
+        kernel()  # warm: first-call allocations are not the kernel's
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * lap.nbytes
+
+
 def test_a_permutations_projection_builds_one_commutator(monkeypatch):
     calls = []
 
-    def counting_commutator(l_matrix, sigma):
+    def counting_commutator(l_matrix, sigma, pl=None):
         calls.append(sigma)
-        return _commutator(l_matrix, sigma)
+        return _commutator(l_matrix, sigma, pl)
 
     monkeypatch.setattr(duality, "_commutator", counting_commutator)
     net = generate_dual_network(60, seed=4)

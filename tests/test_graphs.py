@@ -557,6 +557,20 @@ def test_graph_text_round_trip_is_exact():
     assert np.array_equal(back.weights, g.weights)
 
 
+def test_graph_text_and_edges_follow_the_upper_triangle_scan():
+    # the flat scan lists the edges of np.nonzero(np.triu(w, 1)), in its order
+    mirror = rewire(generate_dual_network(250, seed=7).graph, 0.02, seed=7)
+    for g in (karate_club()[0], mirror):
+        rows, cols = np.nonzero(np.triu(g.weights, 1))
+        lines = ["#nodes: " + ",".join(g.labels)]
+        lines += [f"{g.labels[i]}\t{g.labels[j]}\t{float(g.weights[i, j])!r}"
+                  for i, j in zip(rows, cols)]
+        assert graph_to_text(g) == "\n".join(lines) + "\n"
+        assert g.edge_count() == len(g.edges()) == len(rows)
+        assert all(type(x) is int for x in g.edges()[0][:2])
+        assert type(g.edges()[0][2]) is float
+
+
 def test_graph_text_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="line 1"):
         graph_from_text("a\tb\t1.0\n")

@@ -636,9 +636,9 @@ def test_alternate_builds_one_commutator_for_a_permutation(monkeypatch):
     calls = []
     commutator = duality._commutator
 
-    def counting_commutator(l_matrix, sigma):
+    def counting_commutator(l_matrix, sigma, pl=None):
         calls.append(sigma)
-        return commutator(l_matrix, sigma)
+        return commutator(l_matrix, sigma, pl)
 
     monkeypatch.setattr(duality, "_commutator", counting_commutator)
     g = mirror_graph(60, 4, 0.05)
