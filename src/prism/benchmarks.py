@@ -197,7 +197,8 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     exactly. An empty slot always exists, because all chosen edges are
     deleted before the first one is reinserted. The endpoints are read in
     order from batches of rng.integers(n, size=k), the values of k scalar
-    rng.integers(n) calls.
+    rng.integers(n) calls (for n below 2**32 both draw 32-bit words and
+    keep PCG64's spare half between calls).
 
     Each batch is placed at once, with the rule of a one-draw-at-a-time
     loop: a candidate (a, b) is taken iff a != b, its slot is empty after
@@ -221,7 +222,8 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
     moved = w[rows, cols]
     w[rows, cols] = w[cols, rows] = 0.0
     placed = 0
-    for draws in _endpoint_draws(rng, g.n, 2 * count):
+    while placed < count:
+        draws = rng.integers(g.n, size=2 * count)
         a, b = draws[0::2], draws[1::2]
         open_slots = np.flatnonzero((a != b) & (w[a, b] == 0.0))
         slots = np.minimum(a, b)[open_slots] * g.n + np.maximum(a, b)[open_slots]
@@ -230,20 +232,7 @@ def rewire(g: Graph, fraction: float, seed: int) -> Graph:
         a, b = a[taken], b[taken]
         w[a, b] = w[b, a] = moved[placed:placed + len(taken)]
         placed += len(taken)
-        if placed == count:
-            break
     return Graph(labels=g.labels, weights=_Adopted(w))
-
-
-def _endpoint_draws(rng: np.random.Generator, n: int, batch: int):
-    """Batches of rng.integers(n, size=batch), for as long as they are asked for.
-
-    For n below 2**32 a batch holds the values of as many scalar
-    rng.integers(n) calls: both draw 32-bit words and keep PCG64's spare
-    half between calls.
-    """
-    while True:
-        yield rng.integers(n, size=batch)
 
 
 _COIN_CUT = 1 << 63
