@@ -11,12 +11,15 @@ the other.
 
 One kernel (_window_stats_at) evaluates windows: window_stats is the kernel
 on one position, and rolling_defect and event_study (one call per window
-length) pass it all of theirs. It works through chunks of WINDOW_CHUNK
-windows. A chunk takes one batched correlation per kept-ticker set
-(_window_corrs, np.corrcoef's own steps on the stack), stacks the windows
-of one graph size for the Graph checks, the edge count and the
-connectivity walk, and the components of one size for the Laplacian and
-the Fiedler rank pairing, then takes each window's commutator and norms on
+length) pass it all of theirs. It makes one ticker-major copy of the
+returns, of which every window is a view, and works through chunks sized
+in bytes (WINDOW_BYTES, _chunk_length). A chunk gathers its windows from
+that view at once and takes one batched correlation per kept-ticker set
+(_window_corrs, np.corrcoef's own steps on the stack), thresholds each
+set's stack in place into the weights of its windows' graphs, runs the
+Graph checks, the edge count and the connectivity walk on the stacks of
+one graph size and the Laplacian and the Fiedler rank pairing on the
+components of one size, then takes each window's commutator and norms on
 its own. The pairing ranks the nodes by graphs._fiedler_rankings, the
 package's one Fiedler-ranking kernel, handed the stack's weights, from
 which it builds Laplacians of its own: a vector from eigvalsh and inverse
@@ -41,6 +44,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .duality import _commutator, _defect_norm, commutant_projection
 from .errors import (
@@ -183,7 +187,25 @@ def log_returns(panel: PricePanel, min_coverage: float = 0.95) -> ReturnPanel:
     )
 
 
-WINDOW_CHUNK = 16  # windows per kernel chunk: peak memory stays flat as windows grow
+# The bytes a kernel chunk's stacks may hold at once (_chunk_length): 44
+# windows of the finance fixture (27 tickers, 60 rows), one of a 500-ticker
+# panel. 64 fixture windows measured about 0.6 MB more peak RSS in the
+# benchmark, 48 none.
+WINDOW_BYTES = 1 << 20
+
+
+def _chunk_length(tickers: int, window_len: int) -> int:
+    """Windows per kernel chunk for a panel of tickers: as many as WINDOW_BYTES holds, at least 1.
+
+    A window of k tickers and W rows costs 8 k max(W + k, 4 k) bytes: at
+    most the window and its correlation matrix while they are multiplied,
+    and a few k x k stacks (weights, Laplacians, the ranking kernel's own)
+    after. The tracemalloc peak per window of _window_stats_at measured
+    18.7 KB at k = 27 and W = 60 (this gives 23.3 KB), 23.7 KB at 27 x 90
+    (25.3), 93 KB at 60 x 60 (115), 255 KB at 100 x 60 (320), 1.0 MB at 200
+    x 90 (1.3) and 8.3 MB at 500 x 90 (8.0).
+    """
+    return max(1, WINDOW_BYTES // max(1, 8 * tickers * max(window_len + tickers, 4 * tickers)))
 
 
 def _check_window_args(window_len: int, threshold: float) -> None:
@@ -204,63 +226,80 @@ def _window_position(r: ReturnPanel, window_end: str, window_len: int) -> int:
 
 
 def _window_corrs(
-    r: ReturnPanel, positions: list[int], window_len: int
-) -> list[tuple[list[int], np.ndarray, float] | DegenerateWindow]:
-    """(kept ticker indices, correlation matrix, mean correlation) of each window.
+    r: ReturnPanel, series: np.ndarray, positions: list[int], window_len: int
+) -> tuple[list[DegenerateWindow | None],
+           list[tuple[list[int], list[int], np.ndarray, list[float]]]]:
+    """The correlation matrices of the windows ending at positions, by kept-ticker set.
 
+    series is r.returns ticker-major, np.ascontiguousarray(r.returns.T).
     Each window is the window_len return rows ending at a position. Tickers
-    with a gap or no variation in it are left out; the matrix indexes the
-    kept tickers in order. The mean is over the off-diagonal entries. A
-    window with fewer than 2 kept tickers gets a DegenerateWindow instead.
-    Variation means some return differs from the window's first: the
-    standard deviation of a constant nonzero column can round to a tiny
-    positive number, and its correlations would be NaN.
+    with a gap or no variation in it are left out; a window with fewer than
+    2 kept tickers gets a DegenerateWindow in the first list, and None there
+    otherwise. Each entry of the second list is (members, kept, corr,
+    means): the windows (indices into positions) that keep the ticker
+    indices kept, a stack of their correlation matrices, indexed as kept,
+    and the mean of each matrix's off-diagonal entries. Variation means
+    some return differs from the window's first: the standard deviation of
+    a constant nonzero column can round to a tiny positive number, and its
+    correlations would be NaN.
 
-    The windows that keep the same tickers share one batched computation
-    that takes np.corrcoef's own steps on the stack, each window viewed as
-    (tickers, rows) in the memory layout of corrcoef's copy of the
-    transpose, so each matrix has the bits np.corrcoef gives for its window
-    alone. The mean is taken per window, as a stacked mean sums in another
-    order.
+    The windows are one gather from the sliding-window view of series,
+    (tickers, windows, rows) in memory; a set that is not the whole of it
+    gathers its own from that. Each window is then viewed as (kept, rows)
+    with the row axis contiguous, the memory layout of np.corrcoef's copy
+    of the transpose of a (rows, kept) gather, and the steps are
+    np.corrcoef's, on the stack, so each matrix has the bits np.corrcoef
+    gives its window alone. The off-diagonal entries are gathered into
+    contiguous rows, each summed as off.mean() sums it.
     """
-    outcomes: list = [None] * len(positions)
-    rows = r.returns[np.asarray(positions)[:, None] + np.arange(1 - window_len, 1)]
-    usable = ~np.isnan(rows).any(axis=1) & (rows != rows[:, :1]).any(axis=1)
-    groups: dict[bytes, list[int]] = {}  # kept-ticker mask -> windows
+    starts = np.asarray(positions) - (window_len - 1)
+    windows = sliding_window_view(series, window_len, axis=1)[:, starts]
+    usable = (~np.isnan(windows).any(axis=2) & (windows != windows[:, :, :1]).any(axis=2)).T
+    failures: list = [None] * len(positions)
+    sets: dict[bytes, list[int]] = {}  # kept-ticker mask -> windows
     for b, pos in enumerate(positions):
         if np.count_nonzero(usable[b]) < 2:
-            outcomes[b] = DegenerateWindow(
+            failures[b] = DegenerateWindow(
                 f"fewer than 2 usable tickers in the window ending {r.dates[pos]}"
             )
         else:
-            groups.setdefault(usable[b].tobytes(), []).append(b)
-    for members in groups.values():
+            sets.setdefault(usable[b].tobytes(), []).append(b)
+    groups = []
+    for members in sets.values():
         kept = np.flatnonzero(usable[members[0]])
-        x = rows[members][:, :, kept].transpose(0, 2, 1)
-        x = x - x.mean(axis=2, keepdims=True)
+        if len(members) == len(positions) and len(kept) == len(series):
+            x, windows = windows, None  # the only set: its gather is freed after the product
+        else:
+            x = windows[np.ix_(kept, members)]
+        x = x.transpose(1, 0, 2)
+        x -= x.mean(axis=2, keepdims=True)
         corr = np.matmul(x, x.transpose(0, 2, 1))
+        del x
         corr *= 1.0 / (window_len - 1)
         diagonal = np.arange(len(kept))
         stddev = np.sqrt(corr[:, diagonal, diagonal])
         corr /= stddev[:, :, None]
         corr /= stddev[:, None, :]
         np.clip(corr, -1.0, 1.0, out=corr)
-        corr = (corr + corr.transpose(0, 2, 1)) / 2.0  # BLAS output need not be bitwise-symmetric
-        off_diagonal = corr[:, ~np.eye(len(kept), dtype=bool)]
-        for b, matrix, off in zip(members, corr, off_diagonal):
-            outcomes[b] = (kept.tolist(), matrix, float(off.sum() / off.size))  # off.mean()'s bits
-    return outcomes
+        symmetric = corr + corr.transpose(0, 2, 1)  # BLAS output need not be bitwise-symmetric
+        del corr
+        symmetric /= 2.0
+        off_diagonal = np.take(symmetric.reshape(len(members), -1),
+                               np.flatnonzero(~np.eye(len(kept), dtype=bool)), axis=1)
+        means = (off_diagonal.sum(axis=1) / off_diagonal.shape[1]).tolist()  # off.mean()'s bits
+        groups.append((members, kept.tolist(), symmetric, means))
+    return failures, groups
 
 
 def _edge_weights(corr: np.ndarray, threshold: float) -> np.ndarray:
-    """Correlations at or above threshold, 0 elsewhere and on the diagonal.
+    """Correlations at or above threshold, 0 elsewhere and on the diagonal, written into corr.
 
-    corr is one square matrix or a stack of them.
+    corr is one square matrix or a stack of them; it is returned.
     """
-    weights = np.where(corr >= threshold, corr, 0.0)
+    np.copyto(corr, 0.0, where=~(corr >= threshold))
     diagonal = np.arange(corr.shape[-1])
-    weights[..., diagonal, diagonal] = 0.0
-    return weights
+    corr[..., diagonal, diagonal] = 0.0
+    return corr
 
 
 def _window_graph(
@@ -273,13 +312,13 @@ def _window_graph(
     """
     _check_window_args(window_len, threshold)
     pos = _window_position(r, window_end, window_len)
-    (outcome,) = _window_corrs(r, [pos], window_len)
-    if isinstance(outcome, PrismError):
-        raise outcome
-    kept, corr, mean_corr = outcome
+    (failure,), groups = _window_corrs(r, np.ascontiguousarray(r.returns.T), [pos], window_len)
+    if failure is not None:
+        raise failure
+    ((_, kept, corr, (mean_corr,)),) = groups
     graph = Graph(labels=tuple(r.tickers[i] for i in kept),
-                  weights=_Adopted(_edge_weights(corr, threshold)))
-    return pos, corr, graph, mean_corr
+                  weights=_Adopted(_edge_weights(corr[0].copy(), threshold)))
+    return pos, corr[0], graph, mean_corr
 
 
 def _largest_component(graph: Graph) -> tuple[list[int], Graph]:
@@ -312,50 +351,54 @@ class WindowStats:
 
 
 def _chunk_stats(
-    r: ReturnPanel, positions: list[int], window_len: int, threshold: float
+    r: ReturnPanel, series: np.ndarray, positions: list[int], window_len: int, threshold: float
 ) -> list[WindowStats | PrismError]:
     """The outcome of each window of one chunk; see _window_stats_at.
 
-    The correlations are batched by kept-ticker set (_window_corrs). Windows
-    are then stacked by graph size for the Graph checks, the edge count and
-    the connectivity walk, then by component size for the Laplacian, its
-    Fiedler ranking and the pairing.
+    The correlations are batched by kept-ticker set (_window_corrs), and
+    each set's stack is thresholded in place into its weights. The stacks
+    of one graph size take the Graph checks, the edge count and the
+    connectivity walk together; the components of one size take the
+    Laplacian, its Fiedler ranking and the pairing together. A stack is
+    copied only where it is split or joined: a set whose windows all stay
+    connected hands its weights on as they are.
     """
-    outcomes: list = [None] * len(positions)
+    outcomes, groups = _window_corrs(r, series, positions, window_len)
     means = [0.0] * len(positions)
     graph_sizes = [0] * len(positions)
-    by_size: dict[int, list[tuple[int, list[int], np.ndarray]]] = {}
-    for k, outcome in enumerate(_window_corrs(r, positions, window_len)):
-        if isinstance(outcome, PrismError):
-            outcomes[k] = outcome
-            continue
-        kept, corr, means[k] = outcome
-        graph_sizes[k] = len(kept)
-        by_size.setdefault(len(kept), []).append((k, kept, corr))
+    by_size: dict[int, list[tuple[list[int], list[int], np.ndarray]]] = {}
+    for members, kept, corr, group_means in groups:
+        for k, mean in zip(members, group_means):
+            means[k], graph_sizes[k] = mean, len(kept)
+        by_size.setdefault(len(kept), []).append((members, kept, corr))
 
-    components: dict[int, list[tuple[int, np.ndarray]]] = {}  # size -> (key, weights)
-    for n, group in by_size.items():
-        keys = [k for k, _, _ in group]
-        weights = _edge_weights(np.stack([corr for _, _, corr in group]), threshold)
+    components: dict[int, list[tuple[list[int], np.ndarray]]] = {}  # size -> (keys, weights)
+    for n, sets in by_size.items():
+        keys = [k for members, _, _ in sets for k in members]
+        weights = _edge_weights(sets[0][2] if len(sets) == 1 else
+                                np.concatenate([corr for _, _, corr in sets]), threshold)
+        kept_sets = [kept for members, kept, _ in sets for _ in members]
         keep = _screen_weights(weights, keys, outcomes)
         adjacent = weights != 0.0
-        reach = _reach(adjacent, 0)  # is_connected's walk from node 0
-        for b in np.flatnonzero(keep):
-            k, kept, _ = group[b]
-            if not adjacent[b].any():
-                outcomes[k] = ZeroMatrix(
-                    f"window ending {r.dates[positions[k]]} has no edges at threshold"
+        connected = _reach(adjacent, 0).all(axis=1)  # is_connected's walk from node 0
+        edged = adjacent.any(axis=(1, 2))
+        for b in np.flatnonzero(keep & ~(edged & connected)):
+            if not edged[b]:
+                outcomes[keys[b]] = ZeroMatrix(
+                    f"window ending {r.dates[positions[keys[b]]]} has no edges at threshold"
                 )
                 continue
-            component = weights[b]
-            if not reach[b].all():
-                graph = Graph(labels=tuple(r.tickers[i] for i in kept), weights=component)
-                component = _largest_component(graph)[1].weights
-            components.setdefault(len(component), []).append((k, component))
+            graph = Graph(labels=tuple(r.tickers[i] for i in kept_sets[b]), weights=weights[b])
+            component = _largest_component(graph)[1].weights
+            components.setdefault(len(component), []).append(([keys[b]], component[None]))
+        whole = keep & edged & connected
+        if whole.any():
+            components.setdefault(n, []).append(
+                ([k for k, w in zip(keys, whole) if w], weights if whole.all() else weights[whole]))
 
-    for m, group in components.items():
-        keys = [k for k, _ in group]
-        weights = np.stack([w for _, w in group])
+    for m, blocks in components.items():
+        keys = [k for block_keys, _ in blocks for k in block_keys]
+        weights = blocks[0][1] if len(blocks) == 1 else np.concatenate([w for _, w in blocks])
         lap = _laplacians(weights)
         keep = _screen_symmetric(lap, keys, outcomes)
         if not keep.all():  # copies only then: copying every chunk raises peak memory
@@ -387,17 +430,19 @@ def _window_stats_at(
     the same first check, with the same error, as window_stats on its own:
     the arguments, too few usable tickers, the Graph checks, no edges, the
     eigendecomposition's checks and a zero Laplacian. Chunks of
-    WINDOW_CHUNK positions are evaluated one after another; any exception
+    _chunk_length windows are evaluated one after another; any exception
     other than a PrismError propagates.
     """
     try:
         _check_window_args(window_len, threshold)
     except ValidationError as exc:
         return [exc] * len(positions)
+    series = np.ascontiguousarray(r.returns.T)  # ticker-major: each window a view of it
+    size = _chunk_length(len(r.tickers), window_len)
     return [
         outcome
-        for i in range(0, len(positions), WINDOW_CHUNK)
-        for outcome in _chunk_stats(r, positions[i : i + WINDOW_CHUNK], window_len, threshold)
+        for i in range(0, len(positions), size)
+        for outcome in _chunk_stats(r, series, positions[i : i + size], window_len, threshold)
     ]
 
 

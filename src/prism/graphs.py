@@ -17,11 +17,12 @@ matrix of a stack gets the bits, and the first error, it would get alone.
 Every Fiedler rank pairing (learn.fiedler_pairing and finance's window
 kernel) ranks nodes by _fiedler_rankings, handed the graphs' weight stack:
 a vector with an error bound that proves the ranking is that of eigh's
-Fiedler vector, from eigvalsh and two inverse-iteration solves below
-LANCZOS_CUTOFF nodes and from a short Lanczos run and one Cholesky inertia
-test at or above it, with eigh itself where no bound holds
-(_fiedler_columns). The kernel builds every Laplacian it works on itself.
-fiedler_vector, symmetric_eig and the sign-based labels keep the full eigh.
+Fiedler vector, from eigvalsh and one inverse-iteration solve below
+LANCZOS_CUTOFF nodes (a second solve for the matrices the first leaves
+unproved) and from a short Lanczos run and one Cholesky inertia test at or
+above it, with eigh itself where no bound holds (_fiedler_columns). The
+kernel builds every Laplacian it works on itself. fiedler_vector,
+symmetric_eig and the sign-based labels keep the full eigh.
 
 Frozen results copy the arrays they are handed, except an array the package
 has just built and wrapped in _Adopted, which they take over read-only.
@@ -283,8 +284,10 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix with a deterministic sign rule.
 
     Each eigenvector is flipped so its largest-magnitude entry is positive;
-    ties go to the lowest index. Rejects asymmetric or non-finite input.
-    A matrix symmetric only within tolerance is decomposed as (m + m^T) / 2.
+    ties go to the lowest index. Rejects asymmetric or non-finite input, and
+    a finite one whose eigenvalues leave the float range (NonFinite, as for
+    a non-finite entry). A matrix symmetric only within tolerance is
+    decomposed as (m + m^T) / 2.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -296,6 +299,8 @@ def symmetric_eig(m: np.ndarray) -> SpectralDecomposition:
     if not np.array_equal(bits, bits.T):
         m = (m + m.T) / 2.0
     values, vectors = _signed_eigh(m)
+    if not np.isfinite(values).all():
+        raise NonFinite("matrix contains non-finite entries")
     return SpectralDecomposition(eigenvalues=_Adopted(values), eigenvectors=_Adopted(vectors))
 
 
@@ -320,8 +325,9 @@ def fiedler_vector(g: Graph) -> np.ndarray:
 
 # Inverse iteration shifts by mu = lambda_2 - FIEDLER_SHIFT * max|lambda|,
 # and allows eigh a backward error of FIEDLER_BACKWARD_ERROR * m * eps *
-# max|lambda|. Over the finance fixture universe at four seeds, no computed
-# vector was farther from eigh's than 1.4% of the resulting bound.
+# max|lambda|. Over the 60-row windows of the finance fixture universe at
+# four seeds (2160 windows), no vector after one solve was farther from
+# eigh's than 47% of the resulting bound (1.4% after two).
 FIEDLER_SHIFT = 1e-12
 FIEDLER_BACKWARD_ERROR = 8.0
 
@@ -372,14 +378,16 @@ def _fiedler_rankings(weights: np.ndarray) -> np.ndarray:
     Cholesky input in the Laplacian's buffer; the Laplacians are built one
     at a time, so a stack never holds more than one Cholesky input.
 
-    The cutoff is where the two paths cross. Milliseconds per call on
-    mirror networks (benchmarks.generate_dual_network(m / 2) with 2% of
-    the edges rewired, one graph per call), minimum over 3 seeds and 7
-    repeats, BLAS on one thread, 2-CPU x86-64:
+    The cutoff is where the two paths crossed with two solves. Milliseconds
+    per call on mirror networks (benchmarks.generate_dual_network(m / 2)
+    with 2% of the edges rewired, one graph per call), minimum over 3 seeds
+    and 7 repeats, BLAS on one thread, 2-CPU x86-64; one solve moves the
+    crossing to between 128 and 160:
 
         m                      60   100   120   128   160   200   300   500
-        eigvalsh + inv. iter. 0.62  1.29  1.83  1.99  3.14  4.77  11.6  36.7
-        Lanczos + Cholesky    1.68  1.85  1.68  1.79  2.00  2.79  3.93  11.2
+        eigvalsh + two solves 0.26  0.67  0.93  1.09  1.74  2.70  6.56  21.9
+        eigvalsh + one solve  0.25  0.62  0.81  0.92  1.47  2.32  5.55  18.0
+        Lanczos + Cholesky    0.64  0.89  0.75  1.05  1.31  1.35  2.55  5.94
     """
     if weights.shape[-1] >= LANCZOS_CUTOFF:
         x = np.zeros(weights.shape[:2])
@@ -396,8 +404,7 @@ def _fiedler_rankings(weights: np.ndarray) -> np.ndarray:
         iteration = _inverse_iteration(_laplacians(weights))  # the stack is freed before any eigh
         if iteration is None:
             return _fiedler_columns(_laplacians(weights))
-        x, error, gap = iteration
-        separated = _separated(x, error, gap)
+        x, separated = iteration
     if not separated.all():
         rejected = weights[~separated] if separated.any() else weights  # no copy of the whole stack
         x[~separated] = _fiedler_columns(_laplacians(rejected))
@@ -412,41 +419,64 @@ def _separated(x: np.ndarray, error, gap) -> np.ndarray:
     return ((gap > 0.0) & (spacing * gap > 4.0 * error)).all(axis=-1)
 
 
-def _inverse_iteration(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """_fiedler_rankings' iteration below LANCZOS_CUTOFF: x, error and gap per matrix, or None.
+def _inverse_iteration(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """_fiedler_rankings' iteration below LANCZOS_CUTOFF: x, and the rows that pass its test.
 
     sym is the kernel's own (B, m, m) stack of exactly symmetric Laplacians.
-    None when eigvalsh or solve raises LinAlgError; a non-finite result is
-    returned as it is and fails the caller's test. Two steps of inverse
-    iteration on sym - mu I, mu just below eigvalsh's lambda_2, give x. The
-    solves see sym with mu subtracted from its diagonal in place, the bits
-    of sym - mu I (a Laplacian's off-diagonal zeros are +0.0), and the saved
-    diagonal is put back before the residual, so no other n x n array is
-    made.
+    None when eigvalsh or solve raises LinAlgError; a non-finite result
+    fails the test. One step of inverse iteration (_inverse_step) on sym -
+    mu I, mu just below eigvalsh's lambda_2, gives x. mu sits FIEDLER_SHIFT
+    * max|lambda| below lambda_2, so the solve multiplies the start's
+    lambda_2 component by 1 / (FIEDLER_SHIFT * max|lambda|) and every other
+    by at most 1 / gap: one step passes the test on every window of the
+    finance fixture. The rows that fail take a second step from their x,
+    and are tested again; the rows that fail that too go to eigh in the
+    caller.
     """
     m = sym.shape[-1]
-    d = np.arange(m)
-    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), sym.shape[:2])  # fixed, generic start
     try:
         with np.errstate(all="ignore"):
             values = np.linalg.eigvalsh(sym)
-            diagonal = sym[:, d, d]
-            sym[:, d, d] = diagonal - (
-                values[:, 1] - FIEDLER_SHIFT * np.abs(values).max(axis=1))[:, None]
-            for _ in range(2):
-                x = np.linalg.solve(sym, x[:, :, None])[:, :, 0]
-                x = x / np.linalg.norm(x, axis=1, keepdims=True)
-            sym[:, d, d] = diagonal
-            image = np.matmul(sym, x[:, :, None])[:, :, 0]
-            rho = (x * image).sum(axis=1)
-            residual = np.linalg.norm(image - rho[:, None] * x, axis=1)
+            scale = np.abs(values).max(axis=1)
+            shift = values[:, 1] - FIEDLER_SHIFT * scale
+            gap = values[:, 1] - values[:, 0]
+            if m > 2:
+                gap = np.minimum(gap, values[:, 2] - values[:, 1])
+            eta = FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
+            x, residual = _inverse_step(sym, shift)
+            separated = _separated(x, residual + eta, gap)
+            failed = ~separated
+            if failed.any():
+                x[failed], residual = _inverse_step(sym[failed], shift[failed], x[failed])
+                separated[failed] = _separated(x[failed], residual + eta[failed], gap[failed])
     except np.linalg.LinAlgError:
         return None
-    gap = values[:, 1] - values[:, 0]
-    if m > 2:
-        gap = np.minimum(gap, values[:, 2] - values[:, 1])
-    error = residual + FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * np.abs(values).max(axis=1)
-    return x, error, gap
+    return x, separated
+
+
+def _inverse_step(
+    sym: np.ndarray, shift: np.ndarray, x: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One solve of (sym - shift I) y = x per matrix: y / ||y||, and its residual for sym.
+
+    x is the first step's fixed, generic start sin(1..m) when None. The
+    solve sees sym with the shift subtracted from its diagonal in place,
+    the bits of sym - shift I (a Laplacian's off-diagonal zeros are +0.0),
+    and the saved diagonal is put back before the residual, so no other
+    stack of matrices is made. The residual is ||sym y - rho y||, rho = y^T
+    sym y.
+    """
+    d = np.arange(sym.shape[-1])
+    if x is None:
+        x = np.broadcast_to(np.sin(np.arange(1.0, len(d) + 1.0)), sym.shape[:2])
+    diagonal = sym[:, d, d]
+    sym[:, d, d] = diagonal - shift[:, None]
+    x = np.linalg.solve(sym, x[:, :, None])[:, :, 0]
+    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    sym[:, d, d] = diagonal
+    image = np.matmul(sym, x[:, :, None])[:, :, 0]
+    rho = (x * image).sum(axis=1)
+    return x, np.linalg.norm(image - rho[:, None] * x, axis=1)
 
 
 def _lanczos_ranking(sym: np.ndarray) -> np.ndarray | None:

@@ -208,6 +208,8 @@ def alternate(
     A permutation start operator is projected once, up front; the
     projection runs duality_defect's shape and finiteness checks and a zero
     L then raises ZeroMatrix, so the errors come in duality_defect's order.
+    defect_before is exactly 0.0 wherever ||L||_F <= ZERO_NORM_TOL, so the
+    norm is taken again only when it is 0.0.
     The projection's defect_before is delta(L, P_0) bit for bit. Its L'
     commutes exactly with P wherever it is finite (defect_after is then
     finite), so the P-step, which would hand P back unchanged, is not run;
@@ -221,7 +223,8 @@ def alternate(
     projection, projected_against = None, None
     if p.is_permutation():
         projection, projected_against = commutant_projection(l_matrix, p), p
-        _defect_norm(l_matrix)
+        if projection.defect_before == 0.0:  # the only value a zero L gives
+            _defect_norm(l_matrix)
         trajectory = [projection.defect_before]
     else:
         trajectory = [duality_defect(l_matrix, p)]

@@ -1,4 +1,4 @@
-"""Shared paths, the fixture panel, the eigh fallback counter and the verdict summary."""
+"""Shared paths, the fixture panel, the ranking kernel's counters and the verdict summary."""
 
 from __future__ import annotations
 
@@ -45,6 +45,21 @@ def eigh_fallbacks(monkeypatch):
         return fallback(lap)
 
     monkeypatch.setattr(graphs, "_fiedler_columns", counting)
+    return counted
+
+
+@pytest.fixture
+def second_solves(monkeypatch):
+    """The number of matrices each second inverse-iteration solve of the ranking kernel takes."""
+    counted = []
+    step = graphs._inverse_step
+
+    def counting(sym, shift, x=None):
+        if x is not None:  # the first solve starts from the fixed vector
+            counted.append(len(sym))
+        return step(sym, shift, x)
+
+    monkeypatch.setattr(graphs, "_inverse_step", counting)
     return counted
 
 

@@ -749,8 +749,7 @@ def averaging_fiedler_rankings(lap: np.ndarray, weights: np.ndarray) -> np.ndarr
         iteration = _averaging_inverse_iteration(lap)
         if iteration is None:
             return _averaged_fiedler_columns(lap)
-        x, error, gap = iteration
-        separated = graphs._separated(x, error, gap)
+        x, separated = iteration
     if not separated.all():
         x[~separated] = _averaged_fiedler_columns(lap[~separated])
     return x
@@ -762,32 +761,39 @@ def _averaged_fiedler_columns(lap: np.ndarray) -> np.ndarray:
 
 
 def _averaging_inverse_iteration(lap: np.ndarray):
+    """One solve from sin(1..m) per matrix, a second from its x where the test fails."""
     m = lap.shape[-1]
-    d = np.arange(m)
-    x = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), lap.shape[:2])
     try:
         with np.errstate(all="ignore"):
             sym = lap + lap.transpose(0, 2, 1)
             sym /= 2.0
             values = np.linalg.eigvalsh(sym)
-            diagonal = sym[:, d, d]
-            sym[:, d, d] = diagonal - (
-                values[:, 1] - graphs.FIEDLER_SHIFT * np.abs(values).max(axis=1))[:, None]
-            for _ in range(2):
-                x = np.linalg.solve(sym, x[:, :, None])[:, :, 0]
-                x = x / np.linalg.norm(x, axis=1, keepdims=True)
-            sym[:, d, d] = diagonal
-            image = np.matmul(sym, x[:, :, None])[:, :, 0]
-            rho = (x * image).sum(axis=1)
-            residual = np.linalg.norm(image - rho[:, None] * x, axis=1)
+            scale = np.abs(values).max(axis=1)
+            shift = values[:, 1] - graphs.FIEDLER_SHIFT * scale
+            gap = values[:, 1] - values[:, 0]
+            if m > 2:
+                gap = np.minimum(gap, values[:, 2] - values[:, 1])
+            eta = graphs.FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
+            start = np.broadcast_to(np.sin(np.arange(1.0, m + 1.0)), lap.shape[:2])
+            x, residual = _averaging_step(sym, shift, start)
+            separated = graphs._separated(x, residual + eta, gap)
+            for b in np.flatnonzero(~separated):
+                y, again = _averaging_step(sym[b:b + 1], shift[b:b + 1], x[b:b + 1])
+                x[b] = y[0]
+                separated[b] = graphs._separated(y[0], again[0] + eta[b], gap[b])
     except np.linalg.LinAlgError:
         return None
-    gap = values[:, 1] - values[:, 0]
-    if m > 2:
-        gap = np.minimum(gap, values[:, 2] - values[:, 1])
-    scale = np.abs(values).max(axis=1)
-    error = residual + graphs.FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
-    return x, error, gap
+    return x, separated
+
+
+def _averaging_step(sym: np.ndarray, shift: np.ndarray, x: np.ndarray):
+    """A solve on a fresh sym - shift I, normalised, and the residual against sym."""
+    shifted = sym - shift[:, None, None] * np.eye(sym.shape[-1])
+    x = np.linalg.solve(shifted, x[:, :, None])[:, :, 0]
+    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    image = np.matmul(sym, x[:, :, None])[:, :, 0]
+    rho = (x * image).sum(axis=1)
+    return x, np.linalg.norm(image - rho[:, None] * x, axis=1)
 
 
 def _in_place_lanczos_ranking(sym: np.ndarray):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,12 @@ def test_rolling_skips_failing_windows():
     assert len(series.skipped) == 5
 
 
+def test_a_panel_without_tickers_skips_every_window():
+    series = rolling_defect(panel_from_returns(np.empty((30, 0))), 10, stride=5)
+    assert series.records == () and len(series.skipped) == 5
+    assert {reason for _, reason in series.skipped} == {"DegenerateWindow"}
+
+
 @pytest.mark.parametrize("failing_chunk", [1, 2])
 def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, failing_chunk):
     # only a PrismError may become a skipped window or a partial row; any
@@ -392,7 +399,8 @@ def test_non_prism_window_errors_propagate(universe_returns, monkeypatch, failin
 
     monkeypatch.setattr(finance, "_chunk_stats", broken)
     # stride 10 gives 54 windows, more than one chunk
-    assert len(range(59, len(universe_returns.dates), 10)) > finance.WINDOW_CHUNK
+    assert len(range(59, len(universe_returns.dates), 10)) > finance._chunk_length(
+        len(universe_returns.tickers), 60)
     with pytest.raises(TypeError, match="broken window"):
         rolling_defect(universe_returns, 60, stride=10)
     assert len(calls) == failing_chunk
@@ -502,6 +510,16 @@ def test_fiedler_operator_pairs_sector_blocks(universe_returns, universe_config)
 
 # The batched window kernel against loop_window_stats, the per-window path it
 # replaced: the same WindowStats bits, or the same error type and message.
+# The chunking fixture runs a test at three byte budgets: one window a chunk,
+# a few (8 of the fixture's 60-row windows) with a short last chunk, and the
+# whole series in one chunk.
+
+
+@pytest.fixture(params=["one", "few", "whole"])
+def chunking(request, monkeypatch):
+    budget = {"one": 1, "few": finance.WINDOW_BYTES // 5, "whole": 1 << 40}[request.param]
+    monkeypatch.setattr(finance, "WINDOW_BYTES", budget)
+    return request.param
 
 
 def outcome_key(outcome):
@@ -543,11 +561,14 @@ def assert_kernel_matches_loop(r, window_len, threshold, stride=1):
 
 
 @pytest.mark.parametrize("stride", [1, 2])
-def test_window_kernel_matches_the_loop_across_chunks(universe_returns, stride):
+def test_window_kernel_matches_the_loop_across_chunks(universe_returns, stride, chunking):
     outcomes = assert_kernel_matches_loop(universe_returns, 60, 0.2, stride=stride)
-    # 540 and 270 windows: many chunks, the last one short
-    assert len(outcomes) == 540 // stride > 8 * finance.WINDOW_CHUNK
-    assert len(outcomes) % finance.WINDOW_CHUNK != 0
+    length = finance._chunk_length(len(universe_returns.tickers), 60)
+    # 540 and 270 windows: one a chunk; many chunks, the last one short; one chunk
+    assert len(outcomes) == 540 // stride
+    assert {"one": length == 1,
+            "few": 1 < length and len(outcomes) > 8 * length and len(outcomes) % length != 0,
+            "whole": length >= len(outcomes)}[chunking]
     assert all(isinstance(o, finance.WindowStats) for o in outcomes)
 
 
@@ -559,7 +580,7 @@ def test_window_kernel_matches_the_loop_on_split_components(universe_returns):
     assert min(sizes) == 5 and max(sizes) == 27 and len(sizes) > 8
 
 
-def test_window_kernel_matches_the_loop_with_gaps():
+def test_window_kernel_matches_the_loop_with_gaps(chunking):
     rng = np.random.default_rng(17)
     returns = 0.01 * (rng.standard_normal((160, 10)) + rng.standard_normal((160, 1)))
     returns[rng.random(returns.shape) < 0.02] = np.nan
@@ -599,7 +620,7 @@ def test_window_kernel_matches_the_loop_on_failing_panels(universe_returns):
             == outcome_key(expected)
 
 
-def test_event_study_cells_match_the_loop(universe_returns):
+def test_event_study_cells_match_the_loop(universe_returns, chunking):
     events = [("SPIKE", "2021-12-24"), ("EARLY", universe_returns.dates[70])]
     offsets, window_lens = (-90, -60, 0), (60, 1, 90)
     study = event_study(universe_returns, events, offsets, window_lens, threshold=0.6)
@@ -655,14 +676,26 @@ def corr_key(outcome):
     return (kept, corr.tobytes(), repr(mean_corr))
 
 
+def window_corrs(r, positions, window_len):
+    """finance._window_corrs per window: its DegenerateWindow, or (kept, matrix, mean)."""
+    failures, groups = finance._window_corrs(
+        r, np.ascontiguousarray(r.returns.T), positions, window_len)
+    outcomes = list(failures)
+    for members, kept, corr, means in groups:
+        for b, matrix, mean in zip(members, corr, means):
+            outcomes[b] = (kept, matrix, mean)
+    return outcomes
+
+
 def assert_corrs_match_corrcoef(r, window_lens):
     """Compare every window at each length with corrcoef_window; returns the window count."""
     windows = 0
     for window_len in window_lens:
         positions = list(range(window_len - 1, len(r.dates)))
-        for i in range(0, len(positions), finance.WINDOW_CHUNK):
-            chunk = positions[i : i + finance.WINDOW_CHUNK]
-            outcomes = finance._window_corrs(r, chunk, window_len)
+        length = finance._chunk_length(len(r.tickers), window_len)
+        for i in range(0, len(positions), length):
+            chunk = positions[i : i + length]
+            outcomes = window_corrs(r, chunk, window_len)
             assert [corr_key(o) for o in outcomes] == [
                 corr_key(outcome_of(corrcoef_window, r, pos, window_len)) for pos in chunk
             ]
@@ -677,12 +710,12 @@ def seeded_universe(config, seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [93, 2001, 4242, 7])
-def test_batched_correlations_match_corrcoef_bitwise(universe_config, seed, tmp_path):
+def test_batched_correlations_match_corrcoef_bitwise(universe_config, seed, tmp_path, chunking):
     r = seeded_universe(universe_config, seed, tmp_path)
     assert assert_corrs_match_corrcoef(r, (2, 3, 10, 60, 250)) == 2675
 
 
-def test_batched_correlations_match_corrcoef_with_gaps_and_flat_columns():
+def test_batched_correlations_match_corrcoef_with_gaps_and_flat_columns(chunking):
     rng = np.random.default_rng(23)
     returns = 0.01 * (rng.standard_normal((120, 8)) + rng.standard_normal((120, 1)))
     returns[rng.random(returns.shape) < 0.03] = np.nan
@@ -706,9 +739,25 @@ def test_batched_correlations_match_corrcoef_with_gaps_and_flat_columns():
 # eigh.
 
 
-def test_fiedler_ranking_needs_no_eigh_on_the_fixture(universe_returns, eigh_fallbacks):
+def test_fiedler_ranking_needs_no_eigh_on_the_fixture(universe_returns, eigh_fallbacks,
+                                                     second_solves):
+    # one inverse-iteration solve proves every window's ranking
     series = rolling_defect(universe_returns, 60)
-    assert len(series.records) == 540 and eigh_fallbacks == []
+    assert len(series.records) == 540 and eigh_fallbacks == [] and second_solves == []
+
+
+def test_rolling_defect_holds_one_chunk_of_windows_at_a_time(universe_returns):
+    # over the fixture's 540 windows the tracemalloc peak measured 0.81 MB in
+    # 16-window chunks and 0.98 MB in the 44 windows that WINDOW_BYTES holds;
+    # chunks that outgrow the budget, or a stack held past its stage, fail the bound
+    rolling_defect(universe_returns, 60, 1)
+    tracemalloc.start()
+    try:
+        rolling_defect(universe_returns, 60, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05e6
 
 
 def twin_panel(r, columns):

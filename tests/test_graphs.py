@@ -300,17 +300,34 @@ def test_symmetric_eig_decomposes_the_average_of_a_matrix_not_bitwise_symmetric(
 
 
 def test_a_laplacian_whose_double_overflows_keeps_its_fiedler_vector():
-    # degrees 6e307, 1.2e308 and 6e307 are finite, but (L + L^T) / 2 overflows
-    g = graph_from_edges(list("abc"), [(0, 1, 6e307), (1, 2, 6e307)])
+    # a star whose centre has degree 9e307: (L + L^T) / 2 overflows, the spectrum
+    # 0, 4.5e307, 1.35e308 does not
+    g = graph_from_edges(list("abc"), [(0, 1, 4.5e307), (0, 2, 4.5e307)])
     with np.errstate(over="ignore", invalid="ignore"):
         v = fiedler_vector(g)
         pairing = learn.fiedler_pairing(g)
         labels = fiedler_bipartition(g), rmt_labels(g)
-    assert np.allclose(v, [math.sqrt(0.5), 0.0, -math.sqrt(0.5)], rtol=0.0, atol=1e-12)
-    assert pairing.permutation == (2, 1, 0) and pairing.fixed_point == 1
+    assert np.allclose(np.abs(v), [0.0, math.sqrt(0.5), math.sqrt(0.5)], rtol=0.0, atol=1e-12)
+    assert v[1] * v[2] < 0.0
+    assert pairing.permutation == (0, 2, 1) and pairing.fixed_point == 0
     for label in labels:
-        assert label[0] != label[2]
+        assert label[1] != label[2]
         assert label.tolist() == (v >= 0.0).astype(int).tolist()
+
+
+def test_a_spectrum_beyond_the_float_range_raises_non_finite():
+    # the path a-b-c with weights 6e307: L is finite, its lambda_3 = 1.8e308 is not,
+    # and eigh returns it as inf
+    g = graph_from_edges(list("abc"), [(0, 1, 6e307), (1, 2, 6e307)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(np.linalg.eigvalsh(laplacian(g))).all()
+        for compute in (symmetric_eig, lambda lap: fiedler_vector(g), lambda lap: rmt_labels(g),
+                        lambda lap: fiedler_bipartition(g)):
+            with pytest.raises(NonFinite, match="^matrix contains non-finite entries$"):
+                compute(laplacian(g))
+        # the ranking kernel reads no eigenvalue it cannot trust: eigh's vector ranks the path
+        pairing = learn.fiedler_pairing(g)
+    assert pairing.permutation == (2, 1, 0) and pairing.fixed_point == 1
 
 
 def test_symmetric_eig_input_validation():

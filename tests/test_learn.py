@@ -342,6 +342,22 @@ def test_a_failed_iteration_frees_its_arrays_before_eigh(monkeypatch, eigh_fallb
     assert_eigh_takes_over_within_memory(g, eigh_fallbacks)
 
 
+def return_start(a, b):
+    return b.copy()
+
+
+def test_a_vector_the_test_rejects_takes_a_second_solve_then_eigh(monkeypatch, eigh_fallbacks,
+                                                                   second_solves):
+    # a "solve" that hands back its start leaves sin(1..m) as x, far from any eigenvector
+    g = mirror_graph(30, 7)
+    expected = eigh_pairing(g)
+    assert fiedler_pairing(g).permutation == expected
+    assert second_solves == [] and eigh_fallbacks == []
+    monkeypatch.setattr(np.linalg, "solve", return_start)
+    assert fiedler_pairing(g).permutation == expected
+    assert second_solves == [1] and eigh_fallbacks == [1]
+
+
 def raise_not_definite(a):
     raise np.linalg.LinAlgError("Matrix is not positive definite")
 
@@ -630,6 +646,25 @@ def test_alternate_checks_l_once_for_a_permutation(monkeypatch):
     g = mirror_graph(60, 4, 0.05)
     alternate(laplacian(g), fiedler_duality_operator(g))
     assert len(checked) == 1
+
+
+def test_alternate_takes_the_norm_of_l_again_only_for_a_zero_defect(monkeypatch):
+    # the projection's checks take ||L||_F; the ZeroMatrix check takes it again only
+    # where defect_before is 0.0, the value a zero L gives
+    counted = []
+    defect_norm = learn._defect_norm
+
+    def counting_defect_norm(l_matrix):
+        counted.append(len(l_matrix))
+        return defect_norm(l_matrix)
+
+    monkeypatch.setattr(learn, "_defect_norm", counting_defect_norm)
+    g = mirror_graph(60, 4, 0.05)
+    alternate(laplacian(g), fiedler_duality_operator(g))
+    assert counted == []
+    reversal = validate_involution(np.fliplr(np.eye(3)))
+    assert alternate(laplacian(path_graph(3)), reversal).defect_trajectory == (0.0,)
+    assert counted == [3]
 
 
 def test_alternate_builds_one_commutator_for_a_permutation(monkeypatch):
