@@ -15,14 +15,16 @@ All randomness flows from integer seeds through one splitting rule
 The noise benchmark's kernel (_noise_chunk) takes one level's trials
 NOISE_CHUNK at a time: the chunk's flips are planned in one pass, then the
 chunk shares one stack of Graph checks and connectivity walks (redrawing
-only the disconnected trials), one Laplacian stack, one eigh for the
-baseline and RMT labels, commutant_projection's own gather and average on
-the whole stack, and the projections' block form: L' = (L + PLP)/2
-commutes with P, so its spectrum is that of two half-size blocks
-(duality._commutant_blocks), and only the block holding the Fiedler value
-is decomposed with vectors. The chunks run one after another, and all
-labels are scored in one pass at the end (_accuracies, which accuracy runs
-on one row). The flips (_flip_chunk) read each trial's raw PCG64 words once
+only the disconnected trials), one Laplacian stack, commutant_projection's
+own gather and average on the whole stack, and eigvalsh of the Laplacians
+and of the projections' block form: L' = (L + PLP)/2 commutes with P, so
+its spectrum is that of two half-size blocks (duality._commutant_blocks).
+The sign labels come from one inverse-iteration solve per Laplacian and
+per block holding the Fiedler value, wherever a Davis-Kahan bound proves
+them those of eigh's vector (graphs._certified_signs); the other matrices,
+and the trials the RMT screen keeps, run eigh. The chunks run one after
+another, and all labels are scored in one pass at the end (_accuracies,
+which accuracy runs on one row). The flips (_flip_chunk) read each trial's raw PCG64 words once
 and apply Generator's own conversions to them for all its flips at once
 (_flip_plans), so they are those of the Generator calls; the oracle tests
 call the Generator itself, so a numpy change to either conversion fails
@@ -57,7 +59,10 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    FIEDLER_BACKWARD_ERROR,
     _Adopted,
+    _certified_signs,
+    _inverse_iteration,
     _laplacians,
     _reach,
     _screen_symmetric,
@@ -641,7 +646,7 @@ class NoiseBenchmarkReport:
                     raise ValidationError(f"mean accuracy {mean} outside [0.5, 1.0]")
 
 
-NOISE_CHUNK = 16  # trials per kernel chunk: one level's trials, stacked
+NOISE_CHUNK = 25  # trials per kernel chunk: one level's trials, stacked
 MAX_NOISE_ATTEMPTS = 1000
 
 
@@ -659,16 +664,19 @@ def _noise_chunk(
     seed. The chunk's draws are stacked for the Graph checks and the walk
     from node 0, and only the disconnected ones are redrawn, with the next
     attempt's seed. The connected graphs then share one Laplacian stack,
-    one checked eigh (baseline and RMT labels; the sign rule is applied to
-    the Fiedler column, and only the trials with two eigenvalues at the RMT
-    cutoff take _spectral_labels, which sign-fixes the RMT column), the
-    projection (L + PLP) / 2 onto the commutant of the club's operator
-    with commutant_projection's steps and its checks, and the projections'
-    Fiedler vectors from their block form (_projected_fiedler). The
-    baseline and RMT labels have the bits of each trial's per-matrix
-    pipeline, and the projected labels those of a per-trial block form;
-    when trials fail, the lowest one's PrismError is raised, the error a
+    the projection (L + PLP) / 2 onto the commutant of the club's operator
+    with commutant_projection's steps and its checks, and one eigvalsh.
+    When trials fail, the lowest one's PrismError is raised, the error a
     trial-by-trial loop would meet first.
+
+    The baseline labels are the signs of one inverse-iteration solve per
+    Laplacian (graphs._inverse_iteration), where graphs._certified_signs
+    proves them those of the sign-fixed eigh vector. A trial whose signs the
+    bound leaves unproved, or one with two eigenvalues at the RMT cutoff,
+    runs eigh and takes both labels from _spectral_labels. The projected
+    labels come from the block form (_projected_fiedler). The labels have
+    the bits of each trial's per-matrix pipeline, and the projected labels
+    those of a per-trial block form.
     """
     size, n = len(trials), clean.n
     errors: list = [None] * size
@@ -676,12 +684,12 @@ def _noise_chunk(
     attempts = np.zeros(size, dtype=int)
     pending = list(range(size))
     for attempt in range(MAX_NOISE_ATTEMPTS):
-        weights[pending] = _flip_chunk(
+        drawn = _flip_chunk(
             clean.weights, count,
             [child_seed(seed, level_index, trials[b], attempt) for b in pending],
         )
+        weights[pending] = drawn
         attempts[pending] = attempt
-        drawn = weights[pending]
         keep = _screen_weights(drawn, pending, errors)
         connected = _reach(drawn != 0.0, 0).all(axis=1)
         pending = [b for b, ok, whole in zip(pending, keep, connected) if ok and not whole]
@@ -694,53 +702,103 @@ def _noise_chunk(
 
     good = [b for b in range(size) if errors[b] is None]
     lap = _laplacians(weights[good])
+    del weights, drawn  # no weight stack is held through the spectral work
     keep = _screen_symmetric(lap, good, errors)
     good, lap = [b for b, ok in zip(good, keep) if ok], lap[keep]
-    values, vectors = np.linalg.eigh(lap)  # signs fixed only on the columns read
     projected = _commutant_average(lap, _conjugate(lap, operator))
-    keep = _screen_symmetric(projected, good, errors)
-    fiedler = _projected_fiedler(projected[keep], operator.sigma)
+    _screen_symmetric(projected, good, errors)
     failed = [error for error in errors if error is not None]
     if failed:
         raise failed[0]
+    values = np.linalg.eigvalsh(lap)
+    x, certified = _certified_vectors(lap, values, 1)
     labels = np.empty((size, 3, n), dtype=np.int8)
-    labels[:, 0] = labels[:, 1] = _sign_rule(vectors[:, :, 1:2])[:, :, 0] >= 0.0
+    labels[:, 0] = labels[:, 1] = _sign_rule(x[:, :, None])[:, :, 0] >= 0.0
     # The RMT labels leave the Fiedler fallback only where two eigenvalues reach
-    # the cutoff; the screen's cutoff sits 1e-9 low, so a last-bit difference
-    # between the stacked and the per-trial mean cannot hide a trial from it.
+    # the cutoff; the screen's cutoff sits 1e-9 low, so neither a last-bit
+    # difference between the stacked and the per-trial mean nor one between
+    # eigvalsh's and eigh's values can hide a trial from it.
     cutoff = 4.0 * values.mean(axis=1, keepdims=True) * (1.0 - 1e-9)
-    for b in np.flatnonzero(np.count_nonzero(values >= cutoff, axis=1) >= 2):
-        labels[b, :2] = _spectral_labels(values[b], vectors[b])
-    labels[:, 2] = fiedler >= 0.0
+    redo = np.flatnonzero(~certified | (np.count_nonzero(values >= cutoff, axis=1) >= 2))
+    if redo.size:
+        full_values, vectors = np.linalg.eigh(lap[redo])
+        for b, spectrum, columns in zip(redo, full_values, vectors):
+            labels[b, :2] = _spectral_labels(spectrum, columns)
+    labels[:, 2] = _projected_fiedler(projected, operator.sigma) >= 0.0
     return labels, attempts
 
 
-def _projected_fiedler(projected: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Sign-fixed Fiedler vectors (B, n) of a stack in the commutant of P = I[sigma].
+def _certified_vectors(sym: np.ndarray, values: np.ndarray, k, weight=1.0) -> tuple:
+    """One solve's vector for eigenvalue k of each matrix, and the rows whose signs are certified.
 
-    The spectrum comes from the block form (_commutant_blocks): eigvalsh of
-    every V+ block and eigh of every V- block. The Fiedler value is the
-    second-smallest of their union, and an exact tie between the sectors
-    goes to V+. Only the matrices whose Fiedler value lies in V+ take eigh of
-    their V+ block. The chosen block column is lifted back to the nodes and
-    given symmetric_eig's sign rule.
+    x comes from one step of graphs._inverse_iteration. A certified row
+    (graphs._certified_signs on x * weight) has the signs of eigh's vector,
+    both given the sign rule. weight maps a block's rows to the nodes they
+    lift to: see _projected_fiedler.
+    """
+    x, error, gap = _inverse_iteration(sym, values, k)
+    with np.errstate(all="ignore"):
+        return x, _certified_signs(x * weight, error, gap)
+
+
+def _projected_fiedler(projected: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Vectors (B, n) with the signs of the sign-fixed Fiedler vectors of a stack in P's commutant.
+
+    P = I[sigma]. The spectrum comes from the block form
+    (_commutant_blocks): eigvalsh of every V+ and V- block. The Fiedler
+    value is the second-smallest of their union, and an exact tie between
+    the sectors goes to V+. Where a V+ value and a V- value among the three
+    smallest lie within twice the blocks' eigh backward error of each other,
+    eigh's V- values decide instead, as they did when every V- block ran
+    eigh. The chosen block takes one certified solve (_certified_vectors),
+    and eigh where the bound fails. The block vector is lifted back to the
+    nodes and given symmetric_eig's sign rule.
+
+    The bound holds for the lifted vector, as the lift is an isometry. The
+    two nodes of a pair have equal magnitudes, so the sign rule's lead is
+    always the pair's lower node, whose entry has its block row's sign. The
+    certificate therefore tests the block rows, each scaled by its largest
+    node scale (1/sqrt2 for a pair, 1 for a fixed point).
     """
     plus, minus, rows, scales = _commutant_blocks(projected, sigma)
-    plus_values = np.linalg.eigvalsh(plus)
-    minus_values, minus_vectors = np.linalg.eigh(minus)
-    union = np.concatenate([plus_values, minus_values], axis=-1)
-    second = np.argsort(union, axis=-1, kind="stable")[:, 1]  # V+ first on ties
-    in_minus = second >= plus.shape[-1]
+    blocks = (plus, minus)
+    values = [np.linalg.eigvalsh(block) for block in blocks]
+    union = np.concatenate(values, axis=-1)
+    order = np.argsort(union, axis=-1, kind="stable")  # V+ first on ties
+    lowest = order[:, :3]
+    eta = FIEDLER_BACKWARD_ERROR * max(plus.shape[-1], minus.shape[-1]) * np.finfo(float).eps
+    margin = 2.0 * eta * np.abs(union).max(axis=-1, keepdims=True)
+    crossing = np.diff(lowest >= plus.shape[-1], axis=-1)  # neighbours from both sectors
+    close = np.diff(np.take_along_axis(union, lowest, axis=-1), axis=-1) <= margin
+    tied = np.flatnonzero((crossing & close).any(axis=-1))
+    if tied.size:
+        values[1][tied] = np.linalg.eigh(minus[tied])[0]
+        order[tied] = np.argsort(
+            np.concatenate([values[0][tied], values[1][tied]], axis=-1), axis=-1, kind="stable")
+    second = order[:, 1]
     fiedler = np.empty(projected.shape[:2])
-    chosen = np.flatnonzero(in_minus)
-    if chosen.size:
-        vectors = minus_vectors[chosen, :, second[chosen] - plus.shape[-1]]
-        fiedler[chosen] = vectors[:, rows[1]] * scales[1]
-    chosen = np.flatnonzero(~in_minus)
-    if chosen.size:
-        vectors = np.linalg.eigh(plus[chosen])[1][np.arange(chosen.size), :, second[chosen]]
-        fiedler[chosen] = vectors[:, rows[0]] * scales[0]
+    for sector, block in enumerate(blocks):
+        chosen = np.flatnonzero((second >= plus.shape[-1]) == bool(sector))
+        if not chosen.size:
+            continue
+        k = second[chosen] - sector * plus.shape[-1]
+        part = block[chosen]
+        weight = np.zeros(block.shape[-1])
+        np.maximum.at(weight, rows[sector], np.abs(scales[sector]))
+        vectors, certified = _certified_vectors(part, values[sector][chosen], k, weight)
+        redo = np.flatnonzero(~certified)
+        if redo.size:
+            vectors[redo] = np.linalg.eigh(part[redo])[1][np.arange(redo.size), :, k[redo]]
+        fiedler[chosen] = vectors[:, rows[sector]] * scales[sector]
     return _sign_rule(fiedler[:, :, None])[:, :, 0]
+
+
+def _check_noise_levels(levels: list[float]) -> None:
+    """noise_benchmark's level checks, which the CLI also runs at load time."""
+    if not levels:
+        raise ValidationError("noise levels must be nonempty")
+    if any(not 0.0 <= lv <= 1.0 for lv in levels):
+        raise ValidationError("noise levels must lie in [0, 1]")
 
 
 def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchmarkReport:
@@ -756,8 +814,7 @@ def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchma
     every trial has its own seed, so the chunking does not change the result.
     A level with no flips is one computation, whatever the trial count.
     """
-    if any(not 0.0 <= lv <= 1.0 for lv in levels):
-        raise ValidationError("noise levels must lie in [0, 1]")
+    _check_noise_levels(levels)
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     _check_seed(seed)

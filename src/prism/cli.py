@@ -294,8 +294,7 @@ def karate_noise(levels, trials, seed, out_format, out) -> None:
     """Noisy two-faction recovery benchmark on the club graph."""
     with _load_phase():
         level_list = _parse_list(levels)
-        if any(not 0.0 <= lv <= 1.0 for lv in level_list):
-            raise ValidationError("noise levels must lie in [0, 1]")
+        bench._check_noise_levels(level_list)
     with _compute_phase():
         report = bench.noise_benchmark(level_list, trials, seed)
     text = (bench.noise_report_to_csv(report) if out_format == "csv"

@@ -21,8 +21,10 @@ Fiedler vector, from eigvalsh and one inverse-iteration solve below
 LANCZOS_CUTOFF nodes (a second solve for the matrices the first leaves
 unproved) and from a short Lanczos run and one Cholesky inertia test at or
 above it, with eigh itself where no bound holds (_fiedler_columns). The
-kernel builds every Laplacian it works on itself. fiedler_vector,
-symmetric_eig and the sign-based labels keep the full eigh.
+kernel builds every Laplacian it works on itself. The same iteration and
+bound give the noise benchmark's sign labels (_certified_signs), with eigh
+where the bound fails. fiedler_vector, symmetric_eig and the per-matrix
+labels built on them keep the full eigh.
 
 Frozen results copy the arrays they are handed, except an array the package
 has just built and wrapped in _Adopted, which they take over read-only.
@@ -370,11 +372,12 @@ def _fiedler_rankings(weights: np.ndarray) -> np.ndarray:
     spacing of a unit vector exceeds sqrt(2) / (m - 1) < 4.
 
     Below LANCZOS_CUTOFF nodes, x comes from eigvalsh and inverse iteration
-    (_inverse_iteration) on one stack of Laplacians, gap from eigvalsh's
-    values as min(lambda_2 - lambda_1, lambda_3 - lambda_2), which stands in
-    for the distance from rho up to a second-order term, and scale is
-    max|lambda|. At or above it, x comes from a short Lanczos run and gap
-    from a Cholesky inertia test (_lanczos_ranking), which builds its
+    (_inverse_iteration) on one stack of Laplacians, with a second step for
+    the rows the first leaves unproved, gap from eigvalsh's values as
+    min(lambda_2 - lambda_1, lambda_3 - lambda_2), which stands in for the
+    distance from rho up to a second-order term, and scale is max|lambda|.
+    At or above it, x comes from a short Lanczos run and gap from a
+    Cholesky inertia test (_lanczos_ranking), which builds its
     Cholesky input in the Laplacian's buffer; the Laplacians are built one
     at a time, so a stack never holds more than one Cholesky input.
 
@@ -401,10 +404,21 @@ def _fiedler_rankings(weights: np.ndarray) -> np.ndarray:
             if ranking is not None:
                 x[b], separated[b] = ranking, True
     else:
-        iteration = _inverse_iteration(_laplacians(weights))  # the stack is freed before any eigh
-        if iteration is None:
-            return _fiedler_columns(_laplacians(weights))
-        x, separated = iteration
+        sym = _laplacians(weights)
+        with np.errstate(all="ignore"):
+            try:
+                values = np.linalg.eigvalsh(sym)
+            except np.linalg.LinAlgError:
+                del sym  # freed before the eigh
+                return _fiedler_columns(_laplacians(weights))
+            x, error, gap = _inverse_iteration(sym, values, 1)
+            separated = _separated(x, error, gap)
+            # the rows that fail take a second step from their x, unless the first was not finite
+            failed = ~separated & np.isfinite(error)
+            if failed.any():
+                x[failed], error, gap = _inverse_iteration(sym[failed], values[failed], 1, x[failed])
+                separated[failed] = _separated(x[failed], error, gap)
+        del sym  # freed before any eigh
     if not separated.all():
         rejected = weights[~separated] if separated.any() else weights  # no copy of the whole stack
         x[~separated] = _fiedler_columns(_laplacians(rejected))
@@ -419,39 +433,59 @@ def _separated(x: np.ndarray, error, gap) -> np.ndarray:
     return ((gap > 0.0) & (spacing * gap > 4.0 * error)).all(axis=-1)
 
 
-def _inverse_iteration(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """_fiedler_rankings' iteration below LANCZOS_CUTOFF: x, and the rows that pass its test.
+def _certified_signs(x: np.ndarray, error, gap) -> np.ndarray:
+    """The rows of x whose sign labels, after _sign_rule, are those of eigh's vector.
 
-    sym is the kernel's own (B, m, m) stack of exactly symmetric Laplacians.
-    None when eigvalsh or solve raises LinAlgError; a non-finite result
-    fails the test. One step of inverse iteration (_inverse_step) on sym -
-    mu I, mu just below eigvalsh's lambda_2, gives x. mu sits FIEDLER_SHIFT
-    * max|lambda| below lambda_2, so the solve multiplies the start's
-    lambda_2 component by 1 / (FIEDLER_SHIFT * max|lambda|) and every other
-    by at most 1 / gap: one step passes the test on every window of the
-    finance fixture. The rows that fail take a second step from their x,
-    and are tested again; the rows that fail that too go to eigh in the
-    caller.
+    By _fiedler_rankings' bound every entry of x is within b = 1.5 * error
+    / gap of eigh's v, signed so that x^T v >= 0. A row passes when gap > 0,
+    every |x_i| > b, so v_i has x_i's sign, and every entry with |x_i| >=
+    max|x| - 2b has the sign of x's lead entry. v's lead entry is among
+    those, as |v_i| <= |x_i| + b, so the sign rule flips v as it flips x.
+    """
+    size = np.abs(x)
+    error, gap = np.asarray(error)[..., None], np.asarray(gap)[..., None]
+    bound = 1.5 * error  # b * gap: the tests are kept as products, so a zero gap fails
+    lead = np.take_along_axis(x, np.argmax(size, axis=-1)[..., None], axis=-1)
+    near_lead = size * gap >= size.max(axis=-1, keepdims=True) * gap - 2.0 * bound
+    same_sign = (x > 0.0) == (lead > 0.0)
+    return ((gap > 0.0) & (size * gap > bound) & (same_sign | ~near_lead)).all(axis=-1)
+
+
+def _inverse_iteration(
+    sym: np.ndarray, values: np.ndarray, k, x: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One inverse-iteration step toward eigenvalue k of each matrix: x, error and gap.
+
+    sym is a (B, m, m) stack of exactly symmetric matrices, values their
+    ascending eigvalsh (B, m), and k an eigen-index or one per matrix. One
+    step (_inverse_step) on sym - mu I, mu = lambda_k - FIEDLER_SHIFT *
+    max|lambda|, from x (the fixed start when None), gives a unit x. The
+    solve multiplies the start's lambda_k component by 1 / (FIEDLER_SHIFT *
+    max|lambda|) and every other by at most 1 / gap: for the Fiedler
+    vector, one step passes _separated on every window of the finance
+    fixture. error = ||sym x - rho x|| + eta, eta = FIEDLER_BACKWARD_ERROR *
+    m * eps * max|lambda|, and gap = min(lambda_k - lambda_{k-1},
+    lambda_{k+1} - lambda_k) over the neighbours that exist: the inputs of
+    _fiedler_rankings' bound, which _separated (rankings) and
+    _certified_signs (sign labels) test. Where solve raises LinAlgError, x
+    and error are NaN, which fails both tests.
     """
     m = sym.shape[-1]
-    try:
-        with np.errstate(all="ignore"):
-            values = np.linalg.eigvalsh(sym)
-            scale = np.abs(values).max(axis=1)
-            shift = values[:, 1] - FIEDLER_SHIFT * scale
-            gap = values[:, 1] - values[:, 0]
-            if m > 2:
-                gap = np.minimum(gap, values[:, 2] - values[:, 1])
-            eta = FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
-            x, residual = _inverse_step(sym, shift)
-            separated = _separated(x, residual + eta, gap)
-            failed = ~separated
-            if failed.any():
-                x[failed], residual = _inverse_step(sym[failed], shift[failed], x[failed])
-                separated[failed] = _separated(x[failed], residual + eta[failed], gap[failed])
-    except np.linalg.LinAlgError:
-        return None
-    return x, separated
+    rows = np.arange(len(sym))
+    k = np.broadcast_to(k, rows.shape)
+    with np.errstate(all="ignore"):
+        scale = np.abs(values).max(axis=1)
+        target = values[rows, k]
+        shift = target - FIEDLER_SHIFT * scale
+        below = np.where(k > 0, target - values[rows, np.maximum(k - 1, 0)], np.inf)
+        above = np.where(k < m - 1, values[rows, np.minimum(k + 1, m - 1)] - target, np.inf)
+        gap = np.minimum(below, above)
+        eta = FIEDLER_BACKWARD_ERROR * m * np.finfo(float).eps * scale
+        try:
+            x, residual = _inverse_step(sym, shift, x)
+        except np.linalg.LinAlgError:  # an exactly singular shifted matrix
+            x, residual = np.full(sym.shape[:2], np.nan), np.full(len(sym), np.nan)
+    return x, residual + eta, gap
 
 
 def _inverse_step(
@@ -462,18 +496,20 @@ def _inverse_step(
     x is the first step's fixed, generic start sin(1..m) when None. The
     solve sees sym with the shift subtracted from its diagonal in place,
     the bits of sym - shift I (a Laplacian's off-diagonal zeros are +0.0),
-    and the saved diagonal is put back before the residual, so no other
-    stack of matrices is made. The residual is ||sym y - rho y||, rho = y^T
-    sym y.
+    and the saved diagonal is put back before the residual, also when solve
+    raises, so no other stack of matrices is made and sym keeps its bits.
+    The residual is ||sym y - rho y||, rho = y^T sym y.
     """
     d = np.arange(sym.shape[-1])
     if x is None:
         x = np.broadcast_to(np.sin(np.arange(1.0, len(d) + 1.0)), sym.shape[:2])
     diagonal = sym[:, d, d]
     sym[:, d, d] = diagonal - shift[:, None]
-    x = np.linalg.solve(sym, x[:, :, None])[:, :, 0]
+    try:
+        x = np.linalg.solve(sym, x[:, :, None])[:, :, 0]
+    finally:
+        sym[:, d, d] = diagonal
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
-    sym[:, d, d] = diagonal
     image = np.matmul(sym, x[:, :, None])[:, :, 0]
     rho = (x * image).sum(axis=1)
     return x, np.linalg.norm(image - rho[:, None] * x, axis=1)

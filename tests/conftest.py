@@ -1,4 +1,4 @@
-"""Shared paths, the fixture panel, the ranking kernel's counters and the verdict summary."""
+"""Shared paths, the fixture panel, the spectral kernels' counters and the verdict summary."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prism import graphs
+from prism import benchmarks, graphs
 from prism.finance import load_prices, log_returns
 from prism.fixtures import load_universe_config
 
@@ -46,6 +46,21 @@ def eigh_fallbacks(monkeypatch):
 
     monkeypatch.setattr(graphs, "_fiedler_columns", counting)
     return counted
+
+
+@pytest.fixture
+def sign_fallbacks(monkeypatch):
+    """The matrices each call of the noise kernel's sign certificate leaves to eigh, one stack a call."""
+    rejected = []
+    certify = benchmarks._certified_vectors
+
+    def recording(sym, values, k, weight=1.0):
+        x, certified = certify(sym, values, k, weight)
+        rejected.append(sym[~certified])
+        return x, certified
+
+    monkeypatch.setattr(benchmarks, "_certified_vectors", recording)
+    return rejected
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from oracles import (
     RAW_BLOCK,
     RawDraws,
+    block_form_fiedler,
     column_loop_eig,
     double_sum_modularity,
     loop_dual_network,
@@ -565,18 +567,51 @@ def test_noise_levels_without_flips_compute_one_cell(monkeypatch, chunk):
 
 
 def test_noise_kernel_matches_the_per_trial_reference_across_chunks():
-    # 1, 16, 17 and 33 trials fill one chunk partly, one chunk fully, one full
-    # chunk and a partial one, and three chunks; at 0.5 and 1.0 many draws are
-    # disconnected and resampled
+    # with C = NOISE_CHUNK, 1, C, C + 1 and 2C + 1 trials fill one chunk partly,
+    # one chunk fully, one full chunk and a partial one, and three chunks; at 0.5
+    # and 1.0 many draws are disconnected and resampled
     levels = [0.0, 0.001, 0.5, 1.0]
-    assert benchmarks.NOISE_CHUNK == 16
-    cells = per_trial_noise_cells(levels, 33, seed=5)
-    for trials in (1, 16, 17, 33):
+    chunk = benchmarks.NOISE_CHUNK
+    cells = per_trial_noise_cells(levels, 2 * chunk + 1, seed=5)
+    for trials in (1, chunk, chunk + 1, 2 * chunk + 1):
         expected = noise_rows_from_cells(levels, cells, trials)
         assert noise_benchmark(levels, trials, seed=5).rows == expected
     # the first chunk of level 0.5 redraws some of its trials but not all
-    attempts = [attempt for _, attempt in cells[2][:16]]
+    attempts = [attempt for _, attempt in cells[2][:chunk]]
     assert any(attempts) and 0 in attempts
+
+
+def raise_singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def return_nan(a, b):
+    return np.full(b.shape, np.nan)
+
+
+@pytest.mark.parametrize("failing_solve", [raise_singular, return_nan])
+def test_noise_kernel_takes_eigh_where_every_solve_fails(monkeypatch, sign_fallbacks,
+                                                         failing_solve):
+    levels = [0.0, 0.05, 0.2]
+    expected = per_trial_noise_rows(levels, trials=6, seed=123)
+    monkeypatch.setattr(np.linalg, "solve", failing_solve)
+    assert noise_benchmark(levels, trials=6, seed=123).rows == expected
+    # every Laplacian (one for the flip-free level) and every chosen block took eigh
+    assert sorted(len(r) for r in sign_fallbacks if r.shape[-1] == 34) == [1, 6, 6]
+    assert sum(len(r) for r in sign_fallbacks if r.shape[-1] == 17) == 13
+
+
+def test_noise_benchmark_peak_memory_stays_within_two_chunks_a_level():
+    # measured 0.82 MB at 25-trial chunks, 0.63 MB at 16 and 1.58 MB at 50
+    levels = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2]
+    noise_benchmark(levels, 50, 123)  # leaves first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        noise_benchmark(levels, 50, 123)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1e6
 
 
 def test_noise_kernel_redraws_only_the_disconnected_trial(monkeypatch):
@@ -681,6 +716,8 @@ def test_noise_benchmark_validation():
         noise_benchmark([1.5], trials=1, seed=0)
     with pytest.raises(ValidationError):
         noise_benchmark([0.0], trials=0, seed=0)
+    with pytest.raises(ValidationError, match="^noise levels must be nonempty$"):
+        noise_benchmark([], trials=50, seed=123)
 
 
 def test_noise_report_validation():
@@ -745,35 +782,51 @@ def test_club_fiedler_pairing_is_pinned_with_its_rounding_ordered_ties():
         assert np.ptp(entries) <= 1e-14 and len(set(entries.tolist())) > 1, group
 
 
-def test_block_form_labels_match_full_eigh_labels_away_from_rounding_level_entries():
-    # 1000 connected noisy club graphs, the kernel's own draws at four seeds
-    # (default levels 1-5, 50 trials each). The projection's Fiedler labels
-    # from the block form and from a full eigh agree up to complement at
-    # every entry that is not at rounding level in either vector.
+AUDIT_LEVELS = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2)
+
+
+@pytest.fixture(scope="module")
+def audit_set() -> tuple:
+    """1000 connected noisy club graphs, the kernel's own draws at four seeds.
+
+    Default levels 1-5 with 50 trials each, at seeds 123, 124, 5 and 7001.
+    One ((seed, level index), Laplacians, projections) entry per level.
+    """
     clean, _ = karate_club()
     operator = fiedler_duality_operator(clean)
-    levels = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2)
-    graphs, near_entries, differing = 0, 0, {}
+    entries = []
     for seed in (123, 124, 5, 7001):
-        for li in range(1, len(levels)):
-            projected = []
+        for li in range(1, len(AUDIT_LEVELS)):
+            laps = []
             for trial in range(50):
                 for attempt in range(1000):
-                    noisy = flip_edges(clean, math.floor(levels[li] * 561),
+                    noisy = flip_edges(clean, math.floor(AUDIT_LEVELS[li] * 561),
                                        child_seed(seed, li, trial, attempt))
                     if is_connected(noisy):
                         break
-                projected.append(commutant_projection(laplacian(noisy), operator).projected)
-            block = benchmarks._projected_fiedler(np.array(projected), operator.sigma)
-            for trial, (m, v_block) in enumerate(zip(projected, block)):
-                v_full = column_loop_eig(m)[1][:, 1]
-                near = rounding_level(v_full) | rounding_level(v_block)
-                same = (v_full >= 0.0) == (v_block >= 0.0)
-                assert same[~near].all() or not same[~near].any(), (seed, li, trial)
-                graphs += 1
-                near_entries += int(near.sum())
-                if not (same.all() or not same.any()):
-                    differing[(seed, li, trial)] = int(near.sum())
+                laps.append(laplacian(noisy))
+            projected = [commutant_projection(lap, operator).projected for lap in laps]
+            entries.append(((seed, li), np.array(laps), np.array(projected)))
+    return tuple(entries)
+
+
+def test_block_form_labels_match_full_eigh_labels_away_from_rounding_level_entries(audit_set):
+    # The projection's Fiedler labels from the block form and from a full eigh
+    # agree up to complement at every entry that is not at rounding level in
+    # either vector, over the audit set.
+    operator = fiedler_duality_operator(karate_club()[0])
+    graphs, near_entries, differing = 0, 0, {}
+    for (seed, li), _, projected in audit_set:
+        block = benchmarks._projected_fiedler(projected, operator.sigma)
+        for trial, (m, v_block) in enumerate(zip(projected, block)):
+            v_full = column_loop_eig(m)[1][:, 1]
+            near = rounding_level(v_full) | rounding_level(v_block)
+            same = (v_full >= 0.0) == (v_block >= 0.0)
+            assert same[~near].all() or not same[~near].any(), (seed, li, trial)
+            graphs += 1
+            near_entries += int(near.sum())
+            if not (same.all() or not same.any()):
+                differing[(seed, li, trial)] = int(near.sum())
     assert graphs == 1000
     # Two graphs have rounding-level entries, a V- pair each (the pair's
     # entries are zero in exact arithmetic), and their labels differ beyond
@@ -781,3 +834,70 @@ def test_block_form_labels_match_full_eigh_labels_away_from_rounding_level_entri
     # projected mean there moved from 0.9429... to 0.9435... with the block form.
     assert near_entries == 4
     assert differing == {(123, 2, 20): 2, (5, 3, 6): 2}
+
+
+TIED_SIGMA = np.array([3, 4, 5, 0, 1, 2])
+
+
+def tied_sector_matrix(seed: int) -> np.ndarray:
+    """A 6-node matrix in the commutant of the pairs (0, 3), (1, 4), (2, 5).
+
+    Its V+ block has eigenvalues 0, 1, 3 and its V- block 1, 2, 5, each in a
+    random basis, so the Fiedler value 1 is tied across the sectors in exact
+    arithmetic and rounding decides the sector.
+    """
+    rng = np.random.default_rng(seed)
+    basis = np.zeros((6, 6))
+    for p, (a, b) in enumerate([(0, 3), (1, 4), (2, 5)]):
+        basis[[a, b], p] = 1.0 / math.sqrt(2.0)
+        basis[a, 3 + p], basis[b, 3 + p] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+    blocks = np.zeros((6, 6))
+    for rows, spectrum in ((slice(0, 3), [0.0, 1.0, 3.0]), (slice(3, 6), [1.0, 2.0, 5.0])):
+        q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        blocks[rows, rows] = q @ np.diag(spectrum) @ q.T
+    m = basis @ blocks @ basis.T
+    m = (m + m.T) / 2.0
+    return (m + m[TIED_SIGMA][:, TIED_SIGMA]) / 2.0  # exactly in the commutant
+
+
+def test_a_near_tie_between_the_sectors_is_decided_by_eighs_values():
+    # eigvalsh's and eigh's V- values order the tie differently at some seeds;
+    # the block form must pick the sector as eigh's values do
+    reordered = 0
+    for seed in range(40):
+        m = tied_sector_matrix(seed)
+        plus, minus, _, _ = benchmarks._commutant_blocks(m, TIED_SIGMA)
+        v_plus = np.linalg.eigvalsh(plus)[1]
+        reordered += (v_plus <= np.linalg.eigvalsh(minus)[0]) != (
+            v_plus <= np.linalg.eigh(minus)[0][0])
+        block = benchmarks._projected_fiedler(m[None], TIED_SIGMA)[0]
+        assert np.array_equal(block >= 0.0, block_form_fiedler(m, TIED_SIGMA) >= 0.0), seed
+    assert reordered > 0
+
+
+def test_certified_sign_labels_equal_eigh_labels_on_the_audit_set(audit_set, sign_fallbacks):
+    # The kernel's baseline labels equal those of _signed_eigh's Fiedler column,
+    # and its projected labels those of an eigh of the chosen block, on every
+    # graph of the audit set. Only two blocks leave the certificate unproved,
+    # the two whose exact vector has a zero pair (see the test above), and no
+    # Laplacian does.
+    clean, _ = karate_club()
+    operator = fiedler_duality_operator(clean)
+    rejected = []
+    for (seed, li), laps, projected in audit_set:
+        count = math.floor(AUDIT_LEVELS[li] * 561)
+        sign_fallbacks.clear()
+        labels, _ = benchmarks._noise_chunk(clean, operator, count, seed, li, range(50))
+        eigh_labels = graphs._signed_eigh(laps, slice(1, 2))[1][:, :, 0] >= 0.0
+        assert np.array_equal(labels[:, 0], eigh_labels), (seed, li)
+        block_labels = [block_form_fiedler(m, operator.sigma) >= 0.0 for m in projected]
+        assert np.array_equal(labels[:, 2], block_labels), (seed, li)
+        assert all(len(r) == 0 for r in sign_fallbacks if r.shape[-1] == clean.n)
+        plus, minus, _, _ = benchmarks._commutant_blocks(projected, operator.sigma)
+        for r in sign_fallbacks:
+            if r.shape[-1] == clean.n:
+                continue
+            for m in r:
+                same = (plus == m).all(axis=(1, 2)) | (minus == m).all(axis=(1, 2))
+                rejected += [(seed, li, int(trial)) for trial in np.flatnonzero(same)]
+    assert rejected == [(123, 2, 20), (5, 3, 6)]

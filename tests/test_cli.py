@@ -270,6 +270,8 @@ LEARN = ["learn", "PATH3"]  # the test puts the path3 fixture's file in place of
     (LEARN + ["--defect-tolerance", "nan"], "error: tolerances and penalty weight must be positive"),
     (LEARN + ["--step-tolerance", "nan"], "error: tolerances and penalty weight must be positive"),
     (LEARN + ["--penalty", "nan"], "error: tolerances and penalty weight must be positive"),
+    (["karate-noise", "--levels", ","], "error: noise levels must be nonempty"),
+    (["karate-noise", "--levels", ""], "error: noise levels must be nonempty"),
 ])
 def test_malformed_cli_arguments_exit_2_without_a_traceback(runner, path3, args, message):
     result = runner.invoke(main, [str(path3) if arg == "PATH3" else arg for arg in args])

@@ -41,10 +41,13 @@ from prism.graphs import (
     SYMMETRY_RTOL,
     Graph,
     SpectralDecomposition,
+    _certified_signs,
+    _inverse_iteration,
     _laplacians,
     _reach,
     _screen_symmetric,
     _screen_weights,
+    _sign_rule,
     _signed_eigh,
     connected_components,
     fiedler_vector,
@@ -386,6 +389,37 @@ def test_signed_eigh_of_a_stack_matches_symmetric_eig_bitwise(n):
             assert same_bits(fiedler, vectors[:, :, 1:2])
     values, vectors = _signed_eigh(np.zeros((0, n, n)))
     assert values.shape == (0, n) and vectors.shape == (0, n, n)
+
+
+def test_certified_signs_need_every_entry_and_the_lead_beyond_the_bound():
+    # the bound is b = 1.5 * error / gap; the lead's rivals are the entries
+    # within 2b of max|x|
+    x = np.array([[0.6, -0.598, 0.3, -0.2, 0.4], [0.6, 0.598, 0.3, -0.2, 0.4],
+                  [0.6, -0.5, 0.3, -0.001, 0.4]])
+    assert _certified_signs(x, np.full(3, 1e-4), np.ones(3)).tolist() == [True, True, True]
+    # b = 0.003: -0.598 may lead eigh's vector, and -0.001 may have either sign
+    assert _certified_signs(x, np.full(3, 2e-3), np.ones(3)).tolist() == [False, True, False]
+    # a zero or non-finite gap, or a non-finite entry or error, proves nothing
+    error = np.array([1e-4, np.nan, 1e-4])
+    assert not _certified_signs(x, error, np.array([0.0, 1.0, np.nan])).any()
+    assert not _certified_signs(np.full((1, 5), np.nan), np.full(1, 1e-4), np.ones(1)).any()
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 5])
+def test_inverse_iteration_targets_any_eigen_index(k):
+    # distinct eigenvalues, in a random basis: x is eigh's column k up to sign,
+    # within the bound the certificate uses
+    rng = np.random.default_rng(k)
+    q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    m = q @ np.diag([0.0, 0.5, 1.3, 2.0, 2.9, 4.0]) @ q.T
+    m = (m + m.T) / 2.0
+    values, vectors = _signed_eigh(m[None])
+    x, error, gap = _inverse_iteration(m[None].copy(), values, k)
+    v = vectors[0, :, k]
+    assert np.linalg.norm(x[0] - np.sign(x[0] @ v) * v) <= 1.5 * error[0] / gap[0]
+    assert gap[0] == min(np.diff(values[0])[max(k - 1, 0):k + 1])
+    assert _certified_signs(x, error, gap)[0]
+    assert np.array_equal(_sign_rule(x[:, :, None])[0, :, 0] >= 0.0, v >= 0.0)
 
 
 def first_error(check, m):
