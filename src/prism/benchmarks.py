@@ -29,6 +29,16 @@ and apply Generator's own conversions to them for all its flips at once
 (_flip_plans), so they are those of the Generator calls; the oracle tests
 call the Generator itself, so a numpy change to either conversion fails
 them instead of silently changing the output.
+
+A noise run builds no SeedSequence or PCG64 per trial. Its seed table
+(_SeedTable) hashes child_seed(seed, level, trial, attempt) for every
+level and trial and the first SEED_TABLE_ATTEMPTS attempts at once, with a
+vectorised copy of SeedSequence's hash (_seed_words), and then the four
+seeding words PCG64 draws from each child seed; later attempts are hashed
+for the trials that reach them. One PCG64 per run is set to each trial's
+starting state in turn (_SeatedRaw), so a trial reads the words of
+PCG64(child seed). The tests check the table against child_seed and the
+seated states against PCG64's own.
 """
 
 from __future__ import annotations
@@ -85,6 +95,82 @@ MAX_GENERATION_ATTEMPTS = 100
 def child_seed(*path: int) -> int:
     """Deterministic child seed for a position in a seed tree."""
     return int(np.random.SeedSequence(tuple(path)).generate_state(1, np.uint64)[0])
+
+
+# The constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx).
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _seed_words(entropy: np.ndarray, count: int) -> np.ndarray:
+    """SeedSequence(row).generate_state(count) for each row of a (R, L) uint32 entropy table.
+
+    A row is the entropy words SeedSequence assembles from its integers (an
+    int is its 32-bit words, low first, and 0 is one word), with no spawn
+    key. numpy's uint32 arithmetic runs once per column, on all rows; the
+    multipliers of the hash do not depend on the data. A row shorter than
+    the pool hashes as if padded with zero words, which it does to itself.
+    """
+    rows, length = entropy.shape
+    multiplier = _HASH_INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal multiplier
+        value = value ^ multiplier
+        multiplier = multiplier * _HASH_MULT_A & _LOW_HALF
+        value = value * multiplier
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    out = np.empty((rows, count), dtype=np.uint32)
+    multiplier = _HASH_INIT_B
+    for i in range(count):
+        value = pool[i % _POOL_SIZE] ^ multiplier
+        multiplier = multiplier * _HASH_MULT_B & _LOW_HALF
+        value = value * multiplier
+        out[:, i] = value ^ value >> 16
+    return out
+
+
+def _uint64_words(words: np.ndarray) -> np.ndarray:
+    """Pairs of uint32 words (low first) along the last axis as uint64, as generate_state does."""
+    return words[..., 0::2].astype(np.uint64) | words[..., 1::2].astype(np.uint64) << np.uint64(32)
+
+
+def _child_seeds(seed: int, paths: np.ndarray) -> np.ndarray:
+    """child_seed(seed, *path) for each row of an (R, k) table of paths, entries below 2**32."""
+    head = []
+    while True:  # seed's words, low first; 0 is one word
+        head.append(seed & _LOW_HALF)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = np.empty((len(paths), len(head) + paths.shape[1]), dtype=np.uint32)
+    entropy[:, :len(head)] = head
+    entropy[:, len(head):] = paths
+    return _uint64_words(_seed_words(entropy, 2))[:, 0]
+
+
+def _pcg64_words(seeds: np.ndarray) -> np.ndarray:
+    """The four uint64 words PCG64(seed) draws from SeedSequence(seed), for each seed (R,)."""
+    entropy = np.empty((len(seeds), 2), dtype=np.uint32)
+    entropy[:, 0] = seeds & _LOW_HALF
+    entropy[:, 1] = seeds >> np.uint64(32)  # a seed below 2**32 hashes as one word: see _seed_words
+    return _uint64_words(_seed_words(entropy, 8))
 
 
 # The 34-node, 78-edge club graph and its two-faction ground truth.
@@ -253,50 +339,59 @@ def flip_edges(g: Graph, count: int, seed: int) -> Graph:
     other action. See _flip_chunk for the draws.
     """
     _check_seed(seed)
-    return Graph(labels=g.labels, weights=_Adopted(_flip_chunk(g.weights, count, [seed])[0]))
+    raws = [np.random.PCG64(seed).random_raw]
+    flipped = _flip_chunk(g.weights, count, raws, _slot_lists(g.weights))[0]
+    return Graph(labels=g.labels, weights=_Adopted(flipped))
 
 
-def _flip_chunk(weights: np.ndarray, count: int, seeds: list[int]) -> np.ndarray:
-    """flip_edges on a weight matrix once per seed: a new (len(seeds), n, n) stack, unchecked.
+def _slot_lists(weights: np.ndarray) -> tuple[list, list]:
+    """The empty and the edge slots of a weight matrix: flat indices i*n + j, i < j, ascending."""
+    slots = np.flatnonzero(~np.tri(weights.shape[0], dtype=bool))
+    present = weights.ravel()[slots] > 0.0
+    return slots[~present].tolist(), slots[present].tolist()
 
-    Both slot lists hold flat indices i*n + j of upper-triangle slots in
-    ascending (row-major) order, so each draw indexes the same slot as a
-    rebuild of the lists before every flip. They are built once, and each
-    trial applies its plan (_flip_plans) to copies of them; the planned
-    draws are `default_rng(seed)`'s random() < 0.5 and integers(k). The
+
+def _flip_chunk(weights: np.ndarray, count: int, raws: list, lists: tuple) -> np.ndarray:
+    """flip_edges on a weight matrix once per random_raw: a new (len(raws), n, n) stack, unchecked.
+
+    Each raw is a PCG64's random_raw, as flip_edges passes PCG64(seed)'s.
+    lists are the weights' _slot_lists: flat indices of upper-triangle
+    slots in ascending (row-major) order, so each draw indexes the same slot
+    as a rebuild of the lists before every flip. Each trial applies its
+    plan (_flip_plans) to copies of them; the planned draws are those of a
+    Generator on the raw's words, random() < 0.5 and integers(k). The
     oracle tests compare with a reference that calls the Generator, so a
     numpy change to either conversion fails them instead of changing the
-    flips.
+    flips. Every slot a trial touched ends as its last flip left it, an
+    edge of weight 1.0 or empty: the loop marks each in a byte table, and
+    one pass over the tables writes the whole stack.
     """
     if count < 0:
         raise ValidationError(f"count must be nonnegative, got {count}")
     n = weights.shape[0]
-    stack = np.repeat(weights[None], len(seeds), axis=0)
     if count == 0:
-        return stack
-    slots = np.flatnonzero(~np.tri(n, dtype=bool))
-    present = weights.ravel()[slots] > 0.0
-    empty, edges = slots[~present].tolist(), slots[present].tolist()
-    raws = [np.random.PCG64(s).random_raw for s in seeds]
+        return np.repeat(weights[None], len(raws), axis=0)
+    empty, edges = lists
+    codes = []
     insort = bisect.insort
-    for w, (removes, picks) in zip(stack, _flip_plans(raws, count, len(edges), len(slots))):
+    for removes, picks in _flip_plans(raws, count, len(edges), len(empty) + len(edges)):
         now_empty, now_edges = empty.copy(), edges.copy()
         pop_edge, pop_empty = now_edges.pop, now_empty.pop
-        touched = []
+        code = bytearray(n * n)  # each touched slot's last flip: 1 removed, 2 added
         for remove, pick in zip(removes, picks):
             if remove:
                 slot = pop_edge(pick)
                 insort(now_empty, slot)
+                code[slot] = 1
             else:
                 slot = pop_empty(pick)
                 insort(now_edges, slot)
-            touched.append(slot)
-        # a touched slot ends as an edge of weight 1.0 or as empty
-        touched = np.array(touched, dtype=np.intp)
-        added = np.zeros(n * n, dtype=bool)
-        added[now_edges] = True
-        flat = w.reshape(-1)
-        flat[touched] = flat[touched % n * n + touched // n] = added[touched]
+                code[slot] = 2
+        codes.append(code)
+    upper = np.frombuffer(b"".join(codes), dtype=np.uint8).reshape(len(codes), n, n)
+    code = upper | upper.transpose(0, 2, 1)
+    stack = np.repeat(weights[None], len(codes), axis=0)
+    np.copyto(stack, code == 2, where=code != 0)
     return stack
 
 
@@ -648,24 +743,89 @@ class NoiseBenchmarkReport:
 
 NOISE_CHUNK = 25  # trials per kernel chunk: one level's trials, stacked
 MAX_NOISE_ATTEMPTS = 1000
+SEED_TABLE_ATTEMPTS = 4  # attempts per trial whose seeds a noise run hashes up front
+
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
+
+class _SeatedRaw:
+    """PCG64(seed).random_raw, read from a generator that every call seats anew.
+
+    words are the four seeding words PCG64(seed) draws (_pcg64_words). PCG's
+    two seeding steps, done here in Python ints, give the state PCG64(seed)
+    starts in; a call sets the generator to it, advances it past the words
+    this raw has already returned, and reads on. seed is the child seed the
+    raw stands for.
+    """
+
+    __slots__ = ("seed", "_generator", "_state", "_read")
+
+    def __init__(self, generator, seed: int, words: list[int]):
+        initstate = words[0] << 64 | words[1]
+        inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK_128
+        state = ((inc + initstate) * _PCG_MULTIPLIER + inc) & _MASK_128
+        self.seed = seed
+        self._generator = generator
+        self._state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0}
+        self._read = 0
+
+    def __call__(self, size: int) -> np.ndarray:
+        generator = self._generator
+        generator.state = self._state
+        if self._read:
+            generator.advance(self._read)
+        self._read += size
+        return generator.random_raw(size)
+
+
+class _SeedTable:
+    """The draws of a noise run: PCG64(child_seed(seed, level, trial, attempt)).random_raw.
+
+    The seeds of every level and trial at attempts below SEED_TABLE_ATTEMPTS
+    are hashed at once (_child_seeds, _pcg64_words); a later attempt hashes
+    the trials that reach it. All the raws read from one PCG64, which the
+    table creates.
+    """
+
+    def __init__(self, seed: int, levels: int, trials: int):
+        self._seed = seed
+        shape = (levels, trials, SEED_TABLE_ATTEMPTS)
+        seeds = _child_seeds(seed, np.indices(shape).reshape(3, -1).T)
+        self._seeds = seeds.reshape(shape)
+        self._words = _pcg64_words(seeds).reshape(shape + (4,))
+        self._generator = np.random.PCG64(0)
+
+    def raws(self, level: int, trials: list[int], attempt: int) -> list[_SeatedRaw]:
+        if attempt < SEED_TABLE_ATTEMPTS:
+            seeds = self._seeds[level, trials, attempt]
+            words = self._words[level, trials, attempt]
+        else:
+            seeds = _child_seeds(self._seed, np.array([(level, t, attempt) for t in trials]))
+            words = _pcg64_words(seeds)
+        return [_SeatedRaw(self._generator, s, w) for s, w in zip(seeds.tolist(), words.tolist())]
 
 
 def _noise_chunk(
     clean: Graph,
     operator: DualityOperator,
     count: int,
-    seed: int,
+    seeds: _SeedTable,
     level_index: int,
     trials: range,
+    lists: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Baseline, RMT and projected labels (B, 3, n) and resample counts (B,) of some trials.
 
     Each trial flips `count` pairs of the clean graph with its own child
-    seed. The chunk's draws are stacked for the Graph checks and the walk
-    from node 0, and only the disconnected ones are redrawn, with the next
-    attempt's seed. The connected graphs then share one Laplacian stack,
-    the projection (L + PLP) / 2 onto the commutant of the club's operator
-    with commutant_projection's steps and its checks, and one eigvalsh.
+    seed's draws (seeds.raws), on the clean graph's slot lists (lists, as
+    _slot_lists gives them). The chunk's draws are stacked for the Graph
+    checks and the walk from node 0, and only the disconnected ones are
+    redrawn, with the next attempt's seed. The connected graphs then share
+    one Laplacian stack, the projection (L + PLP) / 2 onto the commutant of
+    the club's operator with commutant_projection's steps and its checks,
+    and one eigvalsh.
     When trials fail, the lowest one's PrismError is raised, the error a
     trial-by-trial loop would meet first.
 
@@ -680,15 +840,15 @@ def _noise_chunk(
     """
     size, n = len(trials), clean.n
     errors: list = [None] * size
-    weights = np.empty((size, n, n))
     attempts = np.zeros(size, dtype=int)
     pending = list(range(size))
     for attempt in range(MAX_NOISE_ATTEMPTS):
-        drawn = _flip_chunk(
-            clean.weights, count,
-            [child_seed(seed, level_index, trials[b], attempt) for b in pending],
-        )
-        weights[pending] = drawn
+        raws = seeds.raws(level_index, [trials[b] for b in pending], attempt)
+        drawn = _flip_chunk(clean.weights, count, raws, lists)
+        if attempt:
+            weights[pending] = drawn
+        else:
+            weights = drawn  # the first round draws every trial
         attempts[pending] = attempt
         keep = _screen_weights(drawn, pending, errors)
         connected = _reach(drawn != 0.0, 0).all(axis=1)
@@ -741,6 +901,15 @@ def _certified_vectors(sym: np.ndarray, values: np.ndarray, k, weight=1.0) -> tu
         return x, _certified_signs(x * weight, error, gap)
 
 
+def _block_vectors(blocks: np.ndarray, values: np.ndarray, k: np.ndarray, weight) -> np.ndarray:
+    """Vectors for eigenvalue k of each block: a certified solve, and eigh's where the bound fails."""
+    vectors, certified = _certified_vectors(blocks, values, k, weight)
+    redo = np.flatnonzero(~certified)
+    if redo.size:
+        vectors[redo] = np.linalg.eigh(blocks[redo])[1][np.arange(redo.size), :, k[redo]]
+    return vectors
+
+
 def _projected_fiedler(projected: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Vectors (B, n) with the signs of the sign-fixed Fiedler vectors of a stack in P's commutant.
 
@@ -750,9 +919,11 @@ def _projected_fiedler(projected: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     the sectors goes to V+. Where a V+ value and a V- value among the three
     smallest lie within twice the blocks' eigh backward error of each other,
     eigh's V- values decide instead, as they did when every V- block ran
-    eigh. The chosen block takes one certified solve (_certified_vectors),
-    and eigh where the bound fails. The block vector is lifted back to the
-    nodes and given symmetric_eig's sign rule.
+    eigh. The chosen blocks take one certified solve (_block_vectors), in
+    one stack for both sectors when their blocks have the same size, as
+    they do for every sigma without fixed points; eigh runs where the bound
+    fails. The block vector is lifted back to the nodes and given
+    symmetric_eig's sign rule.
 
     The bound holds for the lifted vector, as the lift is an isometry. The
     two nodes of a pair have equal magnitudes, so the sign rule's lead is
@@ -776,20 +947,25 @@ def _projected_fiedler(projected: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         order[tied] = np.argsort(
             np.concatenate([values[0][tied], values[1][tied]], axis=-1), axis=-1, kind="stable")
     second = order[:, 1]
-    fiedler = np.empty(projected.shape[:2])
-    for sector, block in enumerate(blocks):
-        chosen = np.flatnonzero((second >= plus.shape[-1]) == bool(sector))
-        if not chosen.size:
-            continue
-        k = second[chosen] - sector * plus.shape[-1]
-        part = block[chosen]
-        weight = np.zeros(block.shape[-1])
-        np.maximum.at(weight, rows[sector], np.abs(scales[sector]))
-        vectors, certified = _certified_vectors(part, values[sector][chosen], k, weight)
-        redo = np.flatnonzero(~certified)
-        if redo.size:
-            vectors[redo] = np.linalg.eigh(part[redo])[1][np.arange(redo.size), :, k[redo]]
-        fiedler[chosen] = vectors[:, rows[sector]] * scales[sector]
+    sector = (second >= plus.shape[-1]).astype(np.intp)
+    k = second - sector * plus.shape[-1]
+    weights = [np.zeros(block.shape[-1]) for block in blocks]
+    for weight, node_rows, node_scales in zip(weights, rows, scales):
+        np.maximum.at(weight, node_rows, np.abs(node_scales))
+    if plus.shape[-1] == minus.shape[-1]:
+        # every trial's chosen block in one stack, for one solve
+        in_minus = sector.astype(bool)[:, None]
+        vectors = _block_vectors(np.where(in_minus[:, :, None], minus, plus),
+                                 np.where(in_minus, values[1], values[0]), k,
+                                 np.where(in_minus, weights[1], weights[0]))
+        fiedler = np.take_along_axis(vectors, rows[sector], axis=-1) * scales[sector]
+    else:
+        fiedler = np.empty(projected.shape[:2])
+        for s, block in enumerate(blocks):
+            chosen = np.flatnonzero(sector == s)
+            if chosen.size:
+                vectors = _block_vectors(block[chosen], values[s][chosen], k[chosen], weights[s])
+                fiedler[chosen] = vectors[:, rows[s]] * scales[s]
     return _sign_rule(fiedler[:, :, None])[:, :, 0]
 
 
@@ -820,6 +996,8 @@ def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchma
     _check_seed(seed)
     clean, truth = karate_club()
     operator = fiedler_duality_operator(clean)
+    seeds = _SeedTable(seed, len(levels), trials)
+    lists = _slot_lists(clean.weights)
     pairs = clean.n * (clean.n - 1) // 2
     counts = [math.floor(lv * pairs) for lv in levels]
     # With no flips every trial of a level sees the clean graph: its first trial
@@ -830,7 +1008,9 @@ def noise_benchmark(levels: list[float], trials: int, seed: int) -> NoiseBenchma
         for li in range(len(levels)) if counts[li] > 0
         for start in range(0, trials, NOISE_CHUNK)
     ]
-    results = [_noise_chunk(clean, operator, counts[li], seed, li, span) for li, span in chunks]
+    results = [
+        _noise_chunk(clean, operator, counts[li], seeds, li, span, lists) for li, span in chunks
+    ]
     labels = np.zeros((len(levels), trials, 3, clean.n), dtype=np.int8)
     resamples = np.zeros((len(levels), trials), dtype=int)
     for (li, span), (chunk_labels, attempts) in zip(chunks, results):

@@ -225,6 +225,27 @@ def _window_position(r: ReturnPanel, window_end: str, window_len: int) -> int:
     return pos
 
 
+def _usable(series: np.ndarray, starts: np.ndarray, window_len: int) -> np.ndarray:
+    """(windows, tickers): no gap and some variation in each window_len-row window from starts.
+
+    series is ticker-major (tickers, rows). Over the row span the windows
+    cover, per-ticker prefix counts of gaps (NaN) and of changes (a row
+    that differs from the one before) give each window's counts as a
+    difference. A window without gaps varies, some row differing from its
+    first, exactly when two of its consecutive rows differ.
+    """
+    low = int(starts.min())
+    span = series[:, low:int(starts.max()) + window_len]
+    gaps = np.zeros((len(span), span.shape[1] + 1), dtype=np.intp)
+    np.cumsum(np.isnan(span), axis=1, out=gaps[:, 1:])
+    changes = np.zeros((len(span), span.shape[1]), dtype=np.intp)
+    np.cumsum(span[:, 1:] != span[:, :-1], axis=1, out=changes[:, 1:])
+    at = starts - low
+    no_gap = gaps[:, at + window_len] == gaps[:, at]
+    varied = changes[:, at + window_len - 1] > changes[:, at]
+    return (no_gap & varied).T
+
+
 def _window_corrs(
     r: ReturnPanel, series: np.ndarray, positions: list[int], window_len: int
 ) -> tuple[list[DegenerateWindow | None],
@@ -254,7 +275,7 @@ def _window_corrs(
     """
     starts = np.asarray(positions) - (window_len - 1)
     windows = sliding_window_view(series, window_len, axis=1)[:, starts]
-    usable = (~np.isnan(windows).any(axis=2) & (windows != windows[:, :, :1]).any(axis=2)).T
+    usable = _usable(series, starts, window_len)
     failures: list = [None] * len(positions)
     sets: dict[bytes, list[int]] = {}  # kept-ticker mask -> windows
     for b, pos in enumerate(positions):

@@ -384,13 +384,14 @@ def _fiedler_rankings(weights: np.ndarray) -> np.ndarray:
     The cutoff is where the two paths crossed with two solves. Milliseconds
     per call on mirror networks (benchmarks.generate_dual_network(m / 2)
     with 2% of the edges rewired, one graph per call), minimum over 3 seeds
-    and 7 repeats, BLAS on one thread, 2-CPU x86-64; one solve moves the
-    crossing to between 128 and 160:
+    and 7 repeats, BLAS on one thread, 2-CPU x86-64. With one solve the
+    paths tie at 128 (three timings of each: 0.94-0.98 against 0.95-0.99
+    ms), and Lanczos is faster from 136 up (and by 4% at 120), so no size
+    from the cutoff up is faster on the solve path and the cutoff stays:
 
-        m                      60   100   120   128   160   200   300   500
-        eigvalsh + two solves 0.26  0.67  0.93  1.09  1.74  2.70  6.56  21.9
-        eigvalsh + one solve  0.25  0.62  0.81  0.92  1.47  2.32  5.55  18.0
-        Lanczos + Cholesky    0.64  0.89  0.75  1.05  1.31  1.35  2.55  5.94
+        m                      60   100   120   128   136   144   152   160   200
+        eigvalsh + one solve  0.27  0.64  0.84  0.94  1.11  1.28  1.39  1.49  2.38
+        Lanczos + Cholesky    0.61  0.92  0.81  0.96  0.88  1.06  1.06  1.36  1.41
     """
     if weights.shape[-1] >= LANCZOS_CUTOFF:
         x = np.zeros(weights.shape[:2])

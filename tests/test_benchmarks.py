@@ -73,6 +73,61 @@ def test_child_seed_is_deterministic_and_path_sensitive():
     assert child_seed(123, 2, 7, 0) != child_seed(123, 2, 7, 1)
 
 
+# one, two and three entropy words, with the word boundaries on either side
+TABLE_SEEDS = [0, 123, 2**32 - 1, 2**32, 2**63 + 7, 2**64 + 1]
+
+
+@pytest.mark.parametrize("seed", TABLE_SEEDS)
+def test_seed_table_gives_child_seed_and_its_pcg64_state(seed):
+    # attempts from SEED_TABLE_ATTEMPTS on are hashed on demand, the others up front
+    table = benchmarks._SeedTable(seed, 6, 50)
+    trials = list(range(50))
+    for level in (0, 5):
+        for attempt in range(13):
+            raws = table.raws(level, trials, attempt)
+            assert [raw.seed for raw in raws] == [
+                child_seed(seed, level, t, attempt) for t in trials]
+            for raw in raws[::7]:
+                raw(0)  # seats the generator and reads nothing
+                assert raw._generator.state == np.random.PCG64(raw.seed).state
+    assert benchmarks.SEED_TABLE_ATTEMPTS < 13
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_a_seated_raw_reads_the_words_of_its_own_pcg64(seed):
+    words = benchmarks._pcg64_words(np.array([seed], dtype=np.uint64))[0].tolist()
+    raw = benchmarks._SeatedRaw(np.random.PCG64(7), seed, words)
+    raw(0)
+    assert raw._generator.state == np.random.PCG64(seed).state
+    expected = np.random.PCG64(seed).random_raw(20)
+    other = benchmarks._SeatedRaw(raw._generator, 5, benchmarks._pcg64_words(
+        np.array([5], dtype=np.uint64))[0].tolist())
+    # reads interleaved with another raw's on the shared generator: each call re-seats and advances
+    assert raw(3).tolist() == expected[:3].tolist()
+    assert other(4).tolist() == np.random.PCG64(5).random_raw(4).tolist()
+    assert raw(1).tolist() == expected[3:4].tolist()
+    assert raw(16).tolist() == expected[4:].tolist()
+
+
+def test_flips_from_seated_raws_match_the_reference_on_tiny_graphs():
+    # lists of size 0 and 1 end every plan early (_finish_plan); sizes near 2**30
+    # make Lemire redraws read past the planned words, which advances the generator
+    table = benchmarks._SeedTable(41, 1, 12)
+    empty_three = np.zeros((3, 3))
+    path_four = graph_from_edges(list("abcd"), [(0, 1), (1, 2), (2, 3)]).weights
+    for weights, counts in ((empty_three, (1, 3, 4, 10)), (path_four, (2, 6, 7, 25))):
+        for attempt, count in enumerate(counts):
+            raws = table.raws(0, list(range(12)), attempt)
+            stack = benchmarks._flip_chunk(weights, count, raws, benchmarks._slot_lists(weights))
+            for w, raw in zip(stack, raws):
+                assert w.tobytes() == rebuild_flip_edges(weights, count, raw.seed).tobytes()
+    raws = table.raws(0, list(range(6)), 0)
+    plans = benchmarks._flip_plans(raws, 300, 2**30, 2**31 + 1)
+    for raw, plan in zip(raws, plans):
+        assert raw._read > 450  # more than the 300 + 150 planned words
+        assert plan == raw_draw_plan(np.random.PCG64(raw.seed).random_raw, 300, 2**30, 2**31 + 1)
+
+
 def test_karate_club_shape():
     g, truth = karate_club()
     assert g.n == 34
@@ -427,9 +482,9 @@ def test_noise_level_counts_flips_against_node_pairs(monkeypatch):
     counts = []
     original = benchmarks._flip_chunk
 
-    def recording_flip_chunk(weights, count, seeds):
+    def recording_flip_chunk(weights, count, raws, lists):
         counts.append(count)
-        return original(weights, count, seeds)
+        return original(weights, count, raws, lists)
 
     monkeypatch.setattr(benchmarks, "_flip_chunk", recording_flip_chunk)
     noise_benchmark([0.0, 0.05, 0.2], trials=1, seed=123)
@@ -555,9 +610,9 @@ def test_noise_levels_without_flips_compute_one_cell(monkeypatch, chunk):
     # redraws the same cell with a later attempt
     first_draws = {child_seed(7, li, ti, 0): (li, ti) for li in range(3) for ti in range(5)}
 
-    def counted(weights, count, seeds):
-        calls.extend(first_draws[seed] for seed in seeds if seed in first_draws)
-        return original(weights, count, seeds)
+    def counted(weights, count, raws, lists):
+        calls.extend(first_draws[raw.seed] for raw in raws if raw.seed in first_draws)
+        return original(weights, count, raws, lists)
 
     monkeypatch.setattr(benchmarks, "_flip_chunk", counted)
     report = noise_benchmark(levels, trials=5, seed=7)
@@ -602,7 +657,8 @@ def test_noise_kernel_takes_eigh_where_every_solve_fails(monkeypatch, sign_fallb
 
 
 def test_noise_benchmark_peak_memory_stays_within_two_chunks_a_level():
-    # measured 0.82 MB at 25-trial chunks, 0.63 MB at 16 and 1.58 MB at 50
+    # measured 0.89 MB at 25-trial chunks, with the run's seed table (about 50 KB);
+    # without the table, 0.82 MB at 25, 0.63 MB at 16 and 1.58 MB at 50
     levels = [0.0, 0.02, 0.05, 0.1, 0.15, 0.2]
     noise_benchmark(levels, 50, 123)  # leaves first-call allocations out of the peak
     tracemalloc.start()
@@ -631,14 +687,14 @@ def test_noise_kernel_redraws_only_the_disconnected_trial(monkeypatch):
     draws = []
     original = benchmarks._flip_chunk
 
-    def recorded(weights, count, seeds):
-        draws.extend(seeds)
-        return original(weights, count, seeds)
+    def recorded(weights, count, raws, lists):
+        draws.extend(raw.seed for raw in raws)
+        return original(weights, count, raws, lists)
 
-    def isolated(weights, count, seeds):
-        stack = recorded(weights, count, seeds)
-        for w, seed in zip(stack, seeds):
-            if seed in forced:
+    def isolated(weights, count, raws, lists):
+        stack = recorded(weights, count, raws, lists)
+        for w, raw in zip(stack, raws):
+            if raw.seed in forced:
                 w[0, :] = w[:, 0] = 0.0
         return stack
 
@@ -661,14 +717,14 @@ def test_noise_kernel_raises_the_first_failing_trials_error(monkeypatch):
     # sees; trials 7 and 17 fail Graph's checks, an earlier stage of the kernel
     original = benchmarks._flip_chunk
 
-    def corrupted(weights, count, seeds):
-        stack = original(weights, count, seeds)
-        for w, seed in zip(stack, seeds):
-            if seed == child_seed(4, 0, 4, 0):
+    def corrupted(weights, count, raws, lists):
+        stack = original(weights, count, raws, lists)
+        for w, raw in zip(stack, raws):
+            if raw.seed == child_seed(4, 0, 4, 0):
                 w[1, 2:4] = w[2:4, 1] = 1e308
-            elif seed == child_seed(4, 0, 7, 0):
+            elif raw.seed == child_seed(4, 0, 7, 0):
                 w[1, 2] = -1.0
-            elif seed == child_seed(4, 0, 17, 0):
+            elif raw.seed == child_seed(4, 0, 17, 0):
                 w[1, 2] = w[2, 1] = np.nan
         return stack
 
@@ -678,8 +734,8 @@ def test_noise_kernel_raises_the_first_failing_trials_error(monkeypatch):
 
 
 def test_noise_kernel_gives_up_after_the_attempt_limit(monkeypatch):
-    def empty(weights, count, seeds):
-        return np.zeros((len(seeds),) + weights.shape)
+    def empty(weights, count, raws, lists):
+        return np.zeros((len(raws),) + weights.shape)
 
     monkeypatch.setattr(benchmarks, "_flip_chunk", empty)
     with pytest.raises(DegenerateGraph, match="in 1000 attempts"):
@@ -875,6 +931,26 @@ def test_a_near_tie_between_the_sectors_is_decided_by_eighs_values():
     assert reordered > 0
 
 
+def test_block_form_labels_with_fixed_points_match_the_per_matrix_block_form():
+    # a fixed point makes the V+ block larger than the V- one, so each sector's
+    # chosen blocks take their own solve; both sectors hold the Fiedler value here
+    sigma = np.array([8, 7, 6, 5, 4, 3, 2, 1, 0])
+    rng = np.random.default_rng(3)
+    stack = []
+    for _ in range(40):
+        w = np.triu(rng.random((9, 9)) < 0.5, 1).astype(float)
+        lap = laplacian(Graph(labels=tuple("abcdefghi"), weights=w + w.T))
+        stack.append((lap + lap[sigma][:, sigma]) / 2.0)
+    stack = np.array(stack)
+    plus, minus, _, _ = benchmarks._commutant_blocks(stack, sigma)
+    assert plus.shape[-1] == 5 and minus.shape[-1] == 4
+    union = np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)], axis=-1)
+    sectors = set((np.argsort(union, axis=-1, kind="stable")[:, 1] >= 5).tolist())
+    assert sectors == {False, True}
+    labels = benchmarks._projected_fiedler(stack, sigma) >= 0.0
+    assert np.array_equal(labels, [block_form_fiedler(m, sigma) >= 0.0 for m in stack])
+
+
 def test_certified_sign_labels_equal_eigh_labels_on_the_audit_set(audit_set, sign_fallbacks):
     # The kernel's baseline labels equal those of _signed_eigh's Fiedler column,
     # and its projected labels those of an eigh of the chosen block, on every
@@ -887,7 +963,9 @@ def test_certified_sign_labels_equal_eigh_labels_on_the_audit_set(audit_set, sig
     for (seed, li), laps, projected in audit_set:
         count = math.floor(AUDIT_LEVELS[li] * 561)
         sign_fallbacks.clear()
-        labels, _ = benchmarks._noise_chunk(clean, operator, count, seed, li, range(50))
+        seeds = benchmarks._SeedTable(seed, len(AUDIT_LEVELS), 50)
+        labels, _ = benchmarks._noise_chunk(clean, operator, count, seeds, li, range(50),
+                                            benchmarks._slot_lists(clean.weights))
         eigh_labels = graphs._signed_eigh(laps, slice(1, 2))[1][:, :, 0] >= 0.0
         assert np.array_equal(labels[:, 0], eigh_labels), (seed, li)
         block_labels = [block_form_fiedler(m, operator.sigma) >= 0.0 for m in projected]

@@ -345,8 +345,8 @@ def test_non_finite_numerics_in_the_noise_kernel_exit_1(runner, monkeypatch):
     # valid options, but a noisy graph whose degrees overflow: a compute failure
     original = benchmarks._flip_chunk
 
-    def overflowing(weights, count, seeds):
-        stack = original(weights, count, seeds)
+    def overflowing(weights, count, raws, lists):
+        stack = original(weights, count, raws, lists)
         stack[:, 1, 2:4] = stack[:, 2:4, 1] = 1e308
         return stack
 
@@ -428,6 +428,16 @@ def test_installed_entry_point_responds():
                           text=True, timeout=60, env=child_env())
     assert proc.returncode == 0
     assert "Structural-symmetry diagnostics" in proc.stdout
+
+
+def test_fresh_interpreter_imports_the_cli_without_numpy_random():
+    # numpy loads numpy.random on first use; the noise benchmark's generator is
+    # made when a run starts, so start-up does not pay for the module
+    code = "import sys\nimport prism.cli\nprint('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, cwd=REPO, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_fresh_interpreter_runs_learn_without_scipy(tmp_path):

@@ -732,6 +732,35 @@ def test_batched_correlations_match_corrcoef_with_gaps_and_flat_columns(chunking
     assert "DegenerateWindow" in kept_sets and len(kept_sets) > 5
 
 
+def gathered_usable(series, starts, window_len):
+    """The usable mask read off the window gather itself: no NaN, and some row unlike the first."""
+    windows = np.lib.stride_tricks.sliding_window_view(series, window_len, axis=1)[:, starts]
+    return (~np.isnan(windows).any(axis=2) & (windows != windows[:, :, :1]).any(axis=2)).T
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("window_len", [2, 60, 90])
+def test_usable_mask_from_prefix_counts_matches_the_gather(seed, window_len):
+    rng = np.random.default_rng(seed)
+    rows, tickers = 300, 9
+    returns = 0.01 * rng.standard_normal((rows, tickers))
+    returns[rng.random(returns.shape) < 0.01] = np.nan  # scattered gaps
+    returns[100:104, 1] = np.nan  # a gap run
+    returns[:, 2] = 0.001  # constant and nonzero
+    returns[40:140, 3] = 0.0  # a flat run, longer than every window
+    returns[200:262, 4] = -0.0  # a flat run of signed zeros among zeros
+    returns[200:230, 4] = 0.0
+    returns[150:152, 5] = 0.02  # a short flat run
+    series = np.ascontiguousarray(returns.T)
+    every = np.arange(rows - window_len + 1)
+    for starts in (every, every[::5], every[7:8], rng.choice(every, 20)):
+        expected = gathered_usable(series, starts, window_len)
+        usable = finance._usable(series, starts, window_len)
+        assert usable.shape == expected.shape and np.array_equal(usable, expected)
+    assert not gathered_usable(series, every, window_len)[:, 2].any()
+    assert gathered_usable(series, every, window_len).any()
+
+
 # The Fiedler ranking takes eigh only where inverse iteration cannot prove
 # the same rank pairing (eigh_fallbacks counts those matrices). A twin ticker
 # (an exact copy of another column) ties with its original in the Fiedler

@@ -148,6 +148,26 @@ def test_lanczos_rankings_match_eigh_from_the_cutoff_up(group_size, eigh_fallbac
     assert eigh_fallbacks == []
 
 
+def test_a_graph_just_below_the_cutoff_ranks_the_same_on_both_paths(monkeypatch, eigh_fallbacks):
+    lanczos_runs = []
+    ranking = graphs._lanczos_ranking
+
+    def counted(sym):
+        lanczos_runs.append(len(sym))
+        return ranking(sym)
+
+    monkeypatch.setattr(graphs, "_lanczos_ranking", counted)
+    m = graphs.LANCZOS_CUTOFF - 2
+    for seed in range(4):
+        g = mirror_graph(m // 2, seed)
+        solved = fiedler_pairing(g).permutation
+        with monkeypatch.context() as lowered:
+            lowered.setattr(graphs, "LANCZOS_CUTOFF", m)
+            assert fiedler_pairing(g).permutation == solved == eigh_pairing(g)
+    assert lanczos_runs == [m] * 4
+    assert eigh_fallbacks == []
+
+
 def test_a_twin_pair_above_the_cutoff_takes_eigh(eigh_fallbacks):
     # twin nodes have equal Fiedler entries, so no Lanczos vector can prove their order
     g = twin_graph(250, 7)
